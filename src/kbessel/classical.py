@@ -59,9 +59,9 @@ _TRIGAMMA_COEFFS = (
 
 
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
+    """log Gamma(x) for finite x > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"ln_gamma requires a finite x > 0, got {x}")
     if x == 1.0 or x == 2.0:
         # Gamma is exactly 1 at both points; the shifted Stirling sum would
         # return ~4e-16 noise here, which matters because these exact zeros
@@ -84,9 +84,9 @@ def ln_gamma(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
+    """psi(x) = d/dx log Gamma(x) for finite x > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"digamma requires a finite x > 0, got {x}")
     if x == 1.0:
         # psi(1) is exactly minus the Euler-Mascheroni constant; returning
         # the stored constant beats the shifted asymptotic sum by a few ulp.
@@ -104,9 +104,9 @@ def digamma(x: float) -> float:
 
 
 def trigamma(x: float) -> float:
-    """psi'(x), the derivative of digamma, for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"trigamma requires x > 0, got {x}")
+    """psi'(x), the derivative of digamma, for finite x > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"trigamma requires a finite x > 0, got {x}")
     acc = 0.0
     z = x
     while z < _SHIFT_THRESHOLD:

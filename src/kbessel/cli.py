@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -26,12 +27,7 @@ from .errors import (
     Overflow,
     QuadratureFailure,
 )
-from .integral import (
-    IntegralRepParams,
-    eval_w_bessel_kernel,
-    eval_w_cos,
-    eval_w_cosh,
-)
+from .integral import ROUTES, route_legs
 from .kbessel import KBesselParams, SeriesConfig, deriv_w, eval_w
 from .kgamma import (
     k_beta,
@@ -147,7 +143,8 @@ def main() -> None:
 @click.option("--c", type=float, required=True, help="Sign/scale parameter of the series.")
 @click.option("--x", "x_text", type=str, required=True,
               help="Argument: a number or a comma-separated list.")
-@click.option("--deriv", type=int, default=0, show_default=True,
+@click.option("--deriv", type=click.IntRange(min=0), default=0,
+              show_default=True,
               help="Derivative order m (0 evaluates the function itself).")
 @click.option("--tol", type=float, default=1e-14, show_default=True,
               help="Relative truncation tolerance of the series.")
@@ -275,7 +272,13 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
     _emit(_table_lines(fmt, header, rows), out)
 
 
+_GRID_FIELDS = ("k_values", "nu_values", "c_values", "alpha_values",
+                "x_values", "a_values", "cvx_weights")
+
+
 def _load_grid_file(path: str) -> dict:
+    """The grid file's arrays by field name; exits 2 unless every key is a
+    ``_GRID_FIELDS`` name holding an array of numbers."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -285,19 +288,6 @@ def _load_grid_file(path: str) -> dict:
         _fail(2, f"grid file {path!r} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         _fail(2, f"grid file {path!r} must hold a JSON object of arrays")
-    return payload
-
-
-_GRID_FIELDS = ("k_values", "nu_values", "c_values", "alpha_values",
-                "x_values", "a_values", "cvx_weights")
-
-
-def _grid_from_option(grid: str) -> GridSpec:
-    if grid == "default":
-        return default_grid()
-    payload = _load_grid_file(grid)
-    base = {field: list(getattr(default_grid(), field))
-            for field in _GRID_FIELDS}
     for key, values in payload.items():
         if key not in _GRID_FIELDS:
             _fail(2, f"unknown grid field {key!r}; known fields: "
@@ -306,7 +296,14 @@ def _grid_from_option(grid: str) -> GridSpec:
                 or not all(isinstance(v, (int, float)) and
                            not isinstance(v, bool) for v in values)):
             _fail(2, f"grid field {key!r} must be an array of numbers")
-        base[key] = values
+    return payload
+
+
+def _grid_from_option(grid: str) -> GridSpec:
+    if grid == "default":
+        return default_grid()
+    base = {field: getattr(default_grid(), field) for field in _GRID_FIELDS}
+    base.update(_load_grid_file(grid))
     try:
         return GridSpec(**base)
     except InvalidParameter as exc:
@@ -349,28 +346,12 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
     rows = []
     try:
         for k in k_values:
-            for nu in sorted(nu_by_k[k]):
-                for alpha in alpha_values:
-                    for x in x_values:
-                        rep = IntegralRepParams(k, nu, alpha, x)
-                        c_sq = alpha * alpha
-                        legs = []
-                        if nu / k > -0.5:
-                            legs.append(("cos", c_sq,
-                                         eval_w_cos(rep)))
-                            legs.append(("cosh", -c_sq,
-                                         eval_w_cosh(rep)))
-                        if nu > 0.0:
-                            kernel_rep = IntegralRepParams(k, nu, 1.0, x)
-                            legs.append(("kernel", c_sq,
-                                         eval_w_bessel_kernel(kernel_rep, c_sq)))
-                            legs.append(("kernel", -c_sq,
-                                         eval_w_bessel_kernel(kernel_rep, -c_sq)))
-                        for route, c, integral_value in legs:
-                            series_value = eval_w(KBesselParams(k, nu, c), x).value
-                            rows.append([k, nu, alpha, x, route, c,
-                                         series_value, integral_value,
-                                         integral_value - series_value])
+            for nu, alpha, x, route in itertools.product(
+                    sorted(nu_by_k[k]), alpha_values, x_values, ROUTES):
+                for c, integral_value in route_legs(k, nu, alpha, x, route)[1]:
+                    series_value = eval_w(KBesselParams(k, nu, c), x).value
+                    rows.append([k, nu, alpha, x, route, c, series_value,
+                                 integral_value, integral_value - series_value])
     except _USAGE_ERRORS as exc:
         _fail(2, str(exc))
     except _NUMERIC_ERRORS as exc:

@@ -25,12 +25,11 @@ from functools import lru_cache
 
 from .errors import InvalidParameter, Overflow, QuadratureFailure
 from .kbessel import KBesselParams, eval_w
-from .kgamma import ln_k_gamma
+from .kgamma import _MAX_EXP_ARG, ln_k_gamma
 
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _LN_HALF_PI = math.log(0.5 * math.pi)
-_MAX_EXP_ARG = 709.782712893384
 
 
 @dataclass(frozen=True)
@@ -178,6 +177,22 @@ def _exp_guarded(ln_value: float, what: str) -> float:
     return math.exp(ln_value)
 
 
+def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, name: str,
+                 weight) -> float:
+    if not p.nu / p.k > -0.5:
+        raise InvalidParameter(
+            f"{name} representation requires nu/k > -1/2, got nu/k={p.nu / p.k}"
+        )
+    ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
+               - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
+               + (p.nu / p.k) * math.log(0.5 * p.x))
+    pref = _exp_guarded(ln_pref, "integral prefactor")
+    omega = p.alpha * p.x / math.sqrt(p.k)
+    integral = weighted_integral(lambda t: weight(omega * t),
+                                 p.nu / p.k - 0.5, cfg)
+    return pref * integral
+
+
 def eval_w_cos(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     """W with c = +alpha^2 via the cosine representation
 
@@ -186,35 +201,13 @@ def eval_w_cos(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
 
     valid for nu/k > -1/2.
     """
-    if not p.nu / p.k > -0.5:
-        raise InvalidParameter(
-            f"cosine representation requires nu/k > -1/2, got nu/k={p.nu / p.k}"
-        )
-    ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
-               - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
-               + (p.nu / p.k) * math.log(0.5 * p.x))
-    pref = _exp_guarded(ln_pref, "integral prefactor")
-    omega = p.alpha * p.x / math.sqrt(p.k)
-    integral = weighted_integral(lambda t: math.cos(omega * t),
-                                 p.nu / p.k - 0.5, cfg)
-    return pref * integral
+    return _eval_w_trig(p, cfg, "cosine", math.cos)
 
 
 def eval_w_cosh(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     """W with c = -alpha^2 via the hyperbolic-cosine representation; same
     prefactor and validity range as eval_w_cos."""
-    if not p.nu / p.k > -0.5:
-        raise InvalidParameter(
-            f"cosh representation requires nu/k > -1/2, got nu/k={p.nu / p.k}"
-        )
-    ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
-               - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
-               + (p.nu / p.k) * math.log(0.5 * p.x))
-    pref = _exp_guarded(ln_pref, "integral prefactor")
-    omega = p.alpha * p.x / math.sqrt(p.k)
-    integral = weighted_integral(lambda t: math.cosh(omega * t),
-                                 p.nu / p.k - 0.5, cfg)
-    return pref * integral
+    return _eval_w_trig(p, cfg, "cosh", math.cosh)
 
 
 def bessel_kernel(u: float, c: float) -> float:
@@ -257,6 +250,38 @@ def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
     integral = weighted_integral(lambda t: t * bessel_kernel(scale * t, c),
                                  p.nu / p.k - 1.0, cfg)
     return pref * integral
+
+
+ROUTES = ("cos", "cosh", "kernel")
+
+
+def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
+               cfg: QuadConfig = _DEFAULT_QUAD
+               ) -> tuple[str | None, list[tuple[float, float]]]:
+    """Admissibility and quadrature values of one route at (k, nu, alpha, x).
+
+    Returns ``(reason, legs)``.  ``reason`` is None when the route applies
+    and the violated condition otherwise, with no legs.  ``legs`` are
+    (c, W) pairs: 'cos' gives c = +alpha^2, 'cosh' c = -alpha^2 (both need
+    nu/k > -1/2), and 'kernel' both signs (needs nu > 0).
+    """
+    if route not in ROUTES:
+        raise InvalidParameter(
+            f"route must be 'cos', 'cosh', or 'kernel', got {route!r}"
+        )
+    rep = IntegralRepParams(k, nu, alpha, x)  # validates every route's input
+    c_sq = alpha * alpha
+    if route == "kernel":
+        if not nu > 0.0:
+            return "kernel representation requires nu > 0", []
+        kernel_rep = IntegralRepParams(k, nu, 1.0, x)
+        return None, [(c_sq, eval_w_bessel_kernel(kernel_rep, c_sq, cfg)),
+                      (-c_sq, eval_w_bessel_kernel(kernel_rep, -c_sq, cfg))]
+    if not nu / k > -0.5:
+        return "cosine/cosh representation requires nu/k > -1/2", []
+    if route == "cos":
+        return None, [(c_sq, eval_w_cos(rep, cfg))]
+    return None, [(-c_sq, eval_w_cosh(rep, cfg))]
 
 
 def _relation_rhs(k: float, alpha: float, x: float, c: float) -> float:

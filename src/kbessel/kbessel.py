@@ -30,9 +30,7 @@ from dataclasses import dataclass
 
 from ._dd import dd_add, dd_div, dd_mul, dd_mul_d, two_prod
 from .errors import DomainError, InvalidParameter, NonConvergence, Overflow
-from .kgamma import ln_k_gamma
-
-_MAX_EXP_ARG = 709.782712893384
+from .kgamma import _MAX_EXP_ARG, ln_k_gamma
 
 
 @dataclass(frozen=True)
@@ -84,15 +82,40 @@ def _tail_estimate(first_omitted: float, next_ratio: float, alternating: bool) -
     return math.inf
 
 
-def _ratio_series_sum(t0: float, qhi: float, qlo: float, k: float, nu: float,
-                      cfg: SeriesConfig) -> tuple[float, int, float]:
-    """Sum t_r with t_{r+1} = t_r * q / ((r+1)(r k + nu + k)) in dd arithmetic."""
-    shi = slo = 0.0
+def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
+            cfg: SeriesConfig, x: float | None = None
+            ) -> tuple[EvalResult, float, float]:
+    """Sum t_r with t_{r+1} = t_r * q / ((r+1)(r k + nu + k)) in dd arithmetic.
+
+    Given x, also sums the term-wise derivatives t_r (2r+b)/x and
+    t_r (2r+b)(2r+b-1)/x^2 with b = nu/k, and truncation waits for all three
+    sums; without x both derivative sums are returned as 0.0.
+    """
+    rel_tol = cfg.rel_tol
+    derivs = x is not None
+    if derivs:
+        b = nu / k
+        inv_x = 1.0 / x
+        inv_x2 = inv_x * inv_x
+    s0h = s0l = s1h = s1l = s2h = s2l = 0.0
     thi, tlo = t0, 0.0
     streak = 0
     r = 0
     while True:
-        shi, slo = dd_add(shi, slo, thi, tlo)
+        s0h, s0l = dd_add(s0h, s0l, thi, tlo)
+        tiny = abs(thi) <= rel_tol * abs(s0h)
+        if derivs:
+            # the multipliers are rounded to double before the dd product,
+            # which bounds the accuracy of W' and W'' under cancellation
+            m = 2.0 * r + b
+            m1 = m * inv_x
+            m2 = m * (m - 1.0) * inv_x2
+            g1h, g1l = dd_mul_d(thi, tlo, m1)
+            s1h, s1l = dd_add(s1h, s1l, g1h, g1l)
+            g2h, g2l = dd_mul_d(thi, tlo, m2)
+            s2h, s2l = dd_add(s2h, s2l, g2h, g2l)
+            tiny = (tiny and abs(thi * m1) <= rel_tol * abs(s1h)
+                    and abs(thi * m2) <= rel_tol * abs(s2h))
         # next term, denominator (r+1)(r k + nu + k) built exactly in dd
         phi, plo = two_prod(float(r), k)
         phi, plo = dd_add(phi, plo, nu, 0.0)
@@ -100,20 +123,21 @@ def _ratio_series_sum(t0: float, qhi: float, qlo: float, k: float, nu: float,
         dhi, dlo = dd_mul_d(phi, plo, float(r + 1))
         nhi, nlo = dd_mul(thi, tlo, qhi, qlo)
         nhi, nlo = dd_div(nhi, nlo, dhi, dlo)
-        if abs(thi) <= cfg.rel_tol * abs(shi):
+        if tiny:
             streak += 1
             if streak >= 2:
                 terms_used = r + 1
                 ratio_next = abs(qhi) / ((r + 2) * ((r + 1) * k + nu + k))
                 est = _tail_estimate(nhi, ratio_next, alternating=qhi < 0.0)
-                return shi + slo, terms_used, est
+                return (EvalResult(s0h + s0l, terms_used, est),
+                        s1h + s1l, s2h + s2l)
         else:
             streak = 0
         r += 1
         if r >= cfg.max_terms:
             raise NonConvergence(
-                f"series did not meet rel_tol={cfg.rel_tol} within "
-                f"max_terms={cfg.max_terms}"
+                f"{'derivative ' if derivs else ''}series did not meet "
+                f"rel_tol={cfg.rel_tol} within max_terms={cfg.max_terms}"
             )
         thi, tlo = nhi, nlo
 
@@ -134,6 +158,13 @@ def _leading_term(p: KBesselParams, x: float) -> float:
     return t0
 
 
+def _w_ratio(p: KBesselParams, x: float) -> tuple[float, float]:
+    """-c (x/2)^2 in dd: the term ratio's numerator for W."""
+    xh = 0.5 * x
+    qhi, qlo = two_prod(xh, xh)
+    return dd_mul_d(qhi, qlo, -p.c)
+
+
 def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
     """Evaluate W(x) by the defining power series.
 
@@ -152,16 +183,18 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
     t0 = _leading_term(p, x)
     if p.c == 0.0:
         return EvalResult(t0, 1, 0.0)
-    xh = 0.5 * x
-    qhi, qlo = two_prod(xh, xh)
-    qhi, qlo = dd_mul_d(qhi, qlo, -p.c)
-    value, terms_used, est = _ratio_series_sum(t0, qhi, qlo, p.k, p.nu, cfg)
-    return EvalResult(value, terms_used, est)
+    return _series(t0, *_w_ratio(p, x), p.k, p.nu, cfg)[0]
 
 
-def _normalized_config_q(x: float, sign: float) -> tuple[float, float]:
+def _eval_normalized(name: str, sign: float, p: KBesselParams, x: float,
+                     cfg: SeriesConfig) -> EvalResult:
+    if math.isnan(x):
+        raise DomainError(f"{name} requires a real x")
+    if x == 0.0:
+        return EvalResult(1.0, 1, 0.0)
     qhi, qlo = two_prod(x, x)
-    return dd_mul_d(qhi, qlo, 0.25 * sign)
+    qhi, qlo = dd_mul_d(qhi, qlo, 0.25 * sign)
+    return _series(1.0, qhi, qlo, p.k, p.nu, cfg)[0]
 
 
 def eval_normalized_i(p: KBesselParams, x: float,
@@ -171,25 +204,13 @@ def eval_normalized_i(p: KBesselParams, x: float,
     Equals (2/x)^(nu/k) Gamma_k(nu+k) W(x) for c = -1; the c field of ``p``
     is ignored.
     """
-    if math.isnan(x):
-        raise DomainError("eval_normalized_i requires a real x")
-    if x == 0.0:
-        return EvalResult(1.0, 1, 0.0)
-    qhi, qlo = _normalized_config_q(x, 1.0)
-    value, terms_used, est = _ratio_series_sum(1.0, qhi, qlo, p.k, p.nu, cfg)
-    return EvalResult(value, terms_used, est)
+    return _eval_normalized("eval_normalized_i", 1.0, p, x, cfg)
 
 
 def eval_normalized_j(p: KBesselParams, x: float,
                       cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
     """Normalized alternating series (c = +1 flavor): value 1 at x = 0, even."""
-    if math.isnan(x):
-        raise DomainError("eval_normalized_j requires a real x")
-    if x == 0.0:
-        return EvalResult(1.0, 1, 0.0)
-    qhi, qlo = _normalized_config_q(x, -1.0)
-    value, terms_used, est = _ratio_series_sum(1.0, qhi, qlo, p.k, p.nu, cfg)
-    return EvalResult(value, terms_used, est)
+    return _eval_normalized("eval_normalized_j", -1.0, p, x, cfg)
 
 
 def eval_w_with_derivatives(p: KBesselParams, x: float,
@@ -204,58 +225,12 @@ def eval_w_with_derivatives(p: KBesselParams, x: float,
     if not x > 0.0:
         raise DomainError(f"eval_w_with_derivatives requires x > 0, got {x}")
     t0 = _leading_term(p, x)
-    b = p.nu / p.k
     if p.c == 0.0:
+        b = p.nu / p.k
         d1 = t0 * b / x
         d2 = t0 * b * (b - 1.0) / (x * x)
         return EvalResult(t0, 1, 0.0), d1, d2
-    xh = 0.5 * x
-    qhi, qlo = two_prod(xh, xh)
-    qhi, qlo = dd_mul_d(qhi, qlo, -p.c)
-
-    s0h = s0l = s1h = s1l = s2h = s2l = 0.0
-    thi, tlo = t0, 0.0
-    inv_x = 1.0 / x
-    inv_x2 = inv_x * inv_x
-    streak = 0
-    r = 0
-    while True:
-        m = 2.0 * r + b
-        m1 = m * inv_x
-        m2 = m * (m - 1.0) * inv_x2
-        s0h, s0l = dd_add(s0h, s0l, thi, tlo)
-        g1h, g1l = dd_mul_d(thi, tlo, m1)
-        s1h, s1l = dd_add(s1h, s1l, g1h, g1l)
-        g2h, g2l = dd_mul_d(thi, tlo, m2)
-        s2h, s2l = dd_add(s2h, s2l, g2h, g2l)
-
-        phi, plo = two_prod(float(r), p.k)
-        phi, plo = dd_add(phi, plo, p.nu, 0.0)
-        phi, plo = dd_add(phi, plo, p.k, 0.0)
-        dhi, dlo = dd_mul_d(phi, plo, float(r + 1))
-        nhi, nlo = dd_mul(thi, tlo, qhi, qlo)
-        nhi, nlo = dd_div(nhi, nlo, dhi, dlo)
-
-        tiny = (abs(thi) <= cfg.rel_tol * abs(s0h)
-                and abs(thi * m1) <= cfg.rel_tol * abs(s1h)
-                and abs(thi * m2) <= cfg.rel_tol * abs(s2h))
-        if tiny:
-            streak += 1
-            if streak >= 2:
-                terms_used = r + 1
-                ratio_next = abs(qhi) / ((r + 2) * ((r + 1) * p.k + p.nu + p.k))
-                est = _tail_estimate(nhi, ratio_next, alternating=qhi < 0.0)
-                return (EvalResult(s0h + s0l, terms_used, est),
-                        s1h + s1l, s2h + s2l)
-        else:
-            streak = 0
-        r += 1
-        if r >= cfg.max_terms:
-            raise NonConvergence(
-                f"derivative series did not meet rel_tol={cfg.rel_tol} within "
-                f"max_terms={cfg.max_terms}"
-            )
-        thi, tlo = nhi, nlo
+    return _series(t0, *_w_ratio(p, x), p.k, p.nu, cfg, x)
 
 
 def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:

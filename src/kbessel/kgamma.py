@@ -37,6 +37,8 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
     _require_k(k)
     if not isinstance(n, int) or n < 0:
         raise InvalidParameter(f"n must be a non-negative integer, got {n!r}")
+    if math.isnan(x):
+        raise DomainError("k_pochhammer requires a real x, got nan")
     result = 1.0
     for j in range(n):
         result *= x + j * k

@@ -20,16 +20,16 @@ never aborts on a single point's failure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import InvalidParameter, KBesselError
 from .integral import (
-    IntegralRepParams,
+    ROUTES,
     QuadConfig,
-    eval_w_bessel_kernel,
-    eval_w_cos,
-    eval_w_cosh,
+    route_legs,
     sin_relation_check,
     sinh_relation_check,
     weighted_integral,
@@ -596,33 +596,10 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
     tol = 1e-9 * max(1, |series value|); inadmissible combinations are
     skipped with the violated condition as the reason.
     """
-    if route not in ("cos", "cosh", "kernel"):
-        raise InvalidParameter(
-            f"route must be 'cos', 'cosh', or 'kernel', got {route!r}"
-        )
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
-    if not alpha > 0.0:
-        raise InvalidParameter(f"alpha must be positive, got {alpha}")
-    _require_positive_x(x)
+    reason, pairs = route_legs(k, nu, alpha, x, route, qcfg)
     point = {"k": k, "nu": nu, "alpha": alpha, "x": x, "route": route}
-    if route in ("cos", "cosh") and not nu / k > -0.5:
-        return _skip("integral-agreement", point,
-                     "cosine/cosh representation requires nu/k > -1/2")
-    if route == "kernel" and not nu > 0.0:
-        return _skip("integral-agreement", point,
-                     "kernel representation requires nu > 0")
-
-    rep = IntegralRepParams(k, nu, alpha, x)
-    c_sq = alpha * alpha
-    if route == "cos":
-        pairs = [(c_sq, eval_w_cos(rep, qcfg))]
-    elif route == "cosh":
-        pairs = [(-c_sq, eval_w_cosh(rep, qcfg))]
-    else:
-        kernel_rep = IntegralRepParams(k, nu, 1.0, x)
-        pairs = [(c_sq, eval_w_bessel_kernel(kernel_rep, c_sq, qcfg)),
-                 (-c_sq, eval_w_bessel_kernel(kernel_rep, -c_sq, qcfg))]
+    if reason is not None:
+        return _skip("integral-agreement", point, reason)
 
     margin = math.inf
     tol = 0.0
@@ -650,193 +627,115 @@ def _pairs(values):
             yield mu, nu
 
 
-def _grid_ode(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for nu in sorted(spec.nu_values):
-            for c in sorted(spec.c_values):
-                for x in sorted(spec.x_values):
-                    point = {"k": k, "nu": nu, "c": c, "x": x}
-                    if not nu > -k:
-                        yield _skip("ode", point, "order must exceed -k")
-                        continue
-                    yield _guard("ode", point,
-                                 lambda: check_ode(KBesselParams(k, nu, c), x))
+class _Check(NamedTuple):
+    """How ``run_grid`` expands one check.
+
+    ``axes`` are the point's keys in order; a pair of keys takes the ordered
+    pairs of ``nu_values``, any other key the sorted values of its grid
+    field.  ``rules`` are (admissible(spec, point), skip reason) in order.
+    ``call(spec, point)`` runs the check; it names the check function as a
+    module global, looked up on every call, so a replacement set on this
+    module (a tracer, a test spy) is the one that runs.
+    """
+
+    axes: tuple
+    rules: tuple
+    call: Callable[[GridSpec, dict], VerifyReport]
 
 
-def _grid_recurrences(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for nu in sorted(spec.nu_values):
-            for c in sorted(spec.c_values):
-                for x in sorted(spec.x_values):
-                    point = {"k": k, "nu": nu, "c": c, "x": x}
-                    if not nu > -k:
-                        yield _skip("recurrences", point,
-                                    "order must exceed -k")
-                        continue
-                    yield _guard(
-                        "recurrences", point,
-                        lambda: check_recurrences(KBesselParams(k, nu, c), x))
-
-
-def _grid_multisection(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for nu in sorted(spec.nu_values):
-            for c in sorted(spec.c_values):
-                for x in sorted(spec.x_values):
-                    point = {"k": k, "nu": nu, "c": c, "x": x}
-                    if not nu > 0.0:
-                        yield _skip("multisection", point,
-                                    "lowered order requires nu > 0")
-                        continue
-                    yield _guard(
-                        "multisection", point,
-                        lambda: check_multisection(KBesselParams(k, nu, c), x))
-
-
-def _grid_ratio_x(spec: GridSpec):
-    xs = sorted(spec.x_values)
-    for k in sorted(spec.k_values):
-        for mu, nu in _pairs(spec.nu_values):
-            point = {"k": k, "mu": mu, "nu": nu}
-            if not mu > -k:
-                yield _skip("ratio-x-monotone", point,
-                            "orders must exceed -k")
-                continue
-            if len(xs) < 2:
-                yield _skip("ratio-x-monotone", point,
-                            "needs at least two x grid points")
-                continue
-            yield _guard("ratio-x-monotone", point,
-                         lambda: check_ratio_x_monotone(k, mu, nu, xs))
-
-
-def _grid_order_ratio(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for mu, nu in _pairs(spec.nu_values):
-            for x in sorted(spec.x_values):
-                point = {"k": k, "mu": mu, "nu": nu, "x": x}
-                if not mu > -k:
-                    yield _skip("order-ratio-monotone", point,
-                                "orders must exceed -k")
-                    continue
-                yield _guard("order-ratio-monotone", point,
-                             lambda: check_order_ratio_monotone(k, mu, nu, x))
-
-
-def _grid_logconvex(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for nu1, nu2 in _pairs(spec.nu_values):
-            for weight in sorted(spec.cvx_weights):
-                for x in sorted(spec.x_values):
-                    point = {"k": k, "nu1": nu1, "nu2": nu2,
-                             "weight": weight, "x": x}
-                    if not nu1 > -k:
-                        yield _skip("nu-decreasing-logconvex", point,
-                                    "orders must exceed -k")
-                        continue
-                    yield _guard(
-                        "nu-decreasing-logconvex", point,
-                        lambda: check_nu_decreasing_logconvex(
-                            k, (nu1, nu2), weight, x))
-
-
-def _grid_turan(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for nu in sorted(spec.nu_values):
-            for a in sorted(spec.a_values):
-                for x in sorted(spec.x_values):
-                    point = {"k": k, "nu": nu, "a": a, "x": x}
-                    if not nu >= abs(a) - k + 1e-9:
-                        yield _skip("turan", point,
-                                    "order too small for the shift "
-                                    "(needs nu >= |a| - k)")
-                        continue
-                    yield _guard("turan", point,
-                                 lambda: check_turan(k, nu, a, x))
-
-
-def _grid_chebyshev(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for nu in sorted(spec.nu_values):
-            for x in sorted(spec.x_values):
-                for variant in ("cos", "cosh"):
-                    point = {"k": k, "nu": nu, "x": x, "variant": variant}
-                    if not nu > -0.75 * k:
-                        yield _skip("chebyshev", point,
-                                    "requires nu > -3k/4")
-                        continue
-                    yield _guard(
-                        "chebyshev", point,
-                        lambda: check_chebyshev_products(k, nu, x, variant))
-
-
-def _grid_coefficient_facts(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for mu, nu in _pairs(spec.nu_values):
-            point = {"k": k, "mu": mu, "nu": nu}
-            if not mu > -k:
-                yield _skip("coefficient-facts", point,
-                            "orders must exceed -k")
-                continue
-            yield _guard("coefficient-facts", point,
-                         lambda: check_coefficient_facts(k, mu, nu))
-
-
-def _grid_sin_relation(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for alpha in sorted(spec.alpha_values):
-            for x in sorted(spec.x_values):
-                point = {"k": k, "alpha": alpha, "x": x}
-                yield _guard("sin-relation", point,
-                             lambda: check_sin_relation(k, alpha, x))
-
-
-def _grid_sinh_relation(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for alpha in sorted(spec.alpha_values):
-            for x in sorted(spec.x_values):
-                point = {"k": k, "alpha": alpha, "x": x}
-                yield _guard("sinh-relation", point,
-                             lambda: check_sinh_relation(k, alpha, x))
-
-
-def _grid_integral_agreement(spec: GridSpec):
-    for k in sorted(spec.k_values):
-        for nu in sorted(spec.nu_values):
-            for alpha in sorted(spec.alpha_values):
-                for x in sorted(spec.x_values):
-                    for route in ("cos", "cosh", "kernel"):
-                        point = {"k": k, "nu": nu, "alpha": alpha,
-                                 "x": x, "route": route}
-                        yield _guard(
-                            "integral-agreement", point,
-                            lambda: check_integral_agreement(
-                                k, nu, alpha, x, route))
-
-
-def _guard(name: str, point: dict, thunk) -> VerifyReport:
-    try:
-        return thunk()
-    except KBesselError as exc:
-        return _failure(name, point, exc)
-
-
-_GRID_RUNNERS = {
-    "ode": _grid_ode,
-    "recurrences": _grid_recurrences,
-    "multisection": _grid_multisection,
-    "ratio-x-monotone": _grid_ratio_x,
-    "order-ratio-monotone": _grid_order_ratio,
-    "nu-decreasing-logconvex": _grid_logconvex,
-    "turan": _grid_turan,
-    "chebyshev": _grid_chebyshev,
-    "coefficient-facts": _grid_coefficient_facts,
-    "sin-relation": _grid_sin_relation,
-    "sinh-relation": _grid_sinh_relation,
-    "integral-agreement": _grid_integral_agreement,
+_AXIS_VALUES = {
+    "k": lambda spec: spec.k_values,
+    "nu": lambda spec: spec.nu_values,
+    "c": lambda spec: spec.c_values,
+    "x": lambda spec: spec.x_values,
+    "alpha": lambda spec: spec.alpha_values,
+    "a": lambda spec: spec.a_values,
+    "weight": lambda spec: spec.cvx_weights,
+    "variant": lambda spec: ("cos", "cosh"),
+    "route": lambda spec: ROUTES,
 }
 
-CHECK_NAMES: tuple[str, ...] = tuple(_GRID_RUNNERS)
+_SERIES_AXES = ("k", "nu", "c", "x")
+_NU_ABOVE_MINUS_K = ((lambda s, p: p["nu"] > -p["k"], "order must exceed -k"),)
+_MU_ABOVE_MINUS_K = ((lambda s, p: p["mu"] > -p["k"], "orders must exceed -k"),)
+
+
+def _series_params(point: dict) -> KBesselParams:
+    return KBesselParams(point["k"], point["nu"], point["c"])
+
+
+_CHECKS = {
+    "ode": _Check(
+        _SERIES_AXES, _NU_ABOVE_MINUS_K,
+        lambda s, p: check_ode(_series_params(p), p["x"])),
+    "recurrences": _Check(
+        _SERIES_AXES, _NU_ABOVE_MINUS_K,
+        lambda s, p: check_recurrences(_series_params(p), p["x"])),
+    "multisection": _Check(
+        _SERIES_AXES,
+        ((lambda s, p: p["nu"] > 0.0, "lowered order requires nu > 0"),),
+        lambda s, p: check_multisection(_series_params(p), p["x"])),
+    "ratio-x-monotone": _Check(
+        ("k", ("mu", "nu")),
+        _MU_ABOVE_MINUS_K
+        + ((lambda s, p: len(s.x_values) >= 2,
+            "needs at least two x grid points"),),
+        lambda s, p: check_ratio_x_monotone(**p, x_grid=sorted(s.x_values))),
+    "order-ratio-monotone": _Check(
+        ("k", ("mu", "nu"), "x"), _MU_ABOVE_MINUS_K,
+        lambda s, p: check_order_ratio_monotone(**p)),
+    "nu-decreasing-logconvex": _Check(
+        ("k", ("nu1", "nu2"), "weight", "x"),
+        ((lambda s, p: p["nu1"] > -p["k"], "orders must exceed -k"),),
+        lambda s, p: check_nu_decreasing_logconvex(
+            p["k"], (p["nu1"], p["nu2"]), p["weight"], p["x"])),
+    "turan": _Check(
+        ("k", "nu", "a", "x"),
+        ((lambda s, p: p["nu"] >= abs(p["a"]) - p["k"] + 1e-9,
+          "order too small for the shift (needs nu >= |a| - k)"),),
+        lambda s, p: check_turan(**p)),
+    "chebyshev": _Check(
+        ("k", "nu", "x", "variant"),
+        ((lambda s, p: p["nu"] > -0.75 * p["k"], "requires nu > -3k/4"),),
+        lambda s, p: check_chebyshev_products(**p)),
+    "coefficient-facts": _Check(
+        ("k", ("mu", "nu")), _MU_ABOVE_MINUS_K,
+        lambda s, p: check_coefficient_facts(**p)),
+    "sin-relation": _Check(
+        ("k", "alpha", "x"), (), lambda s, p: check_sin_relation(**p)),
+    "sinh-relation": _Check(
+        ("k", "alpha", "x"), (), lambda s, p: check_sinh_relation(**p)),
+    "integral-agreement": _Check(
+        ("k", "nu", "alpha", "x", "route"), (),
+        lambda s, p: check_integral_agreement(**p)),
+}
+
+CHECK_NAMES: tuple[str, ...] = tuple(_CHECKS)
+
+
+def _expand(name: str, spec: GridSpec):
+    """Every report of one check over ``spec``, in lexicographic order."""
+    check = _CHECKS[name]
+    keys = []
+    axes = []
+    for axis in check.axes:
+        if isinstance(axis, tuple):
+            keys.extend(axis)
+            axes.append(list(_pairs(spec.nu_values)))
+        else:
+            keys.append(axis)
+            axes.append([(v,) for v in sorted(_AXIS_VALUES[axis](spec))])
+    for combo in itertools.product(*axes):
+        point = dict(zip(keys, itertools.chain.from_iterable(combo)))
+        reason = next((why for admissible, why in check.rules
+                       if not admissible(spec, point)), None)
+        if reason is not None:
+            yield _skip(name, point, reason)
+            continue
+        try:
+            yield check.call(spec, point)
+        except KBesselError as exc:
+            yield _failure(name, point, exc)
 
 
 def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
@@ -849,12 +748,12 @@ def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
     """
     ordered: list[str] = []
     for name in checks:
-        if name not in _GRID_RUNNERS:
+        if name not in _CHECKS:
             known = ", ".join(CHECK_NAMES)
             raise InvalidParameter(f"unknown check {name!r}; known checks: {known}")
         if name not in ordered:
             ordered.append(name)
     reports: list[VerifyReport] = []
     for name in ordered:
-        reports.extend(_GRID_RUNNERS[name](spec))
+        reports.extend(_expand(name, spec))
     return reports

@@ -119,7 +119,7 @@ def test_trigamma_functional_equation():
 
 
 @pytest.mark.parametrize("fn", [ln_gamma, digamma, trigamma])
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
 def test_nonpositive_arguments_rejected(fn, bad):
     with pytest.raises(DomainError):
         fn(bad)

@@ -130,6 +130,13 @@ class TestEval:
         assert result.exit_code == 2
         assert "derivative ladder" in result.stderr
 
+    def test_negative_derivative_order_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "0", "--c", "1",
+                   "--x", "1", "--deriv", "-1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_out_writes_file_and_keeps_stdout_empty(self, runner, tmp_path):
         target = tmp_path / "values.csv"
         args = ["eval", "--k", "1", "--nu", "0", "--c", "1", "--x", "1,2",
@@ -231,6 +238,16 @@ class TestGamma:
         result = runner.invoke(
             main, ["gamma", "--fn", "gamma", "--t", "-1", "--k", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--fn", "gamma", "--t", "inf"],
+        ["--fn", "lngamma", "--t", "inf"],
+        ["--fn", "pochhammer", "--t", "nan", "--n", "2"],
+    ], ids=["gamma-inf", "lngamma-inf", "pochhammer-nan"])
+    def test_non_finite_argument_exits_2(self, runner, args):
+        result = runner.invoke(main, ["gamma", *args, "--k", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
 
     def test_unknown_function_exits_2(self, runner):
         result = runner.invoke(
@@ -396,6 +413,22 @@ class TestCompareIntegral:
             main, ["compare-integral", "--grid", str(grid)])
         assert result.exit_code == 2
         assert "must define" in result.stderr
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"k_values": ["a"]}, "array of numbers"),
+        ({"k_values": 1.0}, "array of numbers"),
+        ({"bogus": [1.0]}, "unknown grid field"),
+    ], ids=["non-numeric", "scalar", "unknown-field"])
+    def test_malformed_grid_file_exits_2(self, runner, tmp_path, payload,
+                                         message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [1.0], "nu_values": [0.5], "alpha_values": [1.0],
+            "x_values": [1.0], **payload}), encoding="utf-8")
+        result = runner.invoke(
+            main, ["compare-integral", "--grid", str(grid)])
+        assert result.exit_code == 2
+        assert message in result.stderr
 
     def test_out_writes_file(self, runner, tmp_path):
         grid = tmp_path / "grid.json"

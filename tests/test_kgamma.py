@@ -124,6 +124,8 @@ def test_k_pochhammer_small_cases():
         k_pochhammer(2.0, -1, 1.5)
     with pytest.raises(InvalidParameter):
         k_pochhammer(2.0, 1.5, 1.5)
+    with pytest.raises(DomainError):
+        k_pochhammer(math.nan, 2, 1.5)
 
 
 @pytest.mark.parametrize("args,expected", K_BETA_FIXTURES)

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from kbessel import verify
 from kbessel import (
     CHECK_NAMES,
     GridSpec,
@@ -505,6 +506,23 @@ def test_run_grid_logs_skips_with_reasons():
     assert len(reports) == 1
     assert reports[0].skipped
     assert "exceed -k" in reports[0].notes
+
+
+def test_run_grid_calls_checks_through_module_globals(monkeypatch):
+    # The benchmark's tracer times each check by replacing it on the verify
+    # module, so run_grid must look the checks up there on every call.
+    names = [name for name in verify.__all__ if name.startswith("check_")]
+    called = set()
+    for name in names:
+        def spy(*args, _name=name, _check=getattr(verify, name), **kwargs):
+            called.add(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(verify, name, spy)
+    # one value per axis, but two x values: ratio-x-monotone skips a
+    # one-point x grid
+    run_grid(small_grid(x_values=(0.25, 1.0)), CHECK_NAMES)
+    assert len(names) == 12
+    assert called == set(names)
 
 
 def test_default_grid_all_checks_have_no_failures():
