@@ -11,12 +11,15 @@ significant digits so the exact double is recoverable.  Exit codes:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 import click
 
@@ -48,6 +51,18 @@ def _fail(code: int, message: str) -> None:
     raise SystemExit(code)
 
 
+@contextlib.contextmanager
+def _exit_codes():
+    """Exit 2 on a usage or domain error raised in the block, 3 on a
+    numerical failure."""
+    try:
+        yield
+    except _USAGE_ERRORS as exc:
+        _fail(2, str(exc))
+    except _NUMERIC_ERRORS as exc:
+        _fail(3, str(exc))
+
+
 def _fmt17(value: float) -> str:
     """17-significant-digit form used by csv/json output."""
     return format(float(value), ".17g")
@@ -71,11 +86,6 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _json_line(pairs) -> str:
-    return "{" + ", ".join(f"{json.dumps(key)}: {_json_value(value)}"
-                           for key, value in pairs) + "}"
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -97,20 +107,18 @@ def _emit(lines: list[str], out: str | None) -> None:
             handle.write(text)
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> list[str]:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
-    return buffer.getvalue().splitlines()
-
-
-def _table_lines(fmt: str, header: list[str], rows: list[list]) -> list[str]:
+def _table_lines(fmt: str, header: list[str],
+                 rows: Iterable[list]) -> list[str]:
     if fmt == "csv":
-        return _csv_lines(header, rows)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL,
+                            lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(cell) for cell in row])
+        return buffer.getvalue().splitlines()
     if fmt == "json":
-        return [_json_line(zip(header, row)) for row in rows]
+        return [_json_value(dict(zip(header, row))) for row in rows]
     lines = [" ".join(header)]
     for row in rows:
         lines.append(" ".join("" if cell is None else repr(cell)
@@ -157,7 +165,7 @@ def cmd_eval(k: float, nu: float, c: float, x_text: str, deriv: int,
              tol: float, max_terms: int, fmt: str, out: str | None) -> None:
     """Evaluate the series (or its m-th derivative) at one or more points."""
     xs = _parse_x_list(x_text)
-    try:
+    with _exit_codes():
         params = KBesselParams(k, nu, c)
         cfg = SeriesConfig(rel_tol=tol, max_terms=max_terms)
         rows = []
@@ -167,26 +175,23 @@ def cmd_eval(k: float, nu: float, c: float, x_text: str, deriv: int,
             else:
                 result = eval_w(params, x, cfg)
             rows.append([x, result.value, result.terms_used, result.est_error])
-    except _USAGE_ERRORS as exc:
-        _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        _fail(3, str(exc))
     header = ["x", "value", "terms_used", "est_error"]
     _emit(_table_lines(fmt, header, rows), out)
 
 
-_GAMMA_ARG_SPECS = {
-    "gamma": ("t",),
-    "lngamma": ("t",),
-    "digamma": ("t",),
-    "trigamma": ("t",),
-    "beta": ("x", "y"),
-    "pochhammer": ("t", "n"),
+# --fn name -> (function, the options it takes before k)
+_GAMMA_FNS = {
+    "gamma": (k_gamma, ("t",)),
+    "lngamma": (ln_k_gamma, ("t",)),
+    "digamma": (k_digamma, ("t",)),
+    "trigamma": (k_trigamma, ("t",)),
+    "beta": (k_beta, ("x", "y")),
+    "pochhammer": (k_pochhammer, ("t", "n")),
 }
 
 
 @main.command("gamma")
-@click.option("--fn", type=click.Choice(sorted(_GAMMA_ARG_SPECS)), required=True,
+@click.option("--fn", type=click.Choice(sorted(_GAMMA_FNS)), required=True,
               help="Which member of the gamma family to evaluate.")
 @click.option("--t", type=float, default=None, help="Argument for gamma/lngamma/digamma/trigamma/pochhammer.")
 @click.option("--n", type=int, default=None, help="Factor count for pochhammer.")
@@ -197,28 +202,13 @@ _GAMMA_ARG_SPECS = {
 def cmd_gamma(fn: str, t: float | None, n: int | None, x: float | None,
               y: float | None, k: float, out: str | None) -> None:
     """Evaluate one gamma-family value and print it via repr."""
-    need = _GAMMA_ARG_SPECS[fn]
+    function, need = _GAMMA_FNS[fn]
     given = {"t": t, "n": n, "x": x, "y": y}
     missing = [name for name in need if given[name] is None]
     if missing:
         _fail(2, f"--fn {fn} requires --" + " --".join(missing))
-    try:
-        if fn == "gamma":
-            value = k_gamma(t, k)
-        elif fn == "lngamma":
-            value = ln_k_gamma(t, k)
-        elif fn == "digamma":
-            value = k_digamma(t, k)
-        elif fn == "trigamma":
-            value = k_trigamma(t, k)
-        elif fn == "beta":
-            value = k_beta(x, y, k)
-        else:
-            value = k_pochhammer(t, n, k)
-    except _USAGE_ERRORS as exc:
-        _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        _fail(3, str(exc))
+    with _exit_codes():
+        value = function(*(given[name] for name in need), k)
     _emit([repr(value)], out)
 
 
@@ -250,7 +240,7 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
     else:
         span = x_stop - x_start
         xs = [x_start + span * i / (x_steps - 1) for i in range(x_steps)]
-    try:
+    with _exit_codes():
         params = KBesselParams(k, nu, c)
         cfg = SeriesConfig(rel_tol=tol, max_terms=max_terms)
         rows = []
@@ -264,21 +254,16 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
                 normalized = result.value * math.exp(
                     ln_k_gamma(nu + k, k) - (nu / k) * math.log(0.5 * x))
             rows.append([x, result.value, normalized, result.est_error])
-    except _USAGE_ERRORS as exc:
-        _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        _fail(3, str(exc))
     header = ["x", "value", "normalized", "est_error"]
     _emit(_table_lines(fmt, header, rows), out)
 
 
-_GRID_FIELDS = ("k_values", "nu_values", "c_values", "alpha_values",
-                "x_values", "a_values", "cvx_weights")
+_GRID_FIELDS = tuple(field.name for field in dataclasses.fields(GridSpec))
 
 
 def _load_grid_file(path: str) -> dict:
     """The grid file's arrays by field name; exits 2 unless every key is a
-    ``_GRID_FIELDS`` name holding an array of numbers."""
+    ``_GRID_FIELDS`` name holding an array of finite numbers."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -292,22 +277,13 @@ def _load_grid_file(path: str) -> dict:
         if key not in _GRID_FIELDS:
             _fail(2, f"unknown grid field {key!r}; known fields: "
                      + ", ".join(_GRID_FIELDS))
+        # json.load also accepts Infinity and NaN, which JSON numbers exclude
         if (not isinstance(values, list)
                 or not all(isinstance(v, (int, float)) and
-                           not isinstance(v, bool) for v in values)):
+                           not isinstance(v, bool) and
+                           abs(v) <= sys.float_info.max for v in values)):
             _fail(2, f"grid field {key!r} must be an array of numbers")
     return payload
-
-
-def _grid_from_option(grid: str) -> GridSpec:
-    if grid == "default":
-        return default_grid()
-    base = {field: getattr(default_grid(), field) for field in _GRID_FIELDS}
-    base.update(_load_grid_file(grid))
-    try:
-        return GridSpec(**base)
-    except InvalidParameter as exc:
-        _fail(2, str(exc))
 
 
 _COMPARE_BETAS = (-0.4, 0.0, 0.5, 1.0, 2.5)
@@ -327,11 +303,11 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
     both values and their difference; inadmissible routes are omitted.
     """
     if grid == "default":
-        k_values = (0.5, 1.0, 2.0)
+        spec = default_grid()
+        k_values, alpha_values, x_values = (spec.k_values, spec.alpha_values,
+                                            spec.x_values)
         nu_by_k = {k: tuple(beta * k for beta in _COMPARE_BETAS)
                    for k in k_values}
-        alpha_values = (0.5, 1.0, 2.0)
-        x_values = (0.25, 1.0, 3.0)
     else:
         payload = _load_grid_file(grid)
         for key in ("k_values", "nu_values", "alpha_values", "x_values"):
@@ -344,7 +320,7 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
         x_values = tuple(sorted(float(v) for v in payload["x_values"]))
 
     rows = []
-    try:
+    with _exit_codes():
         for k in k_values:
             for nu, alpha, x, route in itertools.product(
                     sorted(nu_by_k[k]), alpha_values, x_values, ROUTES):
@@ -352,17 +328,9 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
                     series_value = eval_w(KBesselParams(k, nu, c), x).value
                     rows.append([k, nu, alpha, x, route, c, series_value,
                                  integral_value, integral_value - series_value])
-    except _USAGE_ERRORS as exc:
-        _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        _fail(3, str(exc))
     header = ["k", "nu", "alpha", "x", "route", "c", "series", "integral",
               "diff"]
-    if fmt == "csv":
-        lines = _csv_lines(header, rows)
-    else:
-        lines = [_json_line(zip(header, row)) for row in rows]
-    _emit(lines, out)
+    _emit(_table_lines(fmt, header, rows), out)
 
 
 @main.command("verify")
@@ -385,27 +353,16 @@ def cmd_verify(checks: str, grid: str, fmt: str, out: str | None) -> None:
         names = [piece.strip() for piece in checks.split(",") if piece.strip()]
         if not names:
             _fail(2, "--checks must name at least one check")
-    spec = _grid_from_option(grid)
-    try:
+    with _exit_codes():
+        spec = default_grid()
+        if grid != "default":
+            # unnamed fields keep their default values
+            spec = dataclasses.replace(spec, **_load_grid_file(grid))
         reports = run_grid(spec, names)
-    except _USAGE_ERRORS as exc:
-        _fail(2, str(exc))
     header = ["check_name", "grid_point", "margin", "passed", "skipped",
               "notes"]
-    if fmt == "csv":
-        rows = [[r.check_name, r.grid_point, r.margin, r.passed, r.skipped,
-                 r.notes] for r in reports]
-        lines = _csv_lines(header, rows)
-    else:
-        lines = [_json_line([
-            ("check_name", r.check_name),
-            ("grid_point", r.grid_point),
-            ("margin", r.margin),
-            ("passed", r.passed),
-            ("skipped", r.skipped),
-            ("notes", r.notes),
-        ]) for r in reports]
-    _emit(lines, out)
+    rows = ([getattr(r, name) for name in header] for r in reports)
+    _emit(_table_lines("json" if fmt == "jsonl" else fmt, header, rows), out)
     failed = sum(1 for r in reports if not r.passed and not r.skipped)
     skipped = sum(1 for r in reports if r.skipped)
     passed = len(reports) - failed - skipped

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidParameter, Overflow, QuadratureFailure
+from .errors import DomainError, InvalidParameter, Overflow, QuadratureFailure
 from .kbessel import KBesselParams, eval_w
 from .kgamma import _MAX_EXP_ARG, ln_k_gamma
 
@@ -67,6 +67,9 @@ class IntegralRepParams:
             raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
         if not self.x > 0.0:
             raise InvalidParameter(f"x must be positive, got {self.x}")
+        if math.isinf(self.alpha) or math.isinf(self.x):
+            raise InvalidParameter(
+                f"alpha and x must be finite, got alpha={self.alpha}, x={self.x}")
 
 
 _DEFAULT_QUAD = QuadConfig()
@@ -218,6 +221,8 @@ def bessel_kernel(u: float, c: float) -> float:
     is mild).
     """
     q = -c * (0.5 * u) ** 2
+    if not math.isfinite(q):
+        raise DomainError(f"bessel_kernel requires finite u and c, got u={u}, c={c}")
     term = 1.0
     terms = [term]
     for r in range(1, 200):
@@ -284,18 +289,11 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
     return None, [(-c_sq, eval_w_cosh(rep, cfg))]
 
 
-def _relation_rhs(k: float, alpha: float, x: float, c: float) -> float:
+def _relation_residual(k: float, alpha: float, x: float, fn, c: float) -> float:
+    IntegralRepParams(k, 0.5 * k, alpha, x)  # validates k, alpha and x
+    lhs = fn(alpha * x / math.sqrt(k))
     w = eval_w(KBesselParams(k, 0.5 * k, c), x).value
-    return (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
-
-
-def _validate_relation_args(k: float, alpha: float, x: float) -> None:
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
-    if not alpha > 0.0:
-        raise InvalidParameter(f"alpha must be positive, got {alpha}")
-    if not x > 0.0:
-        raise InvalidParameter(f"x must be positive, got {x}")
+    return lhs - (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
 
 
 def sin_relation_check(k: float, alpha: float, x: float) -> float:
@@ -306,12 +304,10 @@ def sin_relation_check(k: float, alpha: float, x: float) -> float:
     classical half-order sine form); for other k the caller is expected to
     examine the residual (or fit the constant) rather than assume zero.
     """
-    _validate_relation_args(k, alpha, x)
-    return math.sin(alpha * x / math.sqrt(k)) - _relation_rhs(k, alpha, x, alpha * alpha)
+    return _relation_residual(k, alpha, x, math.sin, alpha * alpha)
 
 
 def sinh_relation_check(k: float, alpha: float, x: float) -> float:
     """Residual sinh(alpha x / sqrt(k)) - (alpha/k) sqrt(pi x / 2) W_(k/2)(x)
     with c = -alpha^2; same contract as sin_relation_check."""
-    _validate_relation_args(k, alpha, x)
-    return math.sinh(alpha * x / math.sqrt(k)) - _relation_rhs(k, alpha, x, -alpha * alpha)
+    return _relation_residual(k, alpha, x, math.sinh, -alpha * alpha)

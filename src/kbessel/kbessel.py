@@ -258,7 +258,6 @@ def deriv_w(p: KBesselParams, x: float, m: int,
             cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
     """m-th derivative of W at x via the order ladder (m >= 1)."""
     parts = deriv_w_terms(p, m)
-    total = 0.0
     est = 0.0
     terms_used = 0
     vals = []
@@ -317,7 +316,8 @@ def multisection_lhs(p: KBesselParams, x: float, terms: int,
     omit_order = p.nu + 2 * terms * p.k
     omit_w = eval_w(KBesselParams(p.k, omit_order, p.c), x, cfg).value
     omitted = abs(factor * omit_order * omit_w * two_over_x)
-    if omitted >= last_mag:
+    # an omitted term of exactly 0 (c = 0) leaves nothing to truncate
+    if omitted >= last_mag and omitted != 0.0:
         raise NonConvergence(
             f"multisection terms not yet decreasing after {terms} terms "
             f"(|omitted| = {omitted:.3e} >= |last| = {last_mag:.3e})"

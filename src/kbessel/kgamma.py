@@ -11,9 +11,9 @@ so log-space evaluation is exact wherever ``classical.ln_gamma`` is, and
     psi_k'(t) = psi'(t/k)/k^2,
 
 which the tests confirm against direct summation of the defining series.
-Parameters named ``k`` must be positive everywhere; ``InvalidParameter`` is
-raised otherwise, while out-of-domain evaluation points raise
-``DomainError``.
+Parameters named ``k`` must be positive and finite everywhere;
+``InvalidParameter`` is raised otherwise, while out-of-domain evaluation
+points raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ _MAX_EXP_ARG = 709.782712893384
 
 
 def _require_k(k: float) -> None:
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise InvalidParameter(f"k must be positive and finite, got {k}")
 
 
 def k_pochhammer(x: float, n: int, k: float) -> float:
@@ -63,7 +63,7 @@ def k_gamma(t: float, k: float) -> float:
         if v > _MAX_EXP_ARG:
             raise Overflow(f"Gamma_k({t}, {k}) exceeds double range")
         return math.exp(v)
-    if t == 0.0 or t <= -k:
+    if t == 0.0 or not t > -k:
         raise DomainError(f"k_gamma requires t > -k and t != 0, got t={t}, k={k}")
     # -k < t < 0: Gamma_k(t) = Gamma_k(t + k) / t
     return k_gamma(t + k, k) / t

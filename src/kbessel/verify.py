@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from .errors import InvalidParameter, KBesselError
@@ -36,7 +36,6 @@ from .integral import (
 )
 from .kbessel import (
     KBesselParams,
-    SeriesConfig,
     deriv_w,
     eval_normalized_i,
     eval_w,
@@ -45,7 +44,6 @@ from .kbessel import (
 )
 from .kgamma import k_digamma, k_trigamma, ln_k_gamma
 
-_SERIES = SeriesConfig()
 _QUAD = QuadConfig(nodes=128, abs_tol=1e-13, max_refinements=8)
 
 __all__ = [
@@ -89,14 +87,13 @@ class GridSpec:
     cvx_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for field_name in ("k_values", "nu_values", "c_values", "alpha_values",
-                           "x_values", "a_values", "cvx_weights"):
-            values = tuple(float(v) for v in getattr(self, field_name))
+        for field in fields(self):
+            values = tuple(float(v) for v in getattr(self, field.name))
             if not values:
-                raise InvalidParameter(f"{field_name} must be non-empty")
+                raise InvalidParameter(f"{field.name} must be non-empty")
             if any(math.isnan(v) or math.isinf(v) for v in values):
-                raise InvalidParameter(f"{field_name} must be finite")
-            object.__setattr__(self, field_name, values)
+                raise InvalidParameter(f"{field.name} must be finite")
+            object.__setattr__(self, field.name, values)
         if any(k <= 0.0 for k in self.k_values):
             raise InvalidParameter("k_values must be positive")
         if any(x <= 0.0 for x in self.x_values):
@@ -170,17 +167,15 @@ def _require_order_pair(k: float, mu: float, nu: float) -> None:
         )
 
 
-def _normalized(k: float, order: float, x: float,
-                cfg: SeriesConfig = _SERIES) -> float:
-    return eval_normalized_i(KBesselParams(k, order, -1.0), x, cfg).value
+def _normalized(k: float, order: float, x: float) -> float:
+    return eval_normalized_i(KBesselParams(k, order, -1.0), x).value
 
 
 # ---------------------------------------------------------------------------
 # differential equation and recurrence residuals
 
 
-def check_ode(p: KBesselParams, x: float,
-              cfg: SeriesConfig = _SERIES) -> VerifyReport:
+def check_ode(p: KBesselParams, x: float) -> VerifyReport:
     """Residual of y'' + y'/x + (ck - nu^2/x^2) y / k^2 = 0.
 
     Derivatives come from term-by-term differentiation of the series, never
@@ -190,7 +185,7 @@ def check_ode(p: KBesselParams, x: float,
     """
     _require_positive_x(x)
     point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x}
-    res, d1, d2 = eval_w_with_derivatives(p, x, cfg)
+    res, d1, d2 = eval_w_with_derivatives(p, x)
     y = res.value
     residual = d2 + d1 / x + (p.c * p.k - (p.nu * p.nu) / (x * x)) * y / (p.k * p.k)
     scale = max(abs(d2), abs(d1 / x), abs(y) / (x * x), 1.0)
@@ -198,8 +193,7 @@ def check_ode(p: KBesselParams, x: float,
     return _report("ode", point, -abs(residual), 1e-8 * scale, notes)
 
 
-def check_recurrences(p: KBesselParams, x: float,
-                      cfg: SeriesConfig = _SERIES) -> VerifyReport:
+def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
     """Residuals of the order-shift and derivative identities at one point.
 
     Bundled identities (those needing the lowered order nu - k apply only
@@ -224,12 +218,12 @@ def check_recurrences(p: KBesselParams, x: float,
     """
     _require_positive_x(x)
     point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x}
-    res, d1, _ = eval_w_with_derivatives(p, x, cfg)
+    res, d1, _ = eval_w_with_derivatives(p, x)
     w = res.value
     beta = p.nu / p.k
-    w_hi = eval_w(KBesselParams(p.k, p.nu + p.k, p.c), x, cfg).value
+    w_hi = eval_w(KBesselParams(p.k, p.nu + p.k, p.c), x).value
     has_lo = p.nu > 0.0
-    w_lo = (eval_w(KBesselParams(p.k, p.nu - p.k, p.c), x, cfg).value
+    w_lo = (eval_w(KBesselParams(p.k, p.nu - p.k, p.c), x).value
             if has_lo else 0.0)
     scale = max(abs(w), abs(w_hi), abs(w_lo), 1.0)
     tol_exact = 1e-10 * scale
@@ -251,7 +245,7 @@ def check_recurrences(p: KBesselParams, x: float,
     if x > 2.0 * h:
         if has_lo:
             def weighted_up(t: float) -> float:
-                return t ** beta * eval_w(p, t, cfg).value
+                return t ** beta * eval_w(p, t).value
 
             fd = (weighted_up(x + h) - weighted_up(x - h)) / (2.0 * h)
             r5 = fd - (x ** beta / p.k) * w_lo
@@ -259,7 +253,7 @@ def check_recurrences(p: KBesselParams, x: float,
                            abs(r5) / 1e-6))
 
         def weighted_down(t: float) -> float:
-            return t ** (-beta) * eval_w(p, t, cfg).value
+            return t ** (-beta) * eval_w(p, t).value
 
         fd = (weighted_down(x + h) - weighted_down(x - h)) / (2.0 * h)
         r6 = fd + p.c * x ** (-beta) * w_hi
@@ -269,13 +263,13 @@ def check_recurrences(p: KBesselParams, x: float,
         for m, hm in ((1, 1e-6), (2, 1e-4)):
             if not p.nu - m * p.k > -p.k or not x > 2.0 * hm:
                 continue
-            ladder = deriv_w(p, x, m, cfg).value
+            ladder = deriv_w(p, x, m).value
             if m == 1:
-                fd = (eval_w(p, x + hm, cfg).value
-                      - eval_w(p, x - hm, cfg).value) / (2.0 * hm)
+                fd = (eval_w(p, x + hm).value
+                      - eval_w(p, x - hm).value) / (2.0 * hm)
             else:
-                fd = (eval_w(p, x + hm, cfg).value - 2.0 * w
-                      + eval_w(p, x - hm, cfg).value) / (hm * hm)
+                fd = (eval_w(p, x + hm).value - 2.0 * w
+                      + eval_w(p, x - hm).value) / (hm * hm)
             ratios.append((f"derivative ladder m={m} vs finite difference",
                            abs(ladder - fd) / 1e-5))
 
@@ -285,8 +279,8 @@ def check_recurrences(p: KBesselParams, x: float,
     return _report("recurrences", point, -worst, 1.0, notes)
 
 
-def check_multisection(p: KBesselParams, x: float, terms: int = 40,
-                       cfg: SeriesConfig = _SERIES) -> VerifyReport:
+def check_multisection(p: KBesselParams, x: float,
+                       terms: int = 40) -> VerifyReport:
     """Truncated order-multisection expansion vs the directly evaluated
     lowered-order function, certified on x <= 1 where the truncation bound
     is effective.  margin = -abs(difference), tol = 1e-8 absolute.
@@ -300,8 +294,8 @@ def check_multisection(p: KBesselParams, x: float, terms: int = 40,
     if x > 1.0:
         return _skip("multisection", point,
                      "truncated expansion certified only for x <= 1")
-    got = multisection_lhs(p, x, terms, cfg).value
-    want = eval_w(KBesselParams(p.k, p.nu - p.k, p.c), x, cfg).value
+    got = multisection_lhs(p, x, terms).value
+    want = eval_w(KBesselParams(p.k, p.nu - p.k, p.c), x).value
     diff = got - want
     notes = (f"{terms}-term expansion={got!r} direct={want!r} "
              f"diff={diff:.3e}")
@@ -312,8 +306,8 @@ def check_multisection(p: KBesselParams, x: float, terms: int = 40,
 # monotonicity, convexity, and product inequalities
 
 
-def check_ratio_x_monotone(k: float, mu: float, nu: float, x_grid,
-                           cfg: SeriesConfig = _SERIES) -> VerifyReport:
+def check_ratio_x_monotone(k: float, mu: float, nu: float,
+                           x_grid) -> VerifyReport:
     """Discrete monotonicity in x of the normalized-function ratio.
 
     For nu >= mu > -k the ratio of normalized values at orders mu over nu
@@ -326,7 +320,7 @@ def check_ratio_x_monotone(k: float, mu: float, nu: float, x_grid,
         raise InvalidParameter("x_grid needs at least two points")
     if xs[0] <= 0.0 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise InvalidParameter("x_grid must be positive and strictly increasing")
-    ratios = [_normalized(k, mu, x, cfg) / _normalized(k, nu, x, cfg)
+    ratios = [_normalized(k, mu, x) / _normalized(k, nu, x)
               for x in xs]
     margin = min(b - a for a, b in zip(ratios, ratios[1:]))
     point = {"k": k, "mu": mu, "nu": nu,
@@ -336,8 +330,8 @@ def check_ratio_x_monotone(k: float, mu: float, nu: float, x_grid,
     return _report("ratio-x-monotone", point, margin, 1e-12, notes)
 
 
-def check_order_ratio_monotone(k: float, mu: float, nu: float, x: float,
-                               cfg: SeriesConfig = _SERIES) -> VerifyReport:
+def check_order_ratio_monotone(k: float, mu: float, nu: float,
+                               x: float) -> VerifyReport:
     """Cross-order product inequality at fixed x.
 
     For nu >= mu > -k the normalized values satisfy
@@ -346,8 +340,8 @@ def check_order_ratio_monotone(k: float, mu: float, nu: float, x: float,
     """
     _require_order_pair(k, mu, nu)
     _require_positive_x(x)
-    lhs = _normalized(k, nu + k, x, cfg) * _normalized(k, mu, x, cfg)
-    rhs = _normalized(k, nu, x, cfg) * _normalized(k, mu + k, x, cfg)
+    lhs = _normalized(k, nu + k, x) * _normalized(k, mu, x)
+    rhs = _normalized(k, nu, x) * _normalized(k, mu + k, x)
     margin = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
     point = {"k": k, "mu": mu, "nu": nu, "x": x}
@@ -356,8 +350,7 @@ def check_order_ratio_monotone(k: float, mu: float, nu: float, x: float,
 
 
 def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
-                                  x: float,
-                                  cfg: SeriesConfig = _SERIES) -> VerifyReport:
+                                  x: float) -> VerifyReport:
     """Monotone decrease and log-convexity of the normalized value in the
     order.
 
@@ -377,14 +370,14 @@ def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
     if not 0.0 <= alpha_cvx <= 1.0:
         raise InvalidParameter(f"weight must lie in [0, 1], got {alpha_cvx}")
     _require_positive_x(x)
-    v1 = _normalized(k, nu1, x, cfg)
-    v2 = _normalized(k, nu2, x, cfg)
+    v1 = _normalized(k, nu1, x)
+    v2 = _normalized(k, nu2, x)
     v_small, v_large = (v1, v2) if nu1 <= nu2 else (v2, v1)
     margin_dec = v_small - v_large
     scale_dec = max(1.0, abs(v_small), abs(v_large))
 
     nu_mid = alpha_cvx * nu1 + (1.0 - alpha_cvx) * nu2
-    v_mid = _normalized(k, nu_mid, x, cfg)
+    v_mid = _normalized(k, nu_mid, x)
     geom = v1 ** alpha_cvx * v2 ** (1.0 - alpha_cvx)
     margin_cvx = geom - v_mid
     scale_cvx = max(1.0, abs(geom), abs(v_mid))
@@ -398,8 +391,7 @@ def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
                         min(margin_dec, margin_cvx), passed, False, notes)
 
 
-def check_turan(k: float, nu: float, a: float, x: float,
-                cfg: SeriesConfig = _SERIES) -> VerifyReport:
+def check_turan(k: float, nu: float, a: float, x: float) -> VerifyReport:
     """Product-vs-square inequality across shifted orders.
 
     For nu >= |a| - k the normalized values satisfy
@@ -413,9 +405,9 @@ def check_turan(k: float, nu: float, a: float, x: float,
             f"order must satisfy nu >= |a| - k, got nu={nu}, a={a}, k={k}"
         )
     _require_positive_x(x)
-    v_lo = _normalized(k, nu - a, x, cfg)
-    v_hi = _normalized(k, nu + a, x, cfg)
-    v_mid = _normalized(k, nu, x, cfg)
+    v_lo = _normalized(k, nu - a, x)
+    v_hi = _normalized(k, nu + a, x)
+    v_mid = _normalized(k, nu, x)
     product = v_lo * v_hi
     square = v_mid * v_mid
     margin = product - square
@@ -425,8 +417,8 @@ def check_turan(k: float, nu: float, a: float, x: float,
     return _report("turan", point, margin, 1e-12 * scale, notes)
 
 
-def check_chebyshev_products(k: float, nu: float, x: float, variant: str,
-                             qcfg: QuadConfig = _QUAD) -> VerifyReport:
+def check_chebyshev_products(k: float, nu: float, x: float,
+                             variant: str) -> VerifyReport:
     """Product-of-integrals comparison behind the final product inequality.
 
     With weight q(t) = cos(x t / sqrt(k)) (or cosh), f = (1-t^2)^(nu/k-1/2)
@@ -473,10 +465,10 @@ def check_chebyshev_products(k: float, nu: float, x: float, variant: str,
         plain_alt = (math.sqrt(k) / x) * math.sinh(x / k)
 
     beta = nu / k
-    int_q = weighted_integral(q, 0.0, qcfg)
-    int_qf = weighted_integral(q, beta - 0.5, qcfg)
-    int_qg = weighted_integral(q, beta + 0.5, qcfg)
-    int_qfg = weighted_integral(q, 2.0 * beta, qcfg)
+    int_q = weighted_integral(q, 0.0, _QUAD)
+    int_qf = weighted_integral(q, beta - 0.5, _QUAD)
+    int_qg = weighted_integral(q, beta + 0.5, _QUAD)
+    int_qfg = weighted_integral(q, 2.0 * beta, _QUAD)
     separate = int_qf * int_qg
     joint = int_q * int_qfg
     if nu >= 0.5 * k:
@@ -585,9 +577,7 @@ def check_sinh_relation(k: float, alpha: float, x: float) -> VerifyReport:
 
 
 def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
-                             route: str,
-                             qcfg: QuadConfig = _QUAD,
-                             cfg: SeriesConfig = _SERIES) -> VerifyReport:
+                             route: str) -> VerifyReport:
     """Quadrature route vs the series at one parameter point.
 
     Routes: 'cos' (c = +alpha^2, needs nu/k > -1/2), 'cosh'
@@ -596,7 +586,7 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
     tol = 1e-9 * max(1, |series value|); inadmissible combinations are
     skipped with the violated condition as the reason.
     """
-    reason, pairs = route_legs(k, nu, alpha, x, route, qcfg)
+    reason, pairs = route_legs(k, nu, alpha, x, route, _QUAD)
     point = {"k": k, "nu": nu, "alpha": alpha, "x": x, "route": route}
     if reason is not None:
         return _skip("integral-agreement", point, reason)
@@ -605,7 +595,7 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
     tol = 0.0
     parts = []
     for c, got in pairs:
-        want = eval_w(KBesselParams(k, nu, c), x, cfg).value
+        want = eval_w(KBesselParams(k, nu, c), x).value
         diff = got - want
         this_tol = 1e-9 * max(1.0, abs(want))
         if -abs(diff) < margin:

@@ -10,6 +10,7 @@ non-convergence, 4 verification failure).
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -243,7 +244,8 @@ class TestGamma:
         ["--fn", "gamma", "--t", "inf"],
         ["--fn", "lngamma", "--t", "inf"],
         ["--fn", "pochhammer", "--t", "nan", "--n", "2"],
-    ], ids=["gamma-inf", "lngamma-inf", "pochhammer-nan"])
+        ["--fn", "gamma", "--t", "nan"],
+    ], ids=["gamma-inf", "lngamma-inf", "pochhammer-nan", "gamma-nan"])
     def test_non_finite_argument_exits_2(self, runner, args):
         result = runner.invoke(main, ["gamma", *args, "--k", "1"])
         assert result.exit_code == 2
@@ -363,6 +365,8 @@ class TestCompareIntegral:
     def test_default_grid_differences_stay_small(self, runner):
         result = runner.invoke(main, ["compare-integral"])
         assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "55b5393354f09f87e982a5ac506e2f15cca6d285ef6eab98e7ab5df6cc4c92f3")
         parsed = list(csv.DictReader(io.StringIO(result.stdout)))
         assert len(parsed) == 432
         assert {record["route"] for record in parsed} == {
@@ -377,6 +381,8 @@ class TestCompareIntegral:
     def test_json_format_parses(self, runner):
         result = runner.invoke(main, ["compare-integral", "--format", "json"])
         assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "09c14ad54cf1cdd62844080b9eda73b21846a42a0c6dbffeaaabdd112229aa1d")
         lines = result.stdout.splitlines()
         assert len(lines) == 432
         record = json.loads(lines[0])
@@ -418,7 +424,8 @@ class TestCompareIntegral:
         ({"k_values": ["a"]}, "array of numbers"),
         ({"k_values": 1.0}, "array of numbers"),
         ({"bogus": [1.0]}, "unknown grid field"),
-    ], ids=["non-numeric", "scalar", "unknown-field"])
+        ({"x_values": [math.inf]}, "array of numbers"),
+    ], ids=["non-numeric", "scalar", "unknown-field", "infinity"])
     def test_malformed_grid_file_exits_2(self, runner, tmp_path, payload,
                                          message):
         grid = tmp_path / "grid.json"
@@ -493,6 +500,8 @@ class TestVerify:
         result = runner.invoke(
             main, ["verify", "--checks", "sin-relation", "--format", "csv"])
         assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "f2e90c64e07ef98fe603a89c9a0f9ad43e2022bc73f03f5d17e18125e6870111")
         parsed = list(csv.DictReader(io.StringIO(result.stdout)))
         assert len(parsed) == 27
         for record in parsed:
@@ -550,6 +559,8 @@ class TestVerify:
     def test_all_checks_on_default_grid_pass(self, runner):
         result = runner.invoke(main, ["verify"])
         assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "8a3785eb3793f09825eacbc72081f1172bd3def2a29a064270e6acde013c25cd")
         assert "0 failed" in result.stderr
         lines = result.stdout.splitlines()
         assert len(lines) == 2178

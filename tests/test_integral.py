@@ -11,7 +11,7 @@ import math
 import pytest
 
 from kbessel import InvalidParameter, KBesselParams, eval_w
-from kbessel.errors import QuadratureFailure
+from kbessel.errors import KBesselError, QuadratureFailure
 from kbessel.integral import (
     IntegralRepParams,
     QuadConfig,
@@ -102,6 +102,10 @@ def test_integral_rep_params_validation():
         IntegralRepParams(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(InvalidParameter):
         IntegralRepParams(1.0, math.nan, 1.0, 1.0)
+    with pytest.raises(InvalidParameter):
+        IntegralRepParams(1.0, 1.0, math.inf, 1.0)
+    with pytest.raises(InvalidParameter):
+        IntegralRepParams(1.0, 1.0, 1.0, math.inf)
 
 
 def test_cos_route_half_order_closed_form():
@@ -198,6 +202,10 @@ def test_route_preconditions():
         eval_w_bessel_kernel(IntegralRepParams(1.0, 0.0, 1.0, 1.0), 1.0)
     with pytest.raises(InvalidParameter):
         eval_w_bessel_kernel(IntegralRepParams(1.0, 1.0, 1.0, 1.0), math.nan)
+    for u, c in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                 (0.0, math.inf)):
+        with pytest.raises(KBesselError):
+            bessel_kernel(u, c)
 
 
 def test_node_doubling_self_consistency():
@@ -243,7 +251,8 @@ def test_relation_checks_near_zero_argument():
 
 
 def test_relation_checks_validate_arguments():
-    for bad in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
+    for bad in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0),
+                (1.0, math.inf, 1.0), (1.0, 1.0, math.inf)):
         with pytest.raises(InvalidParameter):
             sin_relation_check(*bad)
         with pytest.raises(InvalidParameter):

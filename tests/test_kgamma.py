@@ -126,6 +126,8 @@ def test_k_pochhammer_small_cases():
         k_pochhammer(2.0, 1.5, 1.5)
     with pytest.raises(DomainError):
         k_pochhammer(math.nan, 2, 1.5)
+    with pytest.raises(InvalidParameter, match="k must be positive"):
+        k_pochhammer(1.0, 2, math.inf)
 
 
 @pytest.mark.parametrize("args,expected", K_BETA_FIXTURES)
@@ -191,6 +193,10 @@ def test_domain_errors():
         ln_k_gamma(1.0, 0.0)
     with pytest.raises(InvalidParameter):
         ln_k_gamma(1.0, -2.0)
+    with pytest.raises(InvalidParameter, match="k must be positive"):
+        ln_k_gamma(1.0, math.inf)
+    with pytest.raises(InvalidParameter, match="k must be positive"):
+        k_gamma(1.0, math.inf)
     with pytest.raises(DomainError):
         ln_k_gamma(0.0, 1.0)
     with pytest.raises(DomainError):
@@ -199,6 +205,8 @@ def test_domain_errors():
         k_gamma(-3.0, 1.0)  # below -k
     with pytest.raises(DomainError):
         k_gamma(0.0, 1.0)
+    with pytest.raises(DomainError):
+        k_gamma(math.nan, 1.0)
     with pytest.raises(DomainError):
         k_beta(-1.0, 1.0, 1.0)
     with pytest.raises(DomainError):

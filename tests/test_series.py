@@ -319,10 +319,13 @@ def test_classical_bessel_ode_residual():
 
 
 def test_multisection_converges_to_lower_order():
-    for k, nu, c, x in ((1.0, 1.0, 1.0, 1.0), (2.0, 0.8, -1.0, 1.5),
-                        (0.7, 0.5, 1.0, 0.8)):
+    # c = 0 leaves one nonzero term, so its omitted terms are exactly 0
+    for k, nu, c, x, terms in ((1.0, 1.0, 1.0, 1.0, 25),
+                               (2.0, 0.8, -1.0, 1.5, 25),
+                               (0.7, 0.5, 1.0, 0.8, 25),
+                               (2.0, 1.5, 0.0, 0.5, 2)):
         p = KBesselParams(k, nu, c)
-        got = multisection_lhs(p, x, 25)
+        got = multisection_lhs(p, x, terms)
         want = eval_w(KBesselParams(k, nu - k, c), x).value
         assert got.value == pytest.approx(want, rel=1e-10, abs=1e-12)
         assert abs(got.value - want) <= got.est_error + 1e-12 * abs(want)
