@@ -20,10 +20,13 @@ report residuals against a stated constant rather than asserting it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from .errors import DomainError, InvalidParameter, Overflow, QuadratureFailure
+from .errors import (DomainError, InvalidParameter, NonConvergence, Overflow,
+                     QuadratureFailure)
 from .kbessel import KBesselParams, eval_w
 from .kgamma import _MAX_EXP_ARG, ln_k_gamma
 
@@ -128,10 +131,24 @@ def _substitution_levels(p1: float) -> int:
     return max(0, math.ceil(math.log2(8.0 / (p1 + 1.0))))
 
 
-def _integrate_once(h, p1: float, extra: int, n: int) -> float:
-    xs, ws = legendre_nodes(n)
+@lru_cache(maxsize=128)
+def _node_transform(p1: float, extra: int, nodes: tuple[tuple[float, ...], ...]
+                    ) -> tuple[array, array, bool]:
+    """Nodes t_i and weights of one level after the sine-map chain.
+
+    ``nodes`` is ``legendre_nodes(n)``; the weight w_i * (pi/4) * exp(ln_val)
+    holds everything but h(t_i).  The chain depends only on (p1, extra, n),
+    so it is cached; callers share the arrays and only read them.  If a
+    node's weight overflows, the transform stops there and the flag is
+    True.  An entry holds 16 n bytes of arrays, a quarter of what
+    ``legendre_nodes(n)`` keeps, so the default QuadConfig (n <= 128 * 2**8)
+    bounds the cache at 128 * 16 * 32768 bytes = 64 MiB; the default verify
+    grid fills 76 entries with 228 KiB.
+    """
+    xs, ws = nodes
     quarter_pi = 0.25 * math.pi
-    vals = []
+    ts = array("d")
+    weights = array("d")
     for xi, wi in zip(xs, ws):
         delta = quarter_pi * (1.0 - xi)
         ln_delta = math.log(delta)
@@ -142,11 +159,19 @@ def _integrate_once(h, p1: float, extra: int, n: int) -> float:
             delta = math.exp(ln_delta)
         ln_val = p1 * _ln_sin(delta, ln_delta) + ln_w
         if ln_val > _MAX_EXP_ARG:
-            raise QuadratureFailure(
-                "transformed integrand overflows double range"
-            )
-        t = math.cos(delta)
-        vals.append(wi * quarter_pi * math.exp(ln_val) * h(t))
+            return ts, weights, True
+        ts.append(math.cos(delta))
+        weights.append(wi * quarter_pi * math.exp(ln_val))
+    return ts, weights, False
+
+
+def _integrate_once(h, p1: float, extra: int, n: int) -> float:
+    # legendre_nodes is called on every level, cached or not:
+    # perfbench/tracer.py counts quadrature nodes from these calls
+    ts, weights, overflowed = _node_transform(p1, extra, legendre_nodes(n))
+    vals = list(map(mul, weights, map(h, ts)))
+    if overflowed:
+        raise QuadratureFailure("transformed integrand overflows double range")
     return math.fsum(vals)
 
 
@@ -213,24 +238,45 @@ def eval_w_cosh(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     return _eval_w_trig(p, cfg, "cosh", math.cosh)
 
 
+_SQUARES = tuple(float(r * r) for r in range(1, 200))
+# sum |t_r| = I0(2 sqrt|q|) <= e^(2 sqrt|q|), so the rounding bound
+# 2^-53 sum |t_r| of bessel_kernel exceeds 1e-12 once -q passes this (~20.7).
+_KERNEL_MAX_CANCEL_Q = (0.5 * math.log(1e-12 * 2.0 ** 53)) ** 2
+
+
 def bessel_kernel(u: float, c: float) -> float:
     """Inner kernel K_c(u) = sum_r (-c)^r (u/2)^(2r) / (r!)^2.
 
     The classical J0 shape for c > 0 and I0 shape for c < 0, evaluated as a
-    plain double series (its arguments stay small enough that cancellation
-    is mild).
+    plain double series of up to 200 terms.  With q = -c (u/2)^2 < 0 the
+    terms alternate and their rounding error, about 2^-53 e^(2 sqrt(-q)),
+    grows while the sum stays within [-1, 1]; NonConvergence is raised once
+    that bound exceeds 1e-12 (about u^2 c > 83).  NonConvergence is also
+    raised when, after 200 terms, the tail bound exceeds 1e-17 of the sum.
     """
     q = -c * (0.5 * u) ** 2
     if not math.isfinite(q):
         raise DomainError(f"bessel_kernel requires finite u and c, got u={u}, c={c}")
+    if q < -_KERNEL_MAX_CANCEL_Q:
+        raise NonConvergence(
+            f"bessel_kernel loses accuracy to cancellation at u={u}, c={c}: "
+            f"rounding bound 2^-53 e^(2 sqrt({-q:.4g})) exceeds 1e-12")
     term = 1.0
     terms = [term]
-    for r in range(1, 200):
-        term *= q / (r * r)
+    for square in _SQUARES:
+        term *= q / square
         terms.append(term)
-        if abs(term) <= 1e-17 * abs(terms[0]) and abs(term) <= 1e-17:
-            break
-    return math.fsum(terms)
+        if -1e-17 <= term <= 1e-17:
+            return math.fsum(terms)
+    # Only q > 0 gets here: the terms are positive and, past r = 199, the
+    # ratio t_(r+1) / t_r = q / (r + 1)^2 is at most q / 200^2, so the
+    # tail is below t_199 q / (200^2 - q).
+    if q < 40000.0:
+        total = math.fsum(terms)
+        if term * q / (40000.0 - q) <= 1e-17 * total:
+            return total
+    raise NonConvergence(
+        f"bessel_kernel did not converge in 200 terms at u={u}, c={c}")
 
 
 def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
@@ -291,7 +337,13 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
 
 def _relation_residual(k: float, alpha: float, x: float, fn, c: float) -> float:
     IntegralRepParams(k, 0.5 * k, alpha, x)  # validates k, alpha and x
-    lhs = fn(alpha * x / math.sqrt(k))
+    arg = alpha * x / math.sqrt(k)
+    try:
+        lhs = fn(arg)
+    except OverflowError:
+        raise Overflow(f"{fn.__name__}({arg!r}) exceeds double range") from None
+    except ValueError:  # sin(inf) once alpha x overflows
+        raise DomainError(f"{fn.__name__} is undefined at {arg!r}") from None
     w = eval_w(KBesselParams(k, 0.5 * k, c), x).value
     return lhs - (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
 

@@ -496,6 +496,19 @@ class TestVerify:
             assert record["margin"] is None
             assert record["notes"].startswith("error: Overflow")
 
+    def test_relation_overflow_is_a_failed_report(self, runner, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [1], "alpha_values": [1000],
+            "x_values": [1000]}), encoding="utf-8")
+        result = runner.invoke(
+            main, ["verify", "--checks", "sinh-relation", "--grid", str(grid)])
+        assert result.exit_code == 4
+        assert "1 reports: 0 passed, 0 skipped, 1 failed" in result.stderr
+        record = json.loads(result.stdout)
+        assert record["passed"] is False
+        assert record["notes"].startswith("error: Overflow: sinh")
+
     def test_csv_format_embeds_grid_point_as_json(self, runner):
         result = runner.invoke(
             main, ["verify", "--checks", "sin-relation", "--format", "csv"])

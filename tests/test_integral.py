@@ -7,11 +7,13 @@ integrals are checked against beta-function closed forms through lgamma.
 """
 
 import math
+from array import array
 
 import pytest
 
 from kbessel import InvalidParameter, KBesselParams, eval_w
-from kbessel.errors import KBesselError, QuadratureFailure
+from kbessel import integral
+from kbessel.errors import KBesselError, NonConvergence, QuadratureFailure
 from kbessel.integral import (
     IntegralRepParams,
     QuadConfig,
@@ -82,6 +84,87 @@ def test_weighted_integral_refinement_cap():
     cfg = QuadConfig(nodes=2, abs_tol=1e-18, max_refinements=1)
     with pytest.raises(QuadratureFailure):
         weighted_integral(lambda t: math.cos(7.0 * t), -0.45, cfg)
+
+
+def _reference_nodes(a: float, n: int) -> tuple[list, list, list]:
+    """The sine-map chain node by node, uncached: (t_i, weight_i, ln_val_i)."""
+    p1 = 2.0 * a + 1.0
+    extra = integral._substitution_levels(p1)
+    quarter_pi = 0.25 * math.pi
+    ts, weights, ln_vals = [], [], []
+    for xi, wi in zip(*legendre_nodes(n)):
+        delta = quarter_pi * (1.0 - xi)
+        ln_delta = math.log(delta)
+        ln_w = 0.0
+        for _ in range(extra):
+            ln_w += integral._LN_HALF_PI + integral._ln_sin(delta, ln_delta)
+            ln_delta = integral._LN_PI + 2.0 * integral._ln_sin(
+                0.5 * delta, ln_delta - integral._LN2)
+            delta = math.exp(ln_delta)
+        ln_val = p1 * integral._ln_sin(delta, ln_delta) + ln_w
+        ts.append(math.cos(delta))
+        weights.append(wi * quarter_pi * math.exp(ln_val))
+        ln_vals.append(ln_val)
+    return ts, weights, ln_vals
+
+
+@pytest.mark.parametrize("a,n,extra", [
+    (-0.9, 128, 6), (-0.45, 8, 3), (-0.3, 256, 3), (0.0, 128, 0),
+    (0.25, 64, 2), (2.7, 128, 1), (3.1, 16, 0),
+])
+def test_cached_node_transform_matches_reference_loop(a, n, extra):
+    p1 = 2.0 * a + 1.0
+    assert integral._substitution_levels(p1) == extra
+    ts, weights, _ = _reference_nodes(a, n)
+    for _ in range(2):  # a miss, then a hit
+        got_t, got_w, overflowed = integral._node_transform(
+            p1, extra, legendre_nodes(n))
+        assert not overflowed
+        assert got_t.tobytes() == array("d", ts).tobytes()
+        assert got_w.tobytes() == array("d", weights).tobytes()
+    want = math.fsum(w * math.cos(3.0 * t) for t, w in zip(ts, weights))
+    got = integral._integrate_once(lambda t: math.cos(3.0 * t), p1, extra, n)
+    assert got == want
+
+
+def test_node_overflow_calls_h_on_earlier_nodes_then_raises(monkeypatch):
+    # no a > -1 overflows a double weight, so the limit is lowered to fall
+    # between the ln weights of nodes 1 and 2 (2.73 and 2.78 here)
+    a, n = -0.9, 16
+    ts, _, ln_vals = _reference_nodes(a, n)
+    threshold = 0.5 * (ln_vals[1] + ln_vals[2])
+    assert ln_vals[0] < threshold < ln_vals[2]
+    integral._node_transform.cache_clear()
+    monkeypatch.setattr(integral, "_MAX_EXP_ARG", threshold)
+    seen = []
+    try:
+        with pytest.raises(QuadratureFailure,
+                           match="transformed integrand overflows double range"):
+            weighted_integral(lambda t: seen.append(t) or 1.0, a,
+                              QuadConfig(nodes=n))
+    finally:
+        integral._node_transform.cache_clear()
+    assert seen == ts[:2]
+
+
+@pytest.fixture
+def node_calls(monkeypatch):
+    """The n of every integral.legendre_nodes call, read through the module
+    global as perfbench/tracer.py's wrapper is."""
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return legendre_nodes(n)
+
+    monkeypatch.setattr(integral, "legendre_nodes", spy)
+    return calls
+
+
+def test_weighted_integral_reads_nodes_once_per_level(node_calls):
+    for _ in range(2):  # cold and warm node cache alike
+        weighted_integral(lambda t: 1.0, 0.5)
+    assert node_calls == [128, 256, 128, 256]
 
 
 def test_quad_config_validation():
@@ -208,6 +291,35 @@ def test_route_preconditions():
             bessel_kernel(u, c)
 
 
+@pytest.mark.parametrize("u,c", [
+    (40.0, 1.0),     # the unchecked sum gave -0.1387; J0(40) = 0.00737
+    (60.0, 1.0),     # the unchecked sum gave 2.7e7
+    (9.2, 1.0),      # rounding bound 2^-53 e^9.2 just over 1e-12
+    (283.0, -1.0),   # 200 terms leave a tail above 1e-17 of the sum
+    (1e3, -1.0),
+])
+def test_kernel_refuses_inaccurate_sums(u, c):
+    with pytest.raises(NonConvergence):
+        bessel_kernel(u, c)
+
+
+def test_kernel_keeps_accurate_sums_at_the_bounds():
+    mpmath = pytest.importorskip("mpmath")
+    # largest u^2 c below the cancellation limit on the default grid, and
+    # an I0 sum whose term test is still open at 200 terms
+    assert bessel_kernel(2.0 * math.sqrt(18.0), 1.0) == pytest.approx(
+        float(mpmath.besselj(0, 2.0 * math.sqrt(18.0))), abs=1e-13)
+    assert bessel_kernel(200.0, -1.0) == pytest.approx(
+        float(mpmath.besseli(0, 200.0)), rel=1e-14)
+
+
+def test_kernel_route_refuses_large_argument_at_first_level(node_calls):
+    # one level of 128 nodes, not minutes of node doubling
+    with pytest.raises(NonConvergence):
+        eval_w_bessel_kernel(IntegralRepParams(1.0, 1.0, 1.0, 40.0), 1.0)
+    assert node_calls == [128]
+
+
 def test_node_doubling_self_consistency():
     p = IntegralRepParams(1.0, -0.4, 1.0, 1.0)
     a = eval_w_cos(p, QuadConfig(nodes=128))
@@ -248,6 +360,13 @@ def test_relation_checks_near_zero_argument():
     # both sides are odd in x, so the residual collapses with x
     assert abs(sin_relation_check(1.0, 1.0, 1e-10)) < 1e-12
     assert abs(sinh_relation_check(1.0, 1.0, 1e-10)) < 1e-12
+
+
+def test_relation_checks_overflow_as_typed_errors():
+    with pytest.raises(KBesselError, match="sinh"):
+        sinh_relation_check(1.0, 1e3, 1e3)
+    with pytest.raises(KBesselError, match="sin"):
+        sin_relation_check(1.0, 1e200, 1e200)
 
 
 def test_relation_checks_validate_arguments():
