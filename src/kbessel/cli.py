@@ -17,7 +17,6 @@ import dataclasses
 import io
 import itertools
 import json
-import math
 import sys
 from collections.abc import Iterable
 
@@ -31,7 +30,8 @@ from .errors import (
     QuadratureFailure,
 )
 from .integral import ROUTES, route_legs
-from .kbessel import KBesselParams, SeriesConfig, deriv_w, eval_w
+from .kbessel import (KBesselParams, SeriesConfig, _eval_normalized, deriv_w,
+                      eval_w)
 from .kgamma import (
     k_beta,
     k_digamma,
@@ -229,8 +229,9 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
               out: str | None) -> None:
     """Tabulate the function and its normalized form over an x grid.
 
-    Columns: x, the function value, the normalized value (series rescaled
-    to start at 1), and the truncation-error estimate.  The header appears
+    Columns: x, the function value, the normalized value (the same series
+    with leading term 1, i.e. (2/x)^(nu/k) Gamma_k(nu+k) W), and the
+    function value's truncation-error estimate.  The header appears
     exactly once and the row count equals --x-steps.
     """
     if x_steps < 1:
@@ -246,13 +247,7 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
         rows = []
         for x in xs:
             result = eval_w(params, x, cfg)
-            if nu == 0.0:
-                normalized = result.value
-            elif x == 0.0:
-                normalized = 1.0
-            else:
-                normalized = result.value * math.exp(
-                    ln_k_gamma(nu + k, k) - (nu / k) * math.log(0.5 * x))
+            normalized = _eval_normalized("table", c, params, x, cfg).value
             rows.append([x, result.value, normalized, result.est_error])
     header = ["x", "value", "normalized", "est_error"]
     _emit(_table_lines(fmt, header, rows), out)

@@ -184,6 +184,8 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     if not a > -1.0:
         raise InvalidParameter(f"weight exponent must exceed -1, got {a}")
     p1 = 2.0 * a + 1.0
+    if p1 == math.inf:
+        raise Overflow(f"weight exponent 2a + 1 exceeds double range (a = {a!r})")
     extra = _substitution_levels(p1)
     n = cfg.nodes
     prev = None

@@ -89,7 +89,8 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
 
     Given x, also sums the term-wise derivatives t_r (2r+b)/x and
     t_r (2r+b)(2r+b-1)/x^2 with b = nu/k, and truncation waits for all three
-    sums; without x both derivative sums are returned as 0.0.
+    sums (Overflow if one leaves double range); without x both are returned
+    as 0.0.  q = 0 (c = 0, or underflow) ends the sum at t_0, est_error 0.0.
     """
     rel_tol = cfg.rel_tol
     derivs = x is not None
@@ -97,6 +98,8 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         b = nu / k
         inv_x = 1.0 / x
         inv_x2 = inv_x * inv_x
+        if not math.isfinite(inv_x2):
+            raise Overflow(f"1/x^2 exceeds double range at x = {x!r}")
     s0h = s0l = s1h = s1l = s2h = s2l = 0.0
     thi, tlo = t0, 0.0
     streak = 0
@@ -116,6 +119,9 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             s2h, s2l = dd_add(s2h, s2l, g2h, g2l)
             tiny = (tiny and abs(thi * m1) <= rel_tol * abs(s1h)
                     and abs(thi * m2) <= rel_tol * abs(s2h))
+        if qhi == 0.0:
+            est = 0.0
+            break
         # next term, denominator (r+1)(r k + nu + k) built exactly in dd
         phi, plo = two_prod(float(r), k)
         phi, plo = dd_add(phi, plo, nu, 0.0)
@@ -126,11 +132,9 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         if tiny:
             streak += 1
             if streak >= 2:
-                terms_used = r + 1
                 ratio_next = abs(qhi) / ((r + 2) * ((r + 1) * k + nu + k))
                 est = _tail_estimate(nhi, ratio_next, alternating=qhi < 0.0)
-                return (EvalResult(s0h + s0l, terms_used, est),
-                        s1h + s1l, s2h + s2l)
+                break
         else:
             streak = 0
         r += 1
@@ -140,14 +144,19 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
                 f"rel_tol={cfg.rel_tol} within max_terms={cfg.max_terms}"
             )
         thi, tlo = nhi, nlo
+    d1, d2 = s1h + s1l, s2h + s2l
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise Overflow(f"W' or W'' sums overflow in dd at x = {x!r}")
+    return EvalResult(s0h + s0l, r + 1, est), d1, d2
 
 
 def _leading_term(p: KBesselParams, x: float) -> float:
     if p.nu == 0.0:
-        # (x/2)^0 / Gamma_k(k) is identically 1; bypassing the log/exp round
-        # trip keeps the whole sum free of its few-ulp noise
+        # (x/2)^0 / Gamma_k(k) is 1 for every x > 0; the log route below
+        # gives 1.0 too, except where x/2 is 0 or inf and 0 * log is nan
         return 1.0
-    ln_t0 = (p.nu / p.k) * math.log(x / 2.0) - ln_k_gamma(p.nu + p.k, p.k)
+    ln_half = math.log(x / 2.0) if x / 2.0 > 0.0 else -math.inf
+    ln_t0 = (p.nu / p.k) * ln_half - ln_k_gamma(p.nu + p.k, p.k)
     if ln_t0 > _MAX_EXP_ARG:
         raise Overflow(
             f"leading series term exceeds double range (log magnitude {ln_t0:.1f})"
@@ -158,11 +167,14 @@ def _leading_term(p: KBesselParams, x: float) -> float:
     return t0
 
 
-def _w_ratio(p: KBesselParams, x: float) -> tuple[float, float]:
-    """-c (x/2)^2 in dd: the term ratio's numerator for W."""
+def _w_ratio(c: float, x: float) -> tuple[float, float]:
+    """-c (x/2)^2 in dd, the term ratio's numerator; exact 0 at c = 0, where
+    the dd product is nan once (x/2)^2 or its Dekker split overflows."""
+    if c == 0.0:
+        return 0.0, 0.0
     xh = 0.5 * x
     qhi, qlo = two_prod(xh, xh)
-    return dd_mul_d(qhi, qlo, -p.c)
+    return dd_mul_d(qhi, qlo, -c)
 
 
 def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
@@ -180,21 +192,18 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
             # limit 1/Gamma_k(k) = 1
             return EvalResult(1.0, 1, 0.0)
         return EvalResult(0.0, 1, 0.0)
-    t0 = _leading_term(p, x)
-    if p.c == 0.0:
-        return EvalResult(t0, 1, 0.0)
-    return _series(t0, *_w_ratio(p, x), p.k, p.nu, cfg)[0]
+    return _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu, cfg)[0]
 
 
-def _eval_normalized(name: str, sign: float, p: KBesselParams, x: float,
+def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
                      cfg: SeriesConfig) -> EvalResult:
+    """(2/x)^(nu/k) Gamma_k(nu+k) W(x) at parameter c (p.c is not read):
+    the series with leading term 1."""
     if math.isnan(x):
         raise DomainError(f"{name} requires a real x")
     if x == 0.0:
         return EvalResult(1.0, 1, 0.0)
-    qhi, qlo = two_prod(x, x)
-    qhi, qlo = dd_mul_d(qhi, qlo, 0.25 * sign)
-    return _series(1.0, qhi, qlo, p.k, p.nu, cfg)[0]
+    return _series(1.0, *_w_ratio(c, x), p.k, p.nu, cfg)[0]
 
 
 def eval_normalized_i(p: KBesselParams, x: float,
@@ -204,13 +213,13 @@ def eval_normalized_i(p: KBesselParams, x: float,
     Equals (2/x)^(nu/k) Gamma_k(nu+k) W(x) for c = -1; the c field of ``p``
     is ignored.
     """
-    return _eval_normalized("eval_normalized_i", 1.0, p, x, cfg)
+    return _eval_normalized("eval_normalized_i", -1.0, p, x, cfg)
 
 
 def eval_normalized_j(p: KBesselParams, x: float,
                       cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
     """Normalized alternating series (c = +1 flavor): value 1 at x = 0, even."""
-    return _eval_normalized("eval_normalized_j", -1.0, p, x, cfg)
+    return _eval_normalized("eval_normalized_j", 1.0, p, x, cfg)
 
 
 def eval_w_with_derivatives(p: KBesselParams, x: float,
@@ -224,13 +233,7 @@ def eval_w_with_derivatives(p: KBesselParams, x: float,
     """
     if not x > 0.0:
         raise DomainError(f"eval_w_with_derivatives requires x > 0, got {x}")
-    t0 = _leading_term(p, x)
-    if p.c == 0.0:
-        b = p.nu / p.k
-        d1 = t0 * b / x
-        d2 = t0 * b * (b - 1.0) / (x * x)
-        return EvalResult(t0, 1, 0.0), d1, d2
-    return _series(t0, *_w_ratio(p, x), p.k, p.nu, cfg, x)
+    return _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu, cfg, x)
 
 
 def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:

@@ -45,6 +45,8 @@ from .kbessel import (
 from .kgamma import k_digamma, k_trigamma, ln_k_gamma
 
 _QUAD = QuadConfig(nodes=128, abs_tol=1e-13, max_refinements=8)
+_MULTISECTION_TERMS = 40
+_COEFFICIENT_R_MAX = 30
 
 __all__ = [
     "CHECK_NAMES",
@@ -279,8 +281,7 @@ def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
     return _report("recurrences", point, -worst, 1.0, notes)
 
 
-def check_multisection(p: KBesselParams, x: float,
-                       terms: int = 40) -> VerifyReport:
+def check_multisection(p: KBesselParams, x: float) -> VerifyReport:
     """Truncated order-multisection expansion vs the directly evaluated
     lowered-order function, certified on x <= 1 where the truncation bound
     is effective.  margin = -abs(difference), tol = 1e-8 absolute.
@@ -290,14 +291,14 @@ def check_multisection(p: KBesselParams, x: float,
         raise InvalidParameter(
             f"multisection target order nu - k requires nu > 0, got {p.nu}"
         )
-    point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x, "terms": terms}
+    point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x, "terms": _MULTISECTION_TERMS}
     if x > 1.0:
         return _skip("multisection", point,
                      "truncated expansion certified only for x <= 1")
-    got = multisection_lhs(p, x, terms).value
+    got = multisection_lhs(p, x, _MULTISECTION_TERMS).value
     want = eval_w(KBesselParams(p.k, p.nu - p.k, p.c), x).value
     diff = got - want
-    notes = (f"{terms}-term expansion={got!r} direct={want!r} "
+    notes = (f"{_MULTISECTION_TERMS}-term expansion={got!r} direct={want!r} "
              f"diff={diff:.3e}")
     return _report("multisection", point, -abs(diff), 1e-8, notes)
 
@@ -491,10 +492,9 @@ def check_chebyshev_products(k: float, nu: float, x: float,
 # coefficient-level facts used by the monotonicity proofs
 
 
-def check_coefficient_facts(k: float, mu: float, nu: float,
-                            r_max: int = 30) -> VerifyReport:
+def check_coefficient_facts(k: float, mu: float, nu: float) -> VerifyReport:
     """Series-coefficient inequalities that drive the monotonicity and
-    convexity results, asserted directly for r <= r_max.
+    convexity results, asserted directly for r <= _COEFFICIENT_R_MAX.
 
     With f_r(nu) the normalized series coefficient, three facts are
     checked: the cross-order coefficient-ratio step
@@ -507,13 +507,11 @@ def check_coefficient_facts(k: float, mu: float, nu: float,
     error.
     """
     _require_order_pair(k, mu, nu)
-    if not isinstance(r_max, int) or r_max < 0:
-        raise InvalidParameter(f"r_max must be a non-negative integer, got {r_max}")
     worst_slack = math.inf
     worst_rel = 0.0
     dig_base = k_digamma(nu + k, k)
     tri_base = k_trigamma(nu + k, k)
-    for r in range(r_max + 1):
+    for r in range(_COEFFICIENT_R_MAX + 1):
         direct = (r * k + mu + k) / (r * k + nu + k)
         ln_route = (ln_k_gamma(r * k + nu + k, k)
                     - ln_k_gamma((r + 1) * k + nu + k, k)
@@ -525,7 +523,7 @@ def check_coefficient_facts(k: float, mu: float, nu: float,
         slack_dig = k_digamma(r * k + nu + k, k) - dig_base
         slack_tri = tri_base - k_trigamma(r * k + nu + k, k)
         worst_slack = min(worst_slack, slack_ratio, slack_dig, slack_tri)
-    point = {"k": k, "mu": mu, "nu": nu, "r_max": r_max}
+    point = {"k": k, "mu": mu, "nu": nu, "r_max": _COEFFICIENT_R_MAX}
     agree = worst_rel <= 1e-10
     margin = worst_slack if agree else -worst_rel
     notes = (f"worst inequality slack={worst_slack:.6e}; "

@@ -15,6 +15,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
@@ -155,6 +156,14 @@ class TestEval:
         assert result.exit_code == 3
         assert "max_terms" in result.stderr
         assert result.stdout == ""
+
+    def test_underflowing_half_argument_exits_3(self, runner):
+        # x/2 rounds to 0, so (x/2)^(nu/k) underflows
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "0.5", "--c", "1",
+                   "--x", "5e-324"])
+        assert result.exit_code == 3
+        assert "underflows" in result.stderr
 
     def test_non_numeric_x_exits_2(self, runner):
         result = runner.invoke(
@@ -332,6 +341,25 @@ class TestTable:
         for line in rows_of(result.stdout)[1:]:
             assert line[2] == line[1]
 
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("nu", [0.7, -0.6])
+    def test_normalized_column_matches_hyp0f1(self, runner, nu, c):
+        # the normalized series is 0F1(; b + 1; -c x^2 / (4k)), b = nu/k;
+        # x runs from y = x sqrt(|c|/k) = 0.5 up to 5
+        k = 1.5
+        x_stop = 5.0 * math.sqrt(k / abs(c)) if c else 5.0
+        result = runner.invoke(
+            main, ["table", "--k", str(k), "--nu", str(nu), "--c", str(c),
+                   "--x-start", repr(x_stop / 10), "--x-stop", repr(x_stop),
+                   "--x-steps", "10"])
+        assert result.exit_code == 0
+        for line in rows_of(result.stdout)[1:]:
+            x, got = float(line[0]), float(line[2])
+            with mp.workdps(40):
+                want = float(mp.hyp0f1(mp.mpf(nu) / k + 1,
+                                       -mp.mpf(c) * mp.mpf(x) ** 2 / (4 * k)))
+            assert abs(got - want) <= 1e-15 * abs(want)
+
     def test_csv_format_parses(self, runner):
         result = runner.invoke(
             main, ["table", "--k", "1", "--nu", "0.5", "--c", "1",
@@ -437,6 +465,16 @@ class TestCompareIntegral:
         assert result.exit_code == 2
         assert message in result.stderr
 
+    def test_overflowing_weight_exponent_exits_3(self, runner, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [1], "nu_values": [1e308], "alpha_values": [1],
+            "x_values": [1]}), encoding="utf-8")
+        result = runner.invoke(
+            main, ["compare-integral", "--grid", str(grid)])
+        assert result.exit_code == 3
+        assert "2a + 1 exceeds double range" in result.stderr
+
     def test_out_writes_file(self, runner, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
@@ -508,6 +546,20 @@ class TestVerify:
         record = json.loads(result.stdout)
         assert record["passed"] is False
         assert record["notes"].startswith("error: Overflow: sinh")
+
+    def test_overflowing_weight_exponent_is_a_failed_report(self, runner,
+                                                             tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [1], "nu_values": [1e308], "alpha_values": [1],
+            "x_values": [1]}), encoding="utf-8")
+        result = runner.invoke(
+            main, ["verify", "--checks", "integral-agreement",
+                   "--grid", str(grid)])
+        assert result.exit_code == 4
+        assert "3 reports: 0 passed, 0 skipped, 3 failed" in result.stderr
+        for line in result.stdout.splitlines():
+            assert json.loads(line)["notes"].startswith("error: Overflow")
 
     def test_csv_format_embeds_grid_point_as_json(self, runner):
         result = runner.invoke(

@@ -80,6 +80,13 @@ def test_weighted_integral_rejects_divergent_weight():
         weighted_integral(lambda t: 1.0, -1.0)
 
 
+@pytest.mark.parametrize("a", [math.inf, 1e308])
+def test_weighted_integral_rejects_an_overflowing_exponent(a):
+    # 2a + 1 is infinite, so the substitution levels cannot be counted
+    with pytest.raises(KBesselError, match="2a \\+ 1 exceeds double range"):
+        weighted_integral(lambda t: 1.0, a)
+
+
 def test_weighted_integral_refinement_cap():
     cfg = QuadConfig(nodes=2, abs_tol=1e-18, max_refinements=1)
     with pytest.raises(QuadratureFailure):

@@ -6,8 +6,11 @@ a series whose every gamma factor was taken from defining-integral quadrature
 (w_series_quad), so they are independent of the package's gamma code paths.
 """
 
+import hashlib
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from kbessel import (
     DomainError,
     InvalidParameter,
+    KBesselError,
     KBesselParams,
     NonConvergence,
     Overflow,
@@ -147,6 +151,91 @@ def test_c_zero_single_term():
     assert res.value == want
     assert res.terms_used == 1
     assert res.est_error == 0.0
+
+
+def test_c_zero_derivatives_are_the_leading_term_products():
+    # at c = 0 W', W'' are t0 b/x and t0 b (b-1)/x^2 with the double
+    # b = nu/k; the kernel rounds 3 and 7 times on the way, so allow that
+    for k, nu, x in ((0.5, -0.3, 1e-3), (1.5, 0.8, 2.0), (2.0, 4.6, 37.0),
+                     (0.3, 0.0, 0.7), (1.0, 1.0, 1e-100), (7.0, 20.0, 1e3)):
+        res, d1, d2 = eval_w_with_derivatives(KBesselParams(k, nu, 0.0), x)
+        assert res.value == eval_w(KBesselParams(k, nu, 0.0), x).value
+        assert (res.terms_used, res.est_error) == (1, 0.0)
+        with mp.workdps(40):
+            t0, b, xx = mp.mpf(res.value), mp.mpf(nu / k), mp.mpf(x)
+            want1 = float(t0 * b / xx)
+            want2 = float(t0 * b * (b - 1) / xx ** 2)
+        assert abs(d1 - want1) <= 3 * math.ulp(want1)
+        assert abs(d2 - want2) <= 7 * math.ulp(want2)
+
+
+def test_c_zero_at_huge_argument_keeps_the_single_term():
+    # (x/2)^2 = 4.9e307 fits, but the Dekker split in its dd product does not
+    p = KBesselParams(1.0, 2.0, 0.0)
+    x = 1.4e154
+    res = eval_w(p, x)
+    assert res.value == pytest.approx(0.25 * x * x / 2.0, rel=1e-13)
+    assert (res.terms_used, res.est_error) == (1, 0.0)
+
+
+def test_underflowing_ratio_ends_the_series_at_its_first_term():
+    # (x/2)^2 underflows to 0, so every later term is exactly 0
+    for c in (-1.0, 1.0):
+        res = eval_w(KBesselParams(1.0, 0.5, c), 1e-170)
+        assert res.value == eval_w(KBesselParams(1.0, 0.5, 0.0), 1e-170).value
+        assert (res.terms_used, res.est_error) == (1, 0.0)
+
+
+@pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+def test_derivatives_refuse_an_overflowing_inverse_square(c):
+    with pytest.raises(Overflow, match="1/x\\^2"):
+        eval_w_with_derivatives(KBesselParams(1.0, 0.5, c), 1e-200)
+
+
+def test_derivative_sums_beyond_double_range_raise():
+    # W'' = t0 b (b-1)/x^2 is about 3e344 here, beyond double range
+    with pytest.raises(Overflow, match="W' or W'' sums overflow"):
+        eval_w_with_derivatives(KBesselParams(0.5, -0.15, 0.0), 1e-150)
+
+
+@pytest.mark.parametrize("nu,message", [(0.5, "underflows"),
+                                        (-0.5, "exceeds double range")])
+def test_leading_term_when_half_x_underflows(nu, message):
+    p = KBesselParams(1.0, nu, 1.0)
+    for fn in (eval_w, eval_w_with_derivatives):
+        with pytest.raises(Overflow, match=message):
+            fn(p, 5e-324)
+
+
+def _series_layer_digest(seed: int, count: int) -> str:
+    """sha256 over the reprs of the four series entry points (results or
+    typed errors) at seeded points; k, b = nu/k, |c| and y = x sqrt(|c|/k)
+    span the ranges of the series-points benchmark."""
+    rng = random.Random(seed)
+    ln_range = (math.log(0.1), math.log(10.0))
+    ln_y = (math.log(0.01), math.log(100.0))
+    digest = hashlib.sha256()
+    for _ in range(count):
+        k = math.exp(rng.uniform(*ln_range))
+        b = 10.0 - 11.0 * rng.random()
+        c = math.copysign(math.exp(rng.uniform(*ln_range)), rng.random() - 0.5)
+        x = math.exp(rng.uniform(*ln_y)) / math.sqrt(abs(c) / k)
+        p = KBesselParams(k, b * k, c)
+        for fn in (eval_w, eval_normalized_i, eval_normalized_j,
+                   eval_w_with_derivatives):
+            try:
+                out = fn(p, x)
+            except KBesselError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
+def test_series_layer_bits_are_pinned():
+    # value, terms_used, est_error, W' and W'' of 1000 points, bit for bit;
+    # a refactor of the series layer must leave this digest unchanged
+    assert _series_layer_digest(2024, 1000) == (
+        "a9c4898ec9180ab187170674bb287687e9a06181df163ef6dd0c1d38c99fd2bb")
 
 
 def test_nonconvergence_when_capped():

@@ -363,10 +363,6 @@ def test_coefficient_facts_fractional_k():
 def test_coefficient_facts_rejects_bad_inputs():
     with pytest.raises(InvalidParameter):
         check_coefficient_facts(1.0, 2.0, 1.0)
-    with pytest.raises(InvalidParameter):
-        check_coefficient_facts(1.0, 0.5, 1.0, r_max=-1)
-    with pytest.raises(InvalidParameter):
-        check_coefficient_facts(1.0, 0.5, 1.0, r_max=1.5)
 
 
 # ---------------------------------------------------------------------------
