@@ -5,8 +5,9 @@ usual composite dd operations.  Used by the series engine so that the
 cancellation-heavy alternating sums keep an effective ~31 decimal digits of
 working precision; only the final rounding back to a double is lossy.
 
-All magnitudes handled by the series code stay far below 2^996, so the
-Dekker split needs no overflow guard.
+The Dekker split in ``two_prod`` has no overflow guard: an operand above
+about 2^996 overflows it and the product comes out NaN.  The series engine
+does not prevent such terms; it raises Overflow when its sums turn NaN.
 """
 
 from __future__ import annotations

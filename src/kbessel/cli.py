@@ -305,14 +305,13 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
                    for k in k_values}
     else:
         payload = _load_grid_file(grid)
-        for key in ("k_values", "nu_values", "alpha_values", "x_values"):
+        keys = ("k_values", "nu_values", "alpha_values", "x_values")
+        for key in keys:
             if key not in payload:
                 _fail(2, f"grid file must define {key!r}")
-        k_values = tuple(sorted(float(v) for v in payload["k_values"]))
-        nu_by_k = {k: tuple(float(v) for v in payload["nu_values"])
-                   for k in k_values}
-        alpha_values = tuple(sorted(float(v) for v in payload["alpha_values"]))
-        x_values = tuple(sorted(float(v) for v in payload["x_values"]))
+        k_values, nu_values, alpha_values, x_values = (
+            tuple(sorted({float(v) for v in payload[key]})) for key in keys)
+        nu_by_k = {k: nu_values for k in k_values}
 
     rows = []
     with _exit_codes():

@@ -13,6 +13,16 @@ class InvalidParameter(KBesselError, ValueError):
     """A structural parameter (k, order bound, term count, ...) is out of range."""
 
 
+class OutsideDomain(InvalidParameter):
+    """The parameters lie outside the domain where a result or representation
+    holds.  ``reason`` names the violated condition; the verification grid
+    reports it as the skip note of the point."""
+
+    def __init__(self, reason: str, values: str):
+        super().__init__(f"{reason}, got {values}")
+        self.reason = reason
+
+
 class DomainError(KBesselError, ValueError):
     """The evaluation point lies outside the function's domain."""
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import (DomainError, InvalidParameter, NonConvergence, Overflow,
-                     QuadratureFailure)
+from .errors import (DomainError, InvalidParameter, NonConvergence,
+                     OutsideDomain, Overflow, QuadratureFailure)
 from .kbessel import KBesselParams, eval_w
 from .kgamma import _MAX_EXP_ARG, ln_k_gamma
 
@@ -207,12 +207,10 @@ def _exp_guarded(ln_value: float, what: str) -> float:
     return math.exp(ln_value)
 
 
-def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, name: str,
-                 weight) -> float:
+def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
     if not p.nu / p.k > -0.5:
-        raise InvalidParameter(
-            f"{name} representation requires nu/k > -1/2, got nu/k={p.nu / p.k}"
-        )
+        raise OutsideDomain("cosine/cosh representation requires nu/k > -1/2",
+                            f"nu/k={p.nu / p.k}")
     ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
                - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
                + (p.nu / p.k) * math.log(0.5 * p.x))
@@ -231,13 +229,13 @@ def eval_w_cos(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
 
     valid for nu/k > -1/2.
     """
-    return _eval_w_trig(p, cfg, "cosine", math.cos)
+    return _eval_w_trig(p, cfg, math.cos)
 
 
 def eval_w_cosh(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     """W with c = -alpha^2 via the hyperbolic-cosine representation; same
     prefactor and validity range as eval_w_cos."""
-    return _eval_w_trig(p, cfg, "cosh", math.cosh)
+    return _eval_w_trig(p, cfg, math.cosh)
 
 
 _SQUARES = tuple(float(r * r) for r in range(1, 200))
@@ -291,9 +289,8 @@ def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
     valid for nu > 0; c is passed explicitly (both signs admissible).
     """
     if not p.nu > 0.0:
-        raise InvalidParameter(
-            f"kernel representation requires nu > 0, got {p.nu}"
-        )
+        raise OutsideDomain("kernel representation requires nu > 0",
+                            f"nu={p.nu}")
     if math.isnan(c):
         raise InvalidParameter("c must be a real number, got nan")
     ln_pref = (_LN2 - math.log(p.k) - ln_k_gamma(p.nu, p.k)
@@ -313,10 +310,10 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
                ) -> tuple[str | None, list[tuple[float, float]]]:
     """Admissibility and quadrature values of one route at (k, nu, alpha, x).
 
-    Returns ``(reason, legs)``.  ``reason`` is None when the route applies
-    and the violated condition otherwise, with no legs.  ``legs`` are
-    (c, W) pairs: 'cos' gives c = +alpha^2, 'cosh' c = -alpha^2 (both need
-    nu/k > -1/2), and 'kernel' both signs (needs nu > 0).
+    Returns ``(reason, legs)``.  ``legs`` are (c, W) pairs: 'cos' gives
+    c = +alpha^2, 'cosh' c = -alpha^2, and 'kernel' both signs.  Where the
+    route's representation refuses the point, ``reason`` is the refusal's
+    reason and there are no legs; otherwise ``reason`` is None.
     """
     if route not in ROUTES:
         raise InvalidParameter(
@@ -324,17 +321,16 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
         )
     rep = IntegralRepParams(k, nu, alpha, x)  # validates every route's input
     c_sq = alpha * alpha
-    if route == "kernel":
-        if not nu > 0.0:
-            return "kernel representation requires nu > 0", []
-        kernel_rep = IntegralRepParams(k, nu, 1.0, x)
-        return None, [(c_sq, eval_w_bessel_kernel(kernel_rep, c_sq, cfg)),
-                      (-c_sq, eval_w_bessel_kernel(kernel_rep, -c_sq, cfg))]
-    if not nu / k > -0.5:
-        return "cosine/cosh representation requires nu/k > -1/2", []
-    if route == "cos":
-        return None, [(c_sq, eval_w_cos(rep, cfg))]
-    return None, [(-c_sq, eval_w_cosh(rep, cfg))]
+    try:
+        if route == "kernel":
+            kernel_rep = IntegralRepParams(k, nu, 1.0, x)
+            return None, [(c_sq, eval_w_bessel_kernel(kernel_rep, c_sq, cfg)),
+                          (-c_sq, eval_w_bessel_kernel(kernel_rep, -c_sq, cfg))]
+        if route == "cos":
+            return None, [(c_sq, eval_w_cos(rep, cfg))]
+        return None, [(-c_sq, eval_w_cosh(rep, cfg))]
+    except OutsideDomain as exc:
+        return exc.reason, []
 
 
 def _relation_residual(k: float, alpha: float, x: float, fn, c: float) -> float:

@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 
 from ._dd import dd_add, dd_div, dd_mul, dd_mul_d, two_prod
-from .errors import DomainError, InvalidParameter, NonConvergence, Overflow
+from .errors import (DomainError, InvalidParameter, NonConvergence,
+                     OutsideDomain, Overflow)
 from .kgamma import _MAX_EXP_ARG, ln_k_gamma
 
 
@@ -45,7 +46,7 @@ class KBesselParams:
         if not self.k > 0.0:
             raise InvalidParameter(f"k must be positive, got {self.k}")
         if not self.nu > -self.k:
-            raise InvalidParameter(f"nu must exceed -k, got nu={self.nu}, k={self.k}")
+            raise OutsideDomain("nu must exceed -k", f"nu={self.nu}, k={self.k}")
         if math.isnan(self.c):
             raise InvalidParameter("c must be a real number, got nan")
 
@@ -139,6 +140,10 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             streak = 0
         r += 1
         if r >= cfg.max_terms:
+            if math.isnan(s0h + s1h + s2h):
+                # a term or multiplier past 2^996 overflows the Dekker split
+                raise Overflow("series terms exceed the double-double range "
+                               "(above about 2^996)")
             raise NonConvergence(
                 f"{'derivative ' if derivs else ''}series did not meet "
                 f"rel_tol={cfg.rel_tol} within max_terms={cfg.max_terms}"
@@ -206,24 +211,21 @@ def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
     return _series(1.0, *_w_ratio(c, x), p.k, p.nu, cfg)[0]
 
 
-def eval_normalized_i(p: KBesselParams, x: float,
-                      cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
+def eval_normalized_i(p: KBesselParams, x: float) -> EvalResult:
     """Normalized all-positive-coefficient series: value 1 at x = 0, even in x.
 
     Equals (2/x)^(nu/k) Gamma_k(nu+k) W(x) for c = -1; the c field of ``p``
     is ignored.
     """
-    return _eval_normalized("eval_normalized_i", -1.0, p, x, cfg)
+    return _eval_normalized("eval_normalized_i", -1.0, p, x, _DEFAULT_CONFIG)
 
 
-def eval_normalized_j(p: KBesselParams, x: float,
-                      cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
+def eval_normalized_j(p: KBesselParams, x: float) -> EvalResult:
     """Normalized alternating series (c = +1 flavor): value 1 at x = 0, even."""
-    return _eval_normalized("eval_normalized_j", 1.0, p, x, cfg)
+    return _eval_normalized("eval_normalized_j", 1.0, p, x, _DEFAULT_CONFIG)
 
 
-def eval_w_with_derivatives(p: KBesselParams, x: float,
-                            cfg: SeriesConfig = _DEFAULT_CONFIG
+def eval_w_with_derivatives(p: KBesselParams, x: float
                             ) -> tuple[EvalResult, float, float]:
     """(W, W', W'') at x > 0 with the derivatives taken term-by-term.
 
@@ -233,7 +235,8 @@ def eval_w_with_derivatives(p: KBesselParams, x: float,
     """
     if not x > 0.0:
         raise DomainError(f"eval_w_with_derivatives requires x > 0, got {x}")
-    return _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu, cfg, x)
+    return _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu,
+                   _DEFAULT_CONFIG, x)
 
 
 def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:
@@ -288,8 +291,7 @@ def recurrence_step_up(p: KBesselParams, x: float, w_nu: float,
     return (2.0 * p.nu * w_nu / x - w_nu_minus_k) / (p.c * p.k)
 
 
-def multisection_lhs(p: KBesselParams, x: float, terms: int,
-                     cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
+def multisection_lhs(p: KBesselParams, x: float, terms: int) -> EvalResult:
     """Truncated multisection sum
 
         (2/x) * sum_{r=0}^{terms-1} (-c k)^r (nu + 2 r k) W_(nu + 2 r k)(x),
@@ -311,13 +313,13 @@ def multisection_lhs(p: KBesselParams, x: float, terms: int,
     last_mag = math.inf
     for r in range(terms):
         order = p.nu + 2 * r * p.k
-        w = eval_w(KBesselParams(p.k, order, p.c), x, cfg).value
+        w = eval_w(KBesselParams(p.k, order, p.c), x).value
         piece = factor * order * w * two_over_x
         pieces.append(piece)
         last_mag = abs(piece)
         factor *= step
     omit_order = p.nu + 2 * terms * p.k
-    omit_w = eval_w(KBesselParams(p.k, omit_order, p.c), x, cfg).value
+    omit_w = eval_w(KBesselParams(p.k, omit_order, p.c), x).value
     omitted = abs(factor * omit_order * omit_w * two_over_x)
     # an omitted term of exactly 0 (c = 0) leaves nothing to truncate
     if omitted >= last_mag and omitted != 0.0:

@@ -14,8 +14,10 @@ convention:
 A check passes exactly when ``margin >= -tol`` for its tolerance, so
 reports can be filtered and aggregated without knowing which inequality
 they came from.  ``run_grid`` expands a :class:`GridSpec` into every
-admissible combination, emits skip reports for inadmissible ones, and
-never aborts on a single point's failure.
+combination and runs the check on each; a check's refusal of a point
+outside its domain (:class:`~kbessel.errors.OutsideDomain`) becomes a skip
+report with the refusal's reason, and no single point's failure aborts
+the run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .errors import InvalidParameter, KBesselError
+from .errors import InvalidParameter, KBesselError, OutsideDomain
 from .integral import (
     ROUTES,
     QuadConfig,
@@ -73,11 +75,11 @@ __all__ = [
 class GridSpec:
     """Explicit value lists that ``run_grid`` expands into check points.
 
-    ``nu_values`` are absolute orders; each check keeps the combinations
-    that satisfy its own admissibility conditions (which depend on k) and
-    emits skip reports for the rest.  ``a_values`` are order shifts for the
-    product-vs-square check; ``cvx_weights`` are interpolation weights in
-    [0, 1] for the log-convexity check.
+    ``nu_values`` are absolute orders; a combination outside a check's
+    domain (which depends on k) is refused by the check itself and reported
+    as skipped.  ``a_values`` are order shifts for the product-vs-square
+    check; ``cvx_weights`` are interpolation weights in [0, 1] for the
+    log-convexity check.  Repeated values in a field are dropped.
     """
 
     k_values: tuple[float, ...]
@@ -90,7 +92,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            values = tuple(float(v) for v in getattr(self, field.name))
+            values = tuple(dict.fromkeys(float(v) for v in getattr(self, field.name)))
             if not values:
                 raise InvalidParameter(f"{field.name} must be non-empty")
             if any(math.isnan(v) or math.isinf(v) for v in values):
@@ -163,10 +165,10 @@ def _require_positive_x(x: float) -> None:
 def _require_order_pair(k: float, mu: float, nu: float) -> None:
     if not k > 0.0:
         raise InvalidParameter(f"k must be positive, got {k}")
-    if not (nu >= mu and mu > -k):
-        raise InvalidParameter(
-            f"orders must satisfy nu >= mu > -k, got mu={mu}, nu={nu}, k={k}"
-        )
+    if not nu >= mu:
+        raise InvalidParameter(f"orders must satisfy nu >= mu, got mu={mu}, nu={nu}")
+    if not mu > -k:
+        raise OutsideDomain("orders must exceed -k", f"mu={mu}, k={k}")
 
 
 def _normalized(k: float, order: float, x: float) -> float:
@@ -245,30 +247,26 @@ def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
 
     h = 1e-6
     if x > 2.0 * h:
+        w_plus = eval_w(p, x + h).value
+        w_minus = eval_w(p, x - h).value
         if has_lo:
-            def weighted_up(t: float) -> float:
-                return t ** beta * eval_w(p, t).value
-
-            fd = (weighted_up(x + h) - weighted_up(x - h)) / (2.0 * h)
+            fd = ((x + h) ** beta * w_plus
+                  - (x - h) ** beta * w_minus) / (2.0 * h)
             r5 = fd - (x ** beta / p.k) * w_lo
             ratios.append(("weighted-power derivative (lowering)",
                            abs(r5) / 1e-6))
-
-        def weighted_down(t: float) -> float:
-            return t ** (-beta) * eval_w(p, t).value
-
-        fd = (weighted_down(x + h) - weighted_down(x - h)) / (2.0 * h)
+        fd = ((x + h) ** (-beta) * w_plus
+              - (x - h) ** (-beta) * w_minus) / (2.0 * h)
         r6 = fd + p.c * x ** (-beta) * w_hi
         ratios.append(("weighted-power derivative (raising)",
                        abs(r6) / 1e-6))
 
-        for m, hm in ((1, 1e-6), (2, 1e-4)):
+        for m, hm in ((1, h), (2, 1e-4)):
             if not p.nu - m * p.k > -p.k or not x > 2.0 * hm:
                 continue
             ladder = deriv_w(p, x, m).value
             if m == 1:
-                fd = (eval_w(p, x + hm).value
-                      - eval_w(p, x - hm).value) / (2.0 * hm)
+                fd = (w_plus - w_minus) / (2.0 * hm)
             else:
                 fd = (eval_w(p, x + hm).value - 2.0 * w
                       + eval_w(p, x - hm).value) / (hm * hm)
@@ -288,9 +286,7 @@ def check_multisection(p: KBesselParams, x: float) -> VerifyReport:
     """
     _require_positive_x(x)
     if not p.nu > 0.0:
-        raise InvalidParameter(
-            f"multisection target order nu - k requires nu > 0, got {p.nu}"
-        )
+        raise OutsideDomain("lowered order requires nu > 0", f"nu={p.nu}")
     point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x, "terms": _MULTISECTION_TERMS}
     if x > 1.0:
         return _skip("multisection", point,
@@ -318,7 +314,7 @@ def check_ratio_x_monotone(k: float, mu: float, nu: float,
     _require_order_pair(k, mu, nu)
     xs = [float(x) for x in x_grid]
     if len(xs) < 2:
-        raise InvalidParameter("x_grid needs at least two points")
+        raise OutsideDomain("needs at least two x grid points", f"x_grid={xs}")
     if xs[0] <= 0.0 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise InvalidParameter("x_grid must be positive and strictly increasing")
     ratios = [_normalized(k, mu, x) / _normalized(k, nu, x)
@@ -365,9 +361,7 @@ def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
     if not k > 0.0:
         raise InvalidParameter(f"k must be positive, got {k}")
     if not (nu1 > -k and nu2 > -k):
-        raise InvalidParameter(
-            f"orders must exceed -k, got nu1={nu1}, nu2={nu2}, k={k}"
-        )
+        raise OutsideDomain("orders must exceed -k", f"nu1={nu1}, nu2={nu2}, k={k}")
     if not 0.0 <= alpha_cvx <= 1.0:
         raise InvalidParameter(f"weight must lie in [0, 1], got {alpha_cvx}")
     _require_positive_x(x)
@@ -402,9 +396,8 @@ def check_turan(k: float, nu: float, a: float, x: float) -> VerifyReport:
     if not k > 0.0:
         raise InvalidParameter(f"k must be positive, got {k}")
     if not nu >= abs(a) - k + 1e-9:
-        raise InvalidParameter(
-            f"order must satisfy nu >= |a| - k, got nu={nu}, a={a}, k={k}"
-        )
+        raise OutsideDomain("order too small for the shift (needs nu >= |a| - k)",
+                            f"nu={nu}, a={a}, k={k}")
     _require_positive_x(x)
     v_lo = _normalized(k, nu - a, x)
     v_hi = _normalized(k, nu + a, x)
@@ -439,9 +432,7 @@ def check_chebyshev_products(k: float, nu: float, x: float,
         raise InvalidParameter(f"k must be positive, got {k}")
     _require_positive_x(x)
     if not nu > -0.75 * k:
-        raise InvalidParameter(
-            f"requires nu > -3k/4, got nu={nu}, k={k}"
-        )
+        raise OutsideDomain("requires nu > -3k/4", f"nu={nu}, k={k}")
     point = {"k": k, "nu": nu, "x": x, "variant": variant}
     if nu <= -0.5 * k:
         return _skip("chebyshev", point,
@@ -620,14 +611,12 @@ class _Check(NamedTuple):
 
     ``axes`` are the point's keys in order; a pair of keys takes the ordered
     pairs of ``nu_values``, any other key the sorted values of its grid
-    field.  ``rules`` are (admissible(spec, point), skip reason) in order.
-    ``call(spec, point)`` runs the check; it names the check function as a
-    module global, looked up on every call, so a replacement set on this
-    module (a tracer, a test spy) is the one that runs.
+    field.  ``call(spec, point)`` runs the check; it names the check
+    function as a module global, looked up on every call, so a replacement
+    set on this module (a tracer, a test spy) is the one that runs.
     """
 
     axes: tuple
-    rules: tuple
     call: Callable[[GridSpec, dict], VerifyReport]
 
 
@@ -644,8 +633,6 @@ _AXIS_VALUES = {
 }
 
 _SERIES_AXES = ("k", "nu", "c", "x")
-_NU_ABOVE_MINUS_K = ((lambda s, p: p["nu"] > -p["k"], "order must exceed -k"),)
-_MU_ABOVE_MINUS_K = ((lambda s, p: p["mu"] > -p["k"], "orders must exceed -k"),)
 
 
 def _series_params(point: dict) -> KBesselParams:
@@ -654,47 +641,34 @@ def _series_params(point: dict) -> KBesselParams:
 
 _CHECKS = {
     "ode": _Check(
-        _SERIES_AXES, _NU_ABOVE_MINUS_K,
-        lambda s, p: check_ode(_series_params(p), p["x"])),
+        _SERIES_AXES, lambda s, p: check_ode(_series_params(p), p["x"])),
     "recurrences": _Check(
-        _SERIES_AXES, _NU_ABOVE_MINUS_K,
+        _SERIES_AXES,
         lambda s, p: check_recurrences(_series_params(p), p["x"])),
     "multisection": _Check(
         _SERIES_AXES,
-        ((lambda s, p: p["nu"] > 0.0, "lowered order requires nu > 0"),),
         lambda s, p: check_multisection(_series_params(p), p["x"])),
     "ratio-x-monotone": _Check(
         ("k", ("mu", "nu")),
-        _MU_ABOVE_MINUS_K
-        + ((lambda s, p: len(s.x_values) >= 2,
-            "needs at least two x grid points"),),
         lambda s, p: check_ratio_x_monotone(**p, x_grid=sorted(s.x_values))),
     "order-ratio-monotone": _Check(
-        ("k", ("mu", "nu"), "x"), _MU_ABOVE_MINUS_K,
-        lambda s, p: check_order_ratio_monotone(**p)),
+        ("k", ("mu", "nu"), "x"), lambda s, p: check_order_ratio_monotone(**p)),
     "nu-decreasing-logconvex": _Check(
         ("k", ("nu1", "nu2"), "weight", "x"),
-        ((lambda s, p: p["nu1"] > -p["k"], "orders must exceed -k"),),
         lambda s, p: check_nu_decreasing_logconvex(
             p["k"], (p["nu1"], p["nu2"]), p["weight"], p["x"])),
-    "turan": _Check(
-        ("k", "nu", "a", "x"),
-        ((lambda s, p: p["nu"] >= abs(p["a"]) - p["k"] + 1e-9,
-          "order too small for the shift (needs nu >= |a| - k)"),),
-        lambda s, p: check_turan(**p)),
+    "turan": _Check(("k", "nu", "a", "x"), lambda s, p: check_turan(**p)),
     "chebyshev": _Check(
         ("k", "nu", "x", "variant"),
-        ((lambda s, p: p["nu"] > -0.75 * p["k"], "requires nu > -3k/4"),),
         lambda s, p: check_chebyshev_products(**p)),
     "coefficient-facts": _Check(
-        ("k", ("mu", "nu")), _MU_ABOVE_MINUS_K,
-        lambda s, p: check_coefficient_facts(**p)),
+        ("k", ("mu", "nu")), lambda s, p: check_coefficient_facts(**p)),
     "sin-relation": _Check(
-        ("k", "alpha", "x"), (), lambda s, p: check_sin_relation(**p)),
+        ("k", "alpha", "x"), lambda s, p: check_sin_relation(**p)),
     "sinh-relation": _Check(
-        ("k", "alpha", "x"), (), lambda s, p: check_sinh_relation(**p)),
+        ("k", "alpha", "x"), lambda s, p: check_sinh_relation(**p)),
     "integral-agreement": _Check(
-        ("k", "nu", "alpha", "x", "route"), (),
+        ("k", "nu", "alpha", "x", "route"),
         lambda s, p: check_integral_agreement(**p)),
 }
 
@@ -715,13 +689,10 @@ def _expand(name: str, spec: GridSpec):
             axes.append([(v,) for v in sorted(_AXIS_VALUES[axis](spec))])
     for combo in itertools.product(*axes):
         point = dict(zip(keys, itertools.chain.from_iterable(combo)))
-        reason = next((why for admissible, why in check.rules
-                       if not admissible(spec, point)), None)
-        if reason is not None:
-            yield _skip(name, point, reason)
-            continue
         try:
             yield check.call(spec, point)
+        except OutsideDomain as exc:
+            yield _skip(name, point, exc.reason)
         except KBesselError as exc:
             yield _failure(name, point, exc)
 

@@ -440,6 +440,19 @@ class TestCompareIntegral:
         parsed = list(csv.DictReader(io.StringIO(result.stdout)))
         assert [r["route"] for r in parsed] == ["cos", "cosh"]
 
+    def test_repeated_grid_values_are_dropped(self, runner, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [1.0, 1], "nu_values": [0.5, 0.5],
+            "alpha_values": [1.0, 1.0], "x_values": [1.0, 1]}),
+            encoding="utf-8")
+        result = runner.invoke(
+            main, ["compare-integral", "--grid", str(grid)])
+        assert result.exit_code == 0
+        parsed = list(csv.DictReader(io.StringIO(result.stdout)))
+        assert [(r["route"], r["c"]) for r in parsed] == [
+            ("cos", "1"), ("cosh", "-1"), ("kernel", "1"), ("kernel", "-1")]
+
     def test_missing_grid_key_exits_2(self, runner, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"k_values": [1.0]}), encoding="utf-8")
@@ -585,6 +598,17 @@ class TestVerify:
         for line in lines:
             record = json.loads(line)
             assert record["grid_point"]["x"] == 0.5
+
+    def test_repeated_grid_values_are_dropped(self, runner, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"x_values": [1, 1, 3]}), encoding="utf-8")
+        result = runner.invoke(
+            main, ["verify", "--checks", "ratio-x-monotone", "--grid",
+                   str(grid)])
+        assert result.exit_code == 0
+        assert "63 reports: 63 passed, 0 skipped, 0 failed" in result.stderr
+        for line in result.stdout.splitlines():
+            assert json.loads(line)["grid_point"]["x_count"] == 2
 
     def test_out_writes_file_and_summary_stays_on_stderr(self, runner,
                                                          tmp_path):

@@ -22,6 +22,7 @@ from kbessel.integral import (
     eval_w_cos,
     eval_w_cosh,
     legendre_nodes,
+    route_legs,
     sin_relation_check,
     sinh_relation_check,
     weighted_integral,
@@ -383,3 +384,17 @@ def test_relation_checks_validate_arguments():
             sin_relation_check(*bad)
         with pytest.raises(InvalidParameter):
             sinh_relation_check(*bad)
+
+
+@pytest.mark.parametrize("route, nu, refuse", [
+    ("cos", -0.5, eval_w_cos),
+    ("cosh", -0.7, eval_w_cosh),
+    ("kernel", 0.0, lambda rep: eval_w_bessel_kernel(rep, 1.0)),
+], ids=["cos", "cosh", "kernel"])
+def test_route_legs_reason_is_the_representation_refusal(route, nu, refuse):
+    rep = IntegralRepParams(1.0, nu, 1.0, 1.0)
+    with pytest.raises(InvalidParameter) as refusal:
+        refuse(rep)
+    assert str(refusal.value).startswith(refusal.value.reason + ", got ")
+    assert route_legs(1.0, nu, 1.0, 1.0, route) == (refusal.value.reason, [])
+

@@ -243,6 +243,15 @@ def test_nonconvergence_when_capped():
         eval_w(KBesselParams(1.0, 0.0, 1.0), 10.0, SeriesConfig(max_terms=5))
 
 
+def test_terms_beyond_the_dekker_split_raise_overflow():
+    # W is about 2.45e307 at y = 0.14, but the leading term passes 2^996,
+    # where the dd product's split overflows and the sum turns NaN
+    with pytest.raises(Overflow, match="double-double range"):
+        eval_w(KBesselParams(1.0, 2.0, 1e-310), 1.4e154)
+    with pytest.raises(Overflow, match="double-double range"):
+        eval_w(KBesselParams(1.0, 0.0, -1.0), 700.0)
+
+
 def test_overflow_guard_on_leading_term():
     # (nu/k) ln(x/2) dominates ln Gamma_k for large x at high order ratio
     with pytest.raises(Overflow):

@@ -33,6 +33,7 @@ from kbessel import (
     default_grid,
     run_grid,
 )
+from kbessel.integral import IntegralRepParams, eval_w_bessel_kernel, eval_w_cos
 
 # Frozen from an independent high-precision route (40-digit arithmetic,
 # normalized values built from the classical modified Bessel function as
@@ -502,6 +503,57 @@ def test_run_grid_logs_skips_with_reasons():
     assert len(reports) == 1
     assert reports[0].skipped
     assert "exceed -k" in reports[0].notes
+
+
+# Each domain condition lives in the guard that needs it: the skip note of
+# run_grid is the reason of the refusal a direct call gets at that point.
+@pytest.mark.parametrize("name, overrides, refuse", [
+    ("ode", {"nu_values": (-1.5,)},
+     lambda: KBesselParams(1.0, -1.5, 1.0)),
+    ("multisection", {"nu_values": (0.0,)},
+     lambda: check_multisection(KBesselParams(1.0, 0.0, 1.0), 1.0)),
+    ("ratio-x-monotone", {"nu_values": (-1.5,), "x_values": (0.5, 1.0)},
+     lambda: check_ratio_x_monotone(1.0, -1.5, -1.5, [0.5, 1.0])),
+    ("ratio-x-monotone", {},
+     lambda: check_ratio_x_monotone(1.0, 0.5, 0.5, [1.0])),
+    ("order-ratio-monotone", {"nu_values": (-1.5,)},
+     lambda: check_order_ratio_monotone(1.0, -1.5, -1.5, 1.0)),
+    ("coefficient-facts", {"nu_values": (-1.5,)},
+     lambda: check_coefficient_facts(1.0, -1.5, -1.5)),
+    ("nu-decreasing-logconvex", {"nu_values": (-1.5,)},
+     lambda: check_nu_decreasing_logconvex(1.0, (-1.5, -1.5), 0.5, 1.0)),
+    ("turan", {"nu_values": (0.0,), "a_values": (1.5,)},
+     lambda: check_turan(1.0, 0.0, 1.5, 1.0)),
+    ("chebyshev", {"nu_values": (-0.8,)},
+     lambda: check_chebyshev_products(1.0, -0.8, 1.0, "cos")),
+    ("integral-agreement", {"nu_values": (0.0,)},
+     lambda: eval_w_bessel_kernel(IntegralRepParams(1.0, 0.0, 1.0, 1.0), 1.0)),
+    ("integral-agreement", {"nu_values": (-0.6,)},
+     lambda: eval_w_cos(IntegralRepParams(1.0, -0.6, 1.0, 1.0))),
+], ids=["series-order", "multisection", "ratio-x-order", "ratio-x-one-point",
+        "order-ratio", "coefficient-facts", "logconvex", "turan", "chebyshev",
+        "kernel-route", "cos-route"])
+def test_skip_note_is_the_guard_refusal_reason(name, overrides, refuse):
+    with pytest.raises(InvalidParameter) as refusal:
+        refuse()
+    reason = refusal.value.reason
+    assert str(refusal.value).startswith(reason + ", got ")
+    reports = run_grid(small_grid(**overrides), [name])
+    assert reason in {r.notes for r in reports if r.skipped}
+    assert all(r.passed for r in reports)
+
+
+def test_grid_spec_drops_repeated_values():
+    spec = small_grid(k_values=[2, 1, 2.0], x_values=[1, 1, 3])
+    assert spec.k_values == (2.0, 1.0)
+    assert spec.x_values == (1.0, 3.0)
+    reports = run_grid(default_grid(), ["ratio-x-monotone", "ode"])
+    repeated = GridSpec(**{field: values + values for field, values
+                           in vars(default_grid()).items()})
+    again = run_grid(repeated, ["ratio-x-monotone", "ode"])
+    assert [r.as_dict() for r in again] == [r.as_dict() for r in reports]
+    assert all(r.passed and not r.skipped for r in again
+               if r.check_name == "ratio-x-monotone")
 
 
 def test_run_grid_calls_checks_through_module_globals(monkeypatch):
