@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._dd import dd_add, dd_div, dd_mul, dd_mul_d, two_prod
+from ._dd import _SPLITTER, dd_mul_d, two_prod
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow)
 from .kgamma import _MAX_EXP_ARG, ln_k_gamma
@@ -92,8 +92,17 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
     t_r (2r+b)(2r+b-1)/x^2 with b = nu/k, and truncation waits for all three
     sums (Overflow if one leaves double range); without x both are returned
     as 0.0.  q = 0 (c = 0, or underflow) ends the sum at t_0, est_error 0.0.
+
+    The loop body writes out the dd operations named in its comments
+    (two-sum based dd_add, Dekker two_prod, dd_mul, dd_mul_d and the
+    three-digit dd_div) with the same floating-point operations in the same
+    order, so the bits are those of the composed functions, without the
+    calls, which cost more than the arithmetic.  The Dekker splits of q, k
+    and each term are made once and shared.  tests/test_series.py keeps
+    the composed loop as the oracle for this.
     """
     rel_tol = cfg.rel_tol
+    max_terms = cfg.max_terms
     derivs = x is not None
     if derivs:
         b = nu / k
@@ -101,35 +110,209 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         inv_x2 = inv_x * inv_x
         if not math.isfinite(inv_x2):
             raise Overflow(f"1/x^2 exceeds double range at x = {x!r}")
+    # Dekker splits (hi, lo) of the loop invariants q and k
+    u = _SPLITTER * qhi
+    qsh = u - (u - qhi)
+    qsl = qhi - qsh
+    u = _SPLITTER * k
+    ksh = u - (u - k)
+    ksl = k - ksh
     s0h = s0l = s1h = s1l = s2h = s2l = 0.0
     thi, tlo = t0, 0.0
     streak = 0
     r = 0
     while True:
-        s0h, s0l = dd_add(s0h, s0l, thi, tlo)
+        # s0 = dd_add(s0, t)
+        a = s0h + thi
+        v = a - s0h
+        e = (s0h - (a - v)) + (thi - v)
+        f = s0l + tlo
+        v = f - s0l
+        g = (s0l - (f - v)) + (tlo - v)
+        e += f
+        h = a + e
+        e = e - (h - a)
+        e += g
+        s0h = h + e
+        s0l = e - (s0h - h)
         tiny = abs(thi) <= rel_tol * abs(s0h)
+        # split of t, shared by its three products below
+        u = _SPLITTER * thi
+        tsh = u - (u - thi)
+        tsl = thi - tsh
         if derivs:
             # the multipliers are rounded to double before the dd product,
             # which bounds the accuracy of W' and W'' under cancellation
             m = 2.0 * r + b
             m1 = m * inv_x
             m2 = m * (m - 1.0) * inv_x2
-            g1h, g1l = dd_mul_d(thi, tlo, m1)
-            s1h, s1l = dd_add(s1h, s1l, g1h, g1l)
-            g2h, g2l = dd_mul_d(thi, tlo, m2)
-            s2h, s2l = dd_add(s2h, s2l, g2h, g2l)
+            # g1 = dd_mul_d(t, m1)
+            p = thi * m1
+            u = _SPLITTER * m1
+            msh = u - (u - m1)
+            msl = m1 - msh
+            e = ((tsh * msh - p) + tsh * msl + tsl * msh) + tsl * msl
+            e += tlo * m1
+            gh = p + e
+            gl = e - (gh - p)
+            # s1 = dd_add(s1, g1)
+            a = s1h + gh
+            v = a - s1h
+            e = (s1h - (a - v)) + (gh - v)
+            f = s1l + gl
+            v = f - s1l
+            g = (s1l - (f - v)) + (gl - v)
+            e += f
+            h = a + e
+            e = e - (h - a)
+            e += g
+            s1h = h + e
+            s1l = e - (s1h - h)
+            # g2 = dd_mul_d(t, m2)
+            p = thi * m2
+            u = _SPLITTER * m2
+            msh = u - (u - m2)
+            msl = m2 - msh
+            e = ((tsh * msh - p) + tsh * msl + tsl * msh) + tsl * msl
+            e += tlo * m2
+            gh = p + e
+            gl = e - (gh - p)
+            # s2 = dd_add(s2, g2)
+            a = s2h + gh
+            v = a - s2h
+            e = (s2h - (a - v)) + (gh - v)
+            f = s2l + gl
+            v = f - s2l
+            g = (s2l - (f - v)) + (gl - v)
+            e += f
+            h = a + e
+            e = e - (h - a)
+            e += g
+            s2h = h + e
+            s2l = e - (s2h - h)
             tiny = (tiny and abs(thi * m1) <= rel_tol * abs(s1h)
                     and abs(thi * m2) <= rel_tol * abs(s2h))
         if qhi == 0.0:
             est = 0.0
             break
         # next term, denominator (r+1)(r k + nu + k) built exactly in dd
-        phi, plo = two_prod(float(r), k)
-        phi, plo = dd_add(phi, plo, nu, 0.0)
-        phi, plo = dd_add(phi, plo, k, 0.0)
-        dhi, dlo = dd_mul_d(phi, plo, float(r + 1))
-        nhi, nlo = dd_mul(thi, tlo, qhi, qlo)
-        nhi, nlo = dd_div(nhi, nlo, dhi, dlo)
+        # d = two_prod(r, k)
+        fr = float(r)
+        dh = fr * k
+        u = _SPLITTER * fr
+        rsh = u - (u - fr)
+        rsl = fr - rsh
+        dl = ((rsh * ksh - dh) + rsh * ksl + rsl * ksh) + rsl * ksl
+        # d = dd_add(d, nu)
+        a = dh + nu
+        v = a - dh
+        e = (dh - (a - v)) + (nu - v)
+        f = dl + 0.0
+        v = f - dl
+        g = (dl - (f - v)) + (0.0 - v)
+        e += f
+        h = a + e
+        e = e - (h - a)
+        e += g
+        dh = h + e
+        dl = e - (dh - h)
+        # d = dd_add(d, k)
+        a = dh + k
+        v = a - dh
+        e = (dh - (a - v)) + (k - v)
+        f = dl + 0.0
+        v = f - dl
+        g = (dl - (f - v)) + (0.0 - v)
+        e += f
+        h = a + e
+        e = e - (h - a)
+        e += g
+        dh = h + e
+        dl = e - (dh - h)
+        # d = dd_mul_d(d, r + 1)
+        fr = float(r + 1)
+        p = dh * fr
+        u = _SPLITTER * dh
+        dsh = u - (u - dh)
+        dsl = dh - dsh
+        u = _SPLITTER * fr
+        rsh = u - (u - fr)
+        rsl = fr - rsh
+        e = ((dsh * rsh - p) + dsh * rsl + dsl * rsh) + dsl * rsl
+        e += dl * fr
+        dh = p + e
+        dl = e - (dh - p)
+        # n = dd_mul(t, q)
+        p = thi * qhi
+        e = ((tsh * qsh - p) + tsh * qsl + tsl * qsh) + tsl * qsl
+        e += thi * qlo + tlo * qhi
+        nhi = p + e
+        nlo = e - (nhi - p)
+        # n = dd_div(n, d): three quotient digits q1, q2, q3
+        u = _SPLITTER * dh
+        dsh = u - (u - dh)
+        dsl = dh - dsh
+        q1 = nhi / dh
+        # dd_mul_d(d, q1)
+        p = dh * q1
+        u = _SPLITTER * q1
+        msh = u - (u - q1)
+        msl = q1 - msh
+        e = ((dsh * msh - p) + dsh * msl + dsl * msh) + dsl * msl
+        e += dl * q1
+        gh = p + e
+        gl = e - (gh - p)
+        # rem = dd_add(n, -d q1)
+        a = nhi - gh
+        v = a - nhi
+        e = (nhi - (a - v)) + (-gh - v)
+        f = nlo - gl
+        v = f - nlo
+        g = (nlo - (f - v)) + (-gl - v)
+        e += f
+        h = a + e
+        e = e - (h - a)
+        e += g
+        rh = h + e
+        rl = e - (rh - h)
+        q2 = rh / dh
+        # dd_mul_d(d, q2)
+        p = dh * q2
+        u = _SPLITTER * q2
+        msh = u - (u - q2)
+        msl = q2 - msh
+        e = ((dsh * msh - p) + dsh * msl + dsl * msh) + dsl * msl
+        e += dl * q2
+        gh = p + e
+        gl = e - (gh - p)
+        # rem = dd_add(rem, -d q2), high part only
+        a = rh - gh
+        v = a - rh
+        e = (rh - (a - v)) + (-gh - v)
+        f = rl - gl
+        v = f - rl
+        g = (rl - (f - v)) + (-gl - v)
+        e += f
+        h = a + e
+        e = e - (h - a)
+        e += g
+        q3 = (h + e) / dh
+        # quick_two_sum(q1, q2), then n = dd_add(q1 + q2, q3)
+        a = q1 + q2
+        q2 = q2 - (a - q1)
+        q1 = a
+        a = q1 + q3
+        v = a - q1
+        e = (q1 - (a - v)) + (q3 - v)
+        f = q2 + 0.0
+        v = f - q2
+        g = (q2 - (f - v)) + (0.0 - v)
+        e += f
+        h = a + e
+        e = e - (h - a)
+        e += g
+        nhi = h + e
+        nlo = e - (nhi - h)
         if tiny:
             streak += 1
             if streak >= 2:
@@ -139,7 +322,7 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         else:
             streak = 0
         r += 1
-        if r >= cfg.max_terms:
+        if r >= max_terms:
             if math.isnan(s0h + s1h + s2h):
                 # a term or multiplier past 2^996 overflows the Dekker split
                 raise Overflow("series terms exceed the double-double range "
@@ -235,8 +418,14 @@ def eval_w_with_derivatives(p: KBesselParams, x: float
     """
     if not x > 0.0:
         raise DomainError(f"eval_w_with_derivatives requires x > 0, got {x}")
-    return _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu,
-                   _DEFAULT_CONFIG, x)
+    res, d1, d2 = _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu,
+                          _DEFAULT_CONFIG, x)
+    # at c != 0 every term past r = 0 carries a nonzero multiplier, so a sum
+    # of exactly 0.0 means those terms fell below the double range
+    if p.c != 0.0 and (d1 == 0.0 or d2 == 0.0):
+        name = "W'" if d1 == 0.0 else "W''"
+        raise Overflow(f"{name} sum underflows to 0.0 at x = {x!r}")
+    return res, d1, d2
 
 
 def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .errors import InvalidParameter, KBesselError, OutsideDomain
+from .errors import InvalidParameter, KBesselError, OutsideDomain, Overflow
 from .integral import (
     ROUTES,
     QuadConfig,
@@ -249,15 +249,19 @@ def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
     if x > 2.0 * h:
         w_plus = eval_w(p, x + h).value
         w_minus = eval_w(p, x - h).value
-        if has_lo:
-            fd = ((x + h) ** beta * w_plus
-                  - (x - h) ** beta * w_minus) / (2.0 * h)
-            r5 = fd - (x ** beta / p.k) * w_lo
-            ratios.append(("weighted-power derivative (lowering)",
-                           abs(r5) / 1e-6))
-        fd = ((x + h) ** (-beta) * w_plus
-              - (x - h) ** (-beta) * w_minus) / (2.0 * h)
-        r6 = fd + p.c * x ** (-beta) * w_hi
+        try:
+            if has_lo:
+                fd = ((x + h) ** beta * w_plus
+                      - (x - h) ** beta * w_minus) / (2.0 * h)
+                r5 = fd - (x ** beta / p.k) * w_lo
+                ratios.append(("weighted-power derivative (lowering)",
+                               abs(r5) / 1e-6))
+            fd = ((x + h) ** (-beta) * w_plus
+                  - (x - h) ** (-beta) * w_minus) / (2.0 * h)
+            r6 = fd + p.c * x ** (-beta) * w_hi
+        except OverflowError:
+            raise Overflow(f"x^(+-nu/k) exceeds double range at x = {x!r}, "
+                           f"nu/k = {beta!r}") from None
         ratios.append(("weighted-power derivative (raising)",
                        abs(r6) / 1e-6))
 

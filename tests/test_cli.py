@@ -560,6 +560,22 @@ class TestVerify:
         assert record["passed"] is False
         assert record["notes"].startswith("error: Overflow: sinh")
 
+    def test_recurrence_power_overflow_is_a_failed_report(self, runner,
+                                                          tmp_path):
+        # 50^200 in the weighted-power derivatives leaves the double range
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [1], "nu_values": [200], "c_values": [-1],
+            "x_values": [50]}), encoding="utf-8")
+        result = runner.invoke(
+            main, ["verify", "--checks", "recurrences", "--grid", str(grid)])
+        assert result.exit_code == 4
+        assert "1 reports: 0 passed, 0 skipped, 1 failed" in result.stderr
+        record = json.loads(result.stdout)
+        assert record["passed"] is False
+        assert record["notes"] == ("error: Overflow: x^(+-nu/k) exceeds "
+                                   "double range at x = 50.0, nu/k = 200.0")
+
     def test_overflowing_weight_exponent_is_a_failed_report(self, runner,
                                                              tmp_path):
         grid = tmp_path / "grid.json"

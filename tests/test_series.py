@@ -9,6 +9,7 @@ a series whose every gamma factor was taken from defining-integral quadrature
 import hashlib
 import math
 import random
+import struct
 
 import mpmath as mp
 import pytest
@@ -34,6 +35,9 @@ from kbessel import (
     multisection_lhs,
     recurrence_step_up,
 )
+from kbessel._dd import dd_mul_d, quick_two_sum, two_prod
+from kbessel.kbessel import (EvalResult, _leading_term, _series,
+                             _tail_estimate, _w_ratio)
 
 # (nu, x) -> J_nu(x), 60-term 40-digit oracle, correctly rounded doubles
 BESSEL_J_FIXTURES = [
@@ -198,6 +202,22 @@ def test_derivative_sums_beyond_double_range_raise():
         eval_w_with_derivatives(KBesselParams(0.5, -0.15, 0.0), 1e-150)
 
 
+@pytest.mark.parametrize("k,nu,c,x,message", [
+    # b = 1: the r = 0 term of W'' is 0 and t_1 = 2.5e-421 underflows,
+    # though its multiplier 6/x^2 is 6e280 and W'' is about 1.5e-140
+    (0.5, 0.5, -1.0, 1e-140, "W'' sum underflows to 0.0"),
+    # b = 0 and q = -c (x/2)^2 = 2.5e-401 underflows to 0, so the sums stop
+    # at t_0, whose multipliers are 0; W' is about 5e-301
+    (1.0, 0.0, -1e-200, 1e-100, "W' sum underflows to 0.0"),
+])
+def test_derivative_sum_that_underflows_to_zero_raises(k, nu, c, x, message):
+    with pytest.raises(Overflow, match=message):
+        eval_w_with_derivatives(KBesselParams(k, nu, c), x)
+    # at c = 0 the same zero multipliers give the true 0.0
+    _, d1, d2 = eval_w_with_derivatives(KBesselParams(k, nu, 0.0), x)
+    assert d2 == 0.0 and (d1 == 0.0) == (nu == 0.0)
+
+
 @pytest.mark.parametrize("nu,message", [(0.5, "underflows"),
                                         (-0.5, "exceeds double range")])
 def test_leading_term_when_half_x_underflows(nu, message):
@@ -236,6 +256,179 @@ def test_series_layer_bits_are_pinned():
     # a refactor of the series layer must leave this digest unchanged
     assert _series_layer_digest(2024, 1000) == (
         "a9c4898ec9180ab187170674bb287687e9a06181df163ef6dd0c1d38c99fd2bb")
+
+
+# The composed double-double operations, as the series loop ran them before
+# it was written out inline; _reference_series is that loop, the oracle for
+# kbessel._series's bits.
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _dd_add(ahi, alo, bhi, blo):
+    s1, s2 = _two_sum(ahi, bhi)
+    t1, t2 = _two_sum(alo, blo)
+    s2 += t1
+    s1, s2 = quick_two_sum(s1, s2)
+    s2 += t2
+    return quick_two_sum(s1, s2)
+
+
+def _dd_mul(ahi, alo, bhi, blo):
+    p1, p2 = two_prod(ahi, bhi)
+    p2 += ahi * blo + alo * bhi
+    return quick_two_sum(p1, p2)
+
+
+def _dd_div(ahi, alo, bhi, blo):
+    q1 = ahi / bhi
+    thi, tlo = dd_mul_d(bhi, blo, q1)
+    rhi, rlo = _dd_add(ahi, alo, -thi, -tlo)
+    q2 = rhi / bhi
+    thi, tlo = dd_mul_d(bhi, blo, q2)
+    rhi, rlo = _dd_add(rhi, rlo, -thi, -tlo)
+    q3 = rhi / bhi
+    q1, q2 = quick_two_sum(q1, q2)
+    return _dd_add(q1, q2, q3, 0.0)
+
+
+def _reference_series(t0, qhi, qlo, k, nu, cfg, x=None):
+    """kbessel._series term by term through the composed dd functions."""
+    rel_tol = cfg.rel_tol
+    derivs = x is not None
+    if derivs:
+        b = nu / k
+        inv_x = 1.0 / x
+        inv_x2 = inv_x * inv_x
+        if not math.isfinite(inv_x2):
+            raise Overflow(f"1/x^2 exceeds double range at x = {x!r}")
+    s0h = s0l = s1h = s1l = s2h = s2l = 0.0
+    thi, tlo = t0, 0.0
+    streak = 0
+    r = 0
+    while True:
+        s0h, s0l = _dd_add(s0h, s0l, thi, tlo)
+        tiny = abs(thi) <= rel_tol * abs(s0h)
+        if derivs:
+            m = 2.0 * r + b
+            m1 = m * inv_x
+            m2 = m * (m - 1.0) * inv_x2
+            g1h, g1l = dd_mul_d(thi, tlo, m1)
+            s1h, s1l = _dd_add(s1h, s1l, g1h, g1l)
+            g2h, g2l = dd_mul_d(thi, tlo, m2)
+            s2h, s2l = _dd_add(s2h, s2l, g2h, g2l)
+            tiny = (tiny and abs(thi * m1) <= rel_tol * abs(s1h)
+                    and abs(thi * m2) <= rel_tol * abs(s2h))
+        if qhi == 0.0:
+            est = 0.0
+            break
+        phi, plo = two_prod(float(r), k)
+        phi, plo = _dd_add(phi, plo, nu, 0.0)
+        phi, plo = _dd_add(phi, plo, k, 0.0)
+        dhi, dlo = dd_mul_d(phi, plo, float(r + 1))
+        nhi, nlo = _dd_mul(thi, tlo, qhi, qlo)
+        nhi, nlo = _dd_div(nhi, nlo, dhi, dlo)
+        if tiny:
+            streak += 1
+            if streak >= 2:
+                ratio_next = abs(qhi) / ((r + 2) * ((r + 1) * k + nu + k))
+                est = _tail_estimate(nhi, ratio_next, alternating=qhi < 0.0)
+                break
+        else:
+            streak = 0
+        r += 1
+        if r >= cfg.max_terms:
+            if math.isnan(s0h + s1h + s2h):
+                raise Overflow("series terms exceed the double-double range "
+                               "(above about 2^996)")
+            raise NonConvergence(
+                f"{'derivative ' if derivs else ''}series did not meet "
+                f"rel_tol={cfg.rel_tol} within max_terms={cfg.max_terms}"
+            )
+        thi, tlo = nhi, nlo
+    d1, d2 = s1h + s1l, s2h + s2l
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise Overflow(f"W' or W'' sums overflow in dd at x = {x!r}")
+    return EvalResult(s0h + s0l, r + 1, est), d1, d2
+
+
+def _series_cases(seed, count):
+    """(t0, qhi, qlo, k, nu, x) as the entry points build them, at seeded
+    log-uniform k in [1e-3, 1e3], b = nu/k in (-1, 50], |c| in [1e-3, 1e6]
+    of either sign and x in [1e-6, 1e3]; points whose leading term or
+    parameters are refused never reach the loop and are left out."""
+    rng = random.Random(seed)
+    ln = math.log
+    cases = []
+    while len(cases) < count:
+        k = math.exp(rng.uniform(ln(1e-3), ln(1e3)))
+        b = 50.0 - 51.0 * rng.random()
+        c = math.copysign(math.exp(rng.uniform(ln(1e-3), ln(1e6))),
+                          rng.random() - 0.5)
+        x = math.exp(rng.uniform(ln(1e-6), ln(1e3)))
+        try:
+            p = KBesselParams(k, b * k, c)
+            t0 = _leading_term(p, x)
+        except KBesselError:
+            continue
+        cases.append((t0, *_w_ratio(c, x), k, p.nu, x))
+    return cases
+
+
+def _outcome(series, t0, qhi, qlo, k, nu, x, cfg=SeriesConfig()):
+    """The bytes of series(...)'s (EvalResult, W', W''), or its error."""
+    try:
+        res, d1, d2 = series(t0, qhi, qlo, k, nu, cfg, x)
+    except KBesselError as exc:
+        return type(exc).__name__, str(exc)
+    return struct.pack("<dqddd", res.value, res.terms_used, res.est_error,
+                       d1, d2)
+
+
+def _oracle_digest(seed, count):
+    """sha256 over _series's outcomes, without and with x, at _series_cases;
+    the same number for every version of the loop that keeps its bits."""
+    digest = hashlib.sha256()
+    for t0, qhi, qlo, k, nu, x in _series_cases(seed, count):
+        for arg in (None, x):
+            digest.update(repr(_outcome(_series, t0, qhi, qlo, k, nu, arg))
+                          .encode())
+    return digest.hexdigest()
+
+
+def test_inline_series_loop_matches_the_composed_dd_loop():
+    for t0, qhi, qlo, k, nu, x in _series_cases(8, 2000):
+        for arg in (None, x):
+            assert (_outcome(_series, t0, qhi, qlo, k, nu, arg)
+                    == _outcome(_reference_series, t0, qhi, qlo, k, nu, arg))
+
+
+@pytest.mark.parametrize("point,max_terms,kinds", [
+    ((1.5, 0.8, 0.0, 2.0), 500, ("bytes", "bytes")),  # q = 0 at c = 0
+    # q underflows to 0; 1/x^2 (formed for the derivatives only) overflows
+    ((1.0, 0.5, -1.0, 1e-170), 500, ("bytes", "Overflow")),
+    ((1.0, 0.5, 1.0, 1e-200), 500, ("bytes", "Overflow")),
+    # c = 0 where the dd product -c (x/2)^2 would be NaN; the derivative
+    # products split t_0 = 2.5e307, past 2^996, so their sums are NaN
+    ((1.0, 2.0, 0.0, 1.4e154), 500, ("bytes", "Overflow")),
+    # NaN sums at the term cap, and the cap itself
+    ((1.0, 0.0, -1.0, 700.0), 500, ("Overflow", "Overflow")),
+    ((1.0, 0.0, 1.0, 10.0), 5, ("NonConvergence", "NonConvergence")),
+])
+def test_inline_series_loop_matches_the_composed_dd_loop_at_the_edges(
+        point, max_terms, kinds):
+    k, nu, c, x = point
+    t0 = _leading_term(KBesselParams(k, nu, c), x)
+    qhi, qlo = _w_ratio(c, x)
+    cfg = SeriesConfig(max_terms=max_terms)
+    for arg, kind in zip((None, x), kinds):
+        got = _outcome(_series, t0, qhi, qlo, k, nu, arg, cfg)
+        assert got == _outcome(_reference_series, t0, qhi, qlo, k, nu, arg,
+                               cfg)
+        assert ("bytes" if isinstance(got, bytes) else got[0]) == kind
 
 
 def test_nonconvergence_when_capped():
