@@ -28,7 +28,7 @@ from operator import mul
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow, QuadratureFailure)
 from .kbessel import KBesselParams, eval_w
-from .kgamma import _MAX_EXP_ARG, ln_k_gamma
+from .kgamma import _MAX_EXP_ARG, _exp_guarded, ln_k_gamma
 
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
@@ -199,12 +199,6 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
         f"node doubling did not reach abs_tol={cfg.abs_tol} within "
         f"{cfg.max_refinements} refinements (final {n // 2} nodes)"
     )
-
-
-def _exp_guarded(ln_value: float, what: str) -> float:
-    if ln_value > _MAX_EXP_ARG:
-        raise Overflow(f"{what} exceeds double range (log magnitude {ln_value:.1f})")
-    return math.exp(ln_value)
 
 
 def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:

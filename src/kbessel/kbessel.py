@@ -26,12 +26,13 @@ consecutive terms fall below rel_tol times the running sum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._dd import _SPLITTER, dd_mul_d, two_prod
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow)
-from .kgamma import _MAX_EXP_ARG, ln_k_gamma
+from .kgamma import _exp_guarded, ln_k_gamma
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class SeriesConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise InvalidParameter(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise InvalidParameter(f"max_terms must be >= 1, got {self.max_terms}")
+        if not 1 <= self.max_terms <= 2**26:  # _series splits r + 1 exactly
+            raise InvalidParameter(f"max_terms must be in [1, 2**26], got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,14 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
     as 0.0.  q = 0 (c = 0, or underflow) ends the sum at t_0, est_error 0.0.
 
     The loop body writes out the dd operations named in its comments
-    (two-sum based dd_add, Dekker two_prod, dd_mul, dd_mul_d and the
-    three-digit dd_div) with the same floating-point operations in the same
-    order, so the bits are those of the composed functions, without the
-    calls, which cost more than the arithmetic.  The Dekker splits of q, k
-    and each term are made once and shared.  tests/test_series.py keeps
-    the composed loop as the oracle for this.
+    (two-sum based dd_add, Dekker two_prod, dd_mul, dd_mul_d, three-digit
+    dd_div) in the same order, so the bits are those of the composed
+    functions without the calls; q, k and each term are split once.  Work
+    on exact zeros is left out: nu, k and q3 have low part 0, two_sum(lo,
+    0.0) is (lo + 0.0, +0.0), and an integer r <= 2^26 (max_terms bounds
+    it) splits as (r, 0).  Each dropped zero would join a two-sum error or
+    a sum (a*b - p) + ... with a*b >= 0, never -0.0, so no bit changes and
+    NaN stays NaN.  tests/test_series.py keeps the composed loop as oracle.
     """
     rel_tol = cfg.rel_tol
     max_terms = cfg.max_terms
@@ -147,14 +150,14 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             m1 = m * inv_x
             m2 = m * (m - 1.0) * inv_x2
             # g1 = dd_mul_d(t, m1)
-            p = thi * m1
+            p1 = thi * m1
             u = _SPLITTER * m1
             msh = u - (u - m1)
             msl = m1 - msh
-            e = ((tsh * msh - p) + tsh * msl + tsl * msh) + tsl * msl
+            e = ((tsh * msh - p1) + tsh * msl + tsl * msh) + tsl * msl
             e += tlo * m1
-            gh = p + e
-            gl = e - (gh - p)
+            gh = p1 + e
+            gl = e - (gh - p1)
             # s1 = dd_add(s1, g1)
             a = s1h + gh
             v = a - s1h
@@ -169,14 +172,14 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             s1h = h + e
             s1l = e - (s1h - h)
             # g2 = dd_mul_d(t, m2)
-            p = thi * m2
+            p2 = thi * m2
             u = _SPLITTER * m2
             msh = u - (u - m2)
             msl = m2 - msh
-            e = ((tsh * msh - p) + tsh * msl + tsl * msh) + tsl * msl
+            e = ((tsh * msh - p2) + tsh * msl + tsl * msh) + tsl * msl
             e += tlo * m2
-            gh = p + e
-            gl = e - (gh - p)
+            gh = p2 + e
+            gl = e - (gh - p2)
             # s2 = dd_add(s2, g2)
             a = s2h + gh
             v = a - s2h
@@ -190,55 +193,39 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             e += g
             s2h = h + e
             s2l = e - (s2h - h)
-            tiny = (tiny and abs(thi * m1) <= rel_tol * abs(s1h)
-                    and abs(thi * m2) <= rel_tol * abs(s2h))
+            tiny = (tiny and abs(p1) <= rel_tol * abs(s1h)
+                    and abs(p2) <= rel_tol * abs(s2h))
         if qhi == 0.0:
             est = 0.0
             break
         # next term, denominator (r+1)(r k + nu + k) built exactly in dd
-        # d = two_prod(r, k)
+        # d = two_prod(r, k), r split as (r, 0)
         fr = float(r)
         dh = fr * k
-        u = _SPLITTER * fr
-        rsh = u - (u - fr)
-        rsl = fr - rsh
-        dl = ((rsh * ksh - dh) + rsh * ksl + rsl * ksh) + rsl * ksl
-        # d = dd_add(d, nu)
+        dl = (fr * ksh - dh) + fr * ksl
+        # d = dd_add(d, nu), nu's low part 0
         a = dh + nu
         v = a - dh
-        e = (dh - (a - v)) + (nu - v)
-        f = dl + 0.0
-        v = f - dl
-        g = (dl - (f - v)) + (0.0 - v)
-        e += f
+        e = (dh - (a - v)) + (nu - v) + dl
         h = a + e
         e = e - (h - a)
-        e += g
         dh = h + e
         dl = e - (dh - h)
-        # d = dd_add(d, k)
+        # d = dd_add(d, k), k's low part 0
         a = dh + k
         v = a - dh
-        e = (dh - (a - v)) + (k - v)
-        f = dl + 0.0
-        v = f - dl
-        g = (dl - (f - v)) + (0.0 - v)
-        e += f
+        e = (dh - (a - v)) + (k - v) + dl
         h = a + e
         e = e - (h - a)
-        e += g
         dh = h + e
         dl = e - (dh - h)
-        # d = dd_mul_d(d, r + 1)
+        # d = dd_mul_d(d, r + 1), r + 1 split as (r + 1, 0)
         fr = float(r + 1)
         p = dh * fr
         u = _SPLITTER * dh
         dsh = u - (u - dh)
         dsl = dh - dsh
-        u = _SPLITTER * fr
-        rsh = u - (u - fr)
-        rsl = fr - rsh
-        e = ((dsh * rsh - p) + dsh * rsl + dsl * rsh) + dsl * rsl
+        e = (dsh * fr - p) + dsl * fr
         e += dl * fr
         dh = p + e
         dl = e - (dh - p)
@@ -297,20 +284,15 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         e = e - (h - a)
         e += g
         q3 = (h + e) / dh
-        # quick_two_sum(q1, q2), then n = dd_add(q1 + q2, q3)
+        # quick_two_sum(q1, q2), then n = dd_add(q1 + q2, q3), q3's low part 0
         a = q1 + q2
         q2 = q2 - (a - q1)
         q1 = a
         a = q1 + q3
         v = a - q1
-        e = (q1 - (a - v)) + (q3 - v)
-        f = q2 + 0.0
-        v = f - q2
-        g = (q2 - (f - v)) + (0.0 - v)
-        e += f
+        e = (q1 - (a - v)) + (q3 - v) + q2
         h = a + e
         e = e - (h - a)
-        e += g
         nhi = h + e
         nlo = e - (nhi - h)
         if tiny:
@@ -345,11 +327,7 @@ def _leading_term(p: KBesselParams, x: float) -> float:
         return 1.0
     ln_half = math.log(x / 2.0) if x / 2.0 > 0.0 else -math.inf
     ln_t0 = (p.nu / p.k) * ln_half - ln_k_gamma(p.nu + p.k, p.k)
-    if ln_t0 > _MAX_EXP_ARG:
-        raise Overflow(
-            f"leading series term exceeds double range (log magnitude {ln_t0:.1f})"
-        )
-    t0 = math.exp(ln_t0)
+    t0 = _exp_guarded(ln_t0, "leading series term")
     if t0 == 0.0:
         raise Overflow("leading series term underflows double range")
     return t0
@@ -363,6 +341,16 @@ def _w_ratio(c: float, x: float) -> tuple[float, float]:
     xh = 0.5 * x
     qhi, qlo = two_prod(xh, xh)
     return dd_mul_d(qhi, qlo, -c)
+
+
+def _w_series(p: KBesselParams, x: float, cfg: SeriesConfig,
+              derivs: bool = False) -> tuple[EvalResult, float, float]:
+    """_series for W (and W', W'') at x > 0, refusing a subnormal t_0: it
+    has too few bits (2e-323, 11.6% off, for I_100 at x = 0.045)."""
+    t0 = _leading_term(p, x)
+    if t0 < sys.float_info.min:
+        raise Overflow(f"leading series term {t0!r} is below the normal double range")
+    return _series(t0, *_w_ratio(p.c, x), p.k, p.nu, cfg, x if derivs else None)
 
 
 def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
@@ -380,7 +368,7 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
             # limit 1/Gamma_k(k) = 1
             return EvalResult(1.0, 1, 0.0)
         return EvalResult(0.0, 1, 0.0)
-    return _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu, cfg)[0]
+    return _w_series(p, x, cfg)[0]
 
 
 def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
@@ -418,13 +406,18 @@ def eval_w_with_derivatives(p: KBesselParams, x: float
     """
     if not x > 0.0:
         raise DomainError(f"eval_w_with_derivatives requires x > 0, got {x}")
-    res, d1, d2 = _series(_leading_term(p, x), *_w_ratio(p.c, x), p.k, p.nu,
-                          _DEFAULT_CONFIG, x)
-    # at c != 0 every term past r = 0 carries a nonzero multiplier, so a sum
-    # of exactly 0.0 means those terms fell below the double range
-    if p.c != 0.0 and (d1 == 0.0 or d2 == 0.0):
-        name = "W'" if d1 == 0.0 else "W''"
-        raise Overflow(f"{name} sum underflows to 0.0 at x = {x!r}")
+    res, d1, d2 = _w_series(p, x, _DEFAULT_CONFIG, derivs=True)
+    if p.c != 0.0:
+        # every term past r = 0 has a nonzero multiplier, at most step^j in
+        # W^(j) over the R terms; a subnormal term is off by up to 2^-1074,
+        # its product by step^j times that: rel_tol must cover R of them
+        step = (2 * res.terms_used + abs(p.nu / p.k)) / x
+        err = res.terms_used * math.ulp(0.0)
+        for name, d in (("W'", d1), ("W''", d2)):
+            err *= step
+            if d == 0.0 or err > _DEFAULT_CONFIG.rel_tol * abs(d):
+                raise Overflow(f"{name} sum underflows to {d!r} at x = {x!r}: "
+                               f"its terms fall below the normal double range")
     return res, d1, d2
 
 
@@ -441,12 +434,16 @@ def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:
         raise InvalidParameter(
             f"derivative ladder needs nu - m*k > -k; got nu={p.nu}, m={m}, k={p.k}"
         )
-    scale = (2.0 * p.k) ** m
-    out = []
-    for n in range(m + 1):
-        weight = ((-1.0) ** n) * math.comb(m, n) * (p.c ** n) * (p.k ** n) / scale
-        out.append((p.nu + (2 * n - m) * p.k, weight))
-    return out
+    try:
+        scale = (2.0 * p.k) ** m
+        weights = [((-1.0) ** n) * math.comb(m, n) * (p.c ** n) * (p.k ** n)
+                   / scale for n in range(m + 1)]
+    except OverflowError:  # a power of c, k or 2k past the double range
+        weights = [math.inf]
+    if not all(map(math.isfinite, weights)):
+        raise Overflow(f"derivative ladder weights exceed double range at "
+                       f"c={p.c}, k={p.k}, m={m}")
+    return [(p.nu + (2 * n - m) * p.k, w) for n, w in enumerate(weights)]
 
 
 def deriv_w(p: KBesselParams, x: float, m: int,

@@ -27,6 +27,20 @@ from .errors import DomainError, InvalidParameter, Overflow
 _MAX_EXP_ARG = 709.782712893384
 
 
+def _exp_guarded(ln_value: float, what: str) -> float:
+    """exp(ln_value), or Overflow naming ``what`` past the double range."""
+    if ln_value > _MAX_EXP_ARG:
+        raise Overflow(f"{what} exceeds double range (log magnitude {ln_value:.1f})")
+    return math.exp(ln_value)
+
+
+def _finite(value: float, what: str) -> float:
+    """value, or Overflow naming ``what`` where it came out infinite."""
+    if math.isinf(value):
+        raise Overflow(f"{what} exceeds double range")
+    return value
+
+
 def _require_k(k: float) -> None:
     if not 0.0 < k < math.inf:
         raise InvalidParameter(f"k must be positive and finite, got {k}")
@@ -42,9 +56,7 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
     result = 1.0
     for j in range(n):
         result *= x + j * k
-    if math.isinf(result):
-        raise Overflow(f"k_pochhammer({x}, {n}, {k}) exceeds double range")
-    return result
+    return _finite(result, f"k_pochhammer({x}, {n}, {k})")
 
 
 def ln_k_gamma(t: float, k: float) -> float:
@@ -59,14 +71,11 @@ def k_gamma(t: float, k: float) -> float:
     """Gamma_k(t) for t > -k, t != 0 (one functional-equation step below 0)."""
     _require_k(k)
     if t > 0.0:
-        v = ln_k_gamma(t, k)
-        if v > _MAX_EXP_ARG:
-            raise Overflow(f"Gamma_k({t}, {k}) exceeds double range")
-        return math.exp(v)
+        return _exp_guarded(ln_k_gamma(t, k), f"Gamma_k({t}, {k})")
     if t == 0.0 or not t > -k:
         raise DomainError(f"k_gamma requires t > -k and t != 0, got t={t}, k={k}")
     # -k < t < 0: Gamma_k(t) = Gamma_k(t + k) / t
-    return k_gamma(t + k, k) / t
+    return _finite(k_gamma(t + k, k) / t, f"Gamma_k({t}, {k})")
 
 
 def k_digamma(t: float, k: float) -> float:
@@ -74,7 +83,7 @@ def k_digamma(t: float, k: float) -> float:
     _require_k(k)
     if not t > 0.0:
         raise DomainError(f"k_digamma requires t > 0, got {t}")
-    return (math.log(k) + digamma(t / k)) / k
+    return _finite((math.log(k) + digamma(t / k)) / k, f"psi_k({t}, {k})")
 
 
 def k_trigamma(t: float, k: float) -> float:
@@ -82,7 +91,9 @@ def k_trigamma(t: float, k: float) -> float:
     _require_k(k)
     if not t > 0.0:
         raise DomainError(f"k_trigamma requires t > 0, got {t}")
-    return trigamma(t / k) / (k * k)
+    if t < 2.0 ** -512:  # psi_k'(t) > 1/t^2 > 2^1024
+        raise Overflow(f"psi_k'({t}, {k}) exceeds double range")
+    return _finite(trigamma(t / k) / (k * k), f"psi_k'({t}, {k})")
 
 
 def k_beta(x: float, y: float, k: float) -> float:
@@ -90,4 +101,5 @@ def k_beta(x: float, y: float, k: float) -> float:
     _require_k(k)
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"k_beta requires x > 0 and y > 0, got x={x}, y={y}")
-    return math.exp(ln_k_gamma(x, k) + ln_k_gamma(y, k) - ln_k_gamma(x + y, k))
+    return _exp_guarded(ln_k_gamma(x, k) + ln_k_gamma(y, k) - ln_k_gamma(x + y, k),
+                        f"B_k({x}, {y}, {k})")

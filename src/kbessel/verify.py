@@ -132,16 +132,6 @@ class VerifyReport:
     skipped: bool = False
     notes: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "grid_point": dict(self.grid_point),
-            "margin": self.margin,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "notes": self.notes,
-        }
-
 
 def _report(name: str, point: dict, margin: float, tol: float,
             notes: str) -> VerifyReport:

@@ -175,7 +175,7 @@ def test_04_ode_residual_on_default_grid():
            not bad, f"{len(reports)} grid points, residual <= 1e-8*scale")
     assert len(reports) == 162
     assert not any(r.skipped for r in reports)
-    assert not bad, [r.as_dict() for r in bad[:3]]
+    assert not bad, bad[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_05_recurrence_and_truncated_expansion_residuals():
     # every bundle checks at least the two identities valid for all orders
     assert all("identities checked" in r.notes for r in recurrence)
     assert len(expansion) == 162 and len(ran) == 72
-    assert not bad, [r.as_dict() for r in bad[:3]]
+    assert not bad, bad[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_07_order_ratio_and_logconvexity_margins():
            not bad, f"{len(reports)} grid points, margins >= -1e-12*scale")
     assert len(reports) == 189 + 567
     assert not any(r.skipped for r in reports)
-    assert not bad, [r.as_dict() for r in bad[:3]]
+    assert not bad, bad[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def test_09_product_integral_regimes_partition_orders():
                 failures.append(f"unexpected skip: {r.notes}")
             continue
         if not r.passed:
-            failures.append(f"failed: {r.as_dict()}")
+            failures.append(f"failed: {r}")
             continue
         k = r.grid_point["k"]
         nu = r.grid_point["nu"]
@@ -318,7 +318,7 @@ def test_10_coefficient_facts_through_r30():
     assert len(reports) == 63
     assert not any(r.skipped for r in reports)
     assert all(r.margin is not None and r.margin >= 0.0 for r in reports)
-    assert not bad, [r.as_dict() for r in bad[:3]]
+    assert not bad, bad[:3]
 
 
 # ---------------------------------------------------------------------------

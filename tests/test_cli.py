@@ -157,6 +157,22 @@ class TestEval:
         assert "max_terms" in result.stderr
         assert result.stdout == ""
 
+    def test_derivative_ladder_weight_overflow_exits_3(self, runner):
+        # c^3 = 1e900 in the ladder weights of the third derivative
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "5", "--c", "1e300",
+                   "--x", "1", "--deriv", "3"])
+        assert result.exit_code == 3
+        assert "ladder weights exceed double range" in result.stderr
+        assert result.stdout == ""
+
+    def test_term_cap_beyond_exact_split_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "0", "--c", "1", "--x", "1",
+                   "--max-terms", str(2**26 + 1)])
+        assert result.exit_code == 2
+        assert "max_terms" in result.stderr
+
     def test_underflowing_half_argument_exits_3(self, runner):
         # x/2 rounds to 0, so (x/2)^(nu/k) underflows
         result = runner.invoke(
@@ -258,6 +274,18 @@ class TestGamma:
     def test_non_finite_argument_exits_2(self, runner, args):
         result = runner.invoke(main, ["gamma", *args, "--k", "1"])
         assert result.exit_code == 2
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--fn", "beta", "--x", "1e-320", "--y", "1e-320"],
+        ["--fn", "trigamma", "--t", "1e-320"],
+        ["--fn", "gamma", "--t", "-1e-320"],
+        ["--fn", "digamma", "--t", "1e-320"],
+    ], ids=["beta", "trigamma", "gamma", "digamma"])
+    def test_value_beyond_double_range_exits_3(self, runner, args):
+        result = runner.invoke(main, ["gamma", *args, "--k", "1"])
+        assert result.exit_code == 3
+        assert "exceeds double range" in result.stderr
         assert result.stdout == ""
 
     def test_unknown_function_exits_2(self, runner):

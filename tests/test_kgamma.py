@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbessel.errors import DomainError, InvalidParameter
+from kbessel.errors import DomainError, InvalidParameter, Overflow
 from kbessel.kgamma import (
     k_beta,
     k_digamma,
@@ -215,3 +215,22 @@ def test_domain_errors():
         k_digamma(-0.3, 1.0)
     with pytest.raises(DomainError):
         k_trigamma(0.0, 2.0)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (k_beta, (1e-320, 1e-320, 1.0)),   # was a bare OverflowError from exp
+    (k_trigamma, (1e-320, 1.0)),       # was a ZeroDivisionError
+    (k_trigamma, (2.0 ** -512, 1.0)),  # 1/z^2 rounds to inf
+    (k_gamma, (-1e-320, 1.0)),         # was -inf
+    (k_digamma, (1e-320, 1.0)),        # was -inf
+    (k_gamma, (200.0, 1.0)),
+], ids=["beta", "trigamma", "trigamma-edge", "gamma-negative", "digamma",
+        "gamma"])
+def test_values_beyond_double_range_raise_overflow(fn, args):
+    with pytest.raises(Overflow, match="exceeds double range"):
+        fn(*args)
+
+
+def test_trigamma_just_inside_double_range_is_finite():
+    # psi'(z) ~ 1/z^2 = 1e308 still fits
+    assert k_trigamma(1e-154, 1.0) == pytest.approx(1e308, rel=1e-15)

@@ -88,6 +88,10 @@ def test_series_config_validation():
         SeriesConfig(rel_tol=1.5)
     with pytest.raises(InvalidParameter):
         SeriesConfig(max_terms=0)
+    # the kernel splits r + 1 <= max_terms exactly only up to 2^26
+    assert SeriesConfig(max_terms=2**26).max_terms == 2**26
+    with pytest.raises(InvalidParameter, match="2\\*\\*26"):
+        SeriesConfig(max_terms=2**26 + 1)
 
 
 @pytest.mark.parametrize("args,expected", BESSEL_J_FIXTURES)
@@ -216,6 +220,55 @@ def test_derivative_sum_that_underflows_to_zero_raises(k, nu, c, x, message):
     # at c = 0 the same zero multipliers give the true 0.0
     _, d1, d2 = eval_w_with_derivatives(KBesselParams(k, nu, 0.0), x)
     assert d2 == 0.0 and (d1 == 0.0) == (nu == 0.0)
+
+
+@pytest.mark.parametrize("x", [0.045, 0.05])
+def test_subnormal_leading_term_is_refused(x):
+    # t_0 = (x/2)^100 / 100! is subnormal here and keeps too few bits: the
+    # double is 11.6% (x = 0.045) and 1.2e-6 (x = 0.05) away from mpmath's
+    p = KBesselParams(1.0, 100.0, -1.0)
+    with mp.workdps(40):
+        want = (mp.mpf(x) / 2) ** 100 / mp.factorial(100)
+    assert abs(_leading_term(p, x) / want - 1) > 1e-6
+    for fn in (eval_w, eval_w_with_derivatives):
+        with pytest.raises(Overflow, match="below the normal double range"):
+            fn(p, x)
+    # in the normal range the same function matches I_100 again
+    with mp.workdps(40):
+        want = float(mp.besseli(100, 0.1))
+    assert eval_w(p, 0.1).value == pytest.approx(want, rel=2e-14)
+
+
+def _w2_oracle(k, nu, c, x):
+    """W'' summed term by term in 40-digit mpmath, with
+    Gamma_k(r k + nu + k) = k^(r+b) Gamma(r+b+1)."""
+    with mp.workdps(40):
+        b, x = mp.mpf(nu) / k, mp.mpf(x)
+
+        def term(r):
+            m = 2 * r + b
+            return ((-c) ** r * (x / 2) ** m * m * (m - 1) / x ** 2
+                    / (k ** (r + b) * mp.gamma(r + b + 1) * mp.factorial(r)))
+        return mp.nsum(term, [0, mp.inf])
+
+
+@pytest.mark.parametrize("x", [1e-107, 1.6e-106, 1e-104])
+def test_derivative_sum_of_subnormal_terms_is_refused(x):
+    # b = 1, so W'' rests on t_1 ~ x^3/4, subnormal here, times 6/x^2
+    k, nu, c = 0.5, 0.5, -1.0
+    p = KBesselParams(k, nu, c)
+    _, _, d2 = _series(_leading_term(p, x), *_w_ratio(c, x), k, nu,
+                       SeriesConfig(), x)
+    assert abs(d2 / _w2_oracle(k, nu, c, x) - 1) > SeriesConfig().rel_tol
+    with pytest.raises(Overflow, match="W'' sum underflows to .* normal"):
+        eval_w_with_derivatives(p, x)
+
+
+@pytest.mark.parametrize("x", [1e-102, 1e-101])
+def test_derivative_sum_of_normal_terms_is_kept(x):
+    k, nu, c = 0.5, 0.5, -1.0
+    _, _, d2 = eval_w_with_derivatives(KBesselParams(k, nu, c), x)
+    assert d2 == pytest.approx(float(_w2_oracle(k, nu, c, x)), rel=3e-14)
 
 
 @pytest.mark.parametrize("nu,message", [(0.5, "underflows"),
@@ -556,6 +609,15 @@ def test_deriv_w_terms_preconditions():
         deriv_w_terms(KBesselParams(1.0, -0.2, 1.0), 1)  # lowest order hits -k
     with pytest.raises(InvalidParameter):
         deriv_w_terms(p, 2)  # nu - 2k = -1.5 below -k
+
+
+def test_deriv_w_terms_weights_beyond_double_range_raise():
+    # c^3 = 1e900 overflows a double power
+    with pytest.raises(Overflow, match="ladder weights exceed double range"):
+        deriv_w_terms(KBesselParams(1.0, 5.0, 1e300), 3)
+    # c^n k^n overflows in the product
+    with pytest.raises(Overflow, match="ladder weights exceed double range"):
+        deriv_w_terms(KBesselParams(1e200, 5e200, 1e200), 1)
 
 
 def test_deriv_w_matches_finite_difference():

@@ -460,7 +460,7 @@ def test_run_grid_rejects_unknown_check_name():
 def test_run_grid_collapses_duplicate_names():
     once = run_grid(small_grid(), ["turan"])
     twice = run_grid(small_grid(), ["turan", "turan"])
-    assert [r.as_dict() for r in once] == [r.as_dict() for r in twice]
+    assert once == twice
 
 
 def test_run_grid_single_point_reproduces_direct_call():
@@ -468,14 +468,14 @@ def test_run_grid_single_point_reproduces_direct_call():
     reports = run_grid(spec, ["turan"])
     assert len(reports) == 1
     direct = check_turan(1.0, 1.0, 0.5, 1.0)
-    assert reports[0].as_dict() == direct.as_dict()
+    assert reports[0] == direct
 
 
 def test_run_grid_is_deterministic():
     spec = default_grid()
     first = run_grid(spec, ["ode", "turan"])
     second = run_grid(spec, ["ode", "turan"])
-    assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
+    assert first == second
 
 
 def test_run_grid_orders_reports_lexicographically():
@@ -551,7 +551,7 @@ def test_grid_spec_drops_repeated_values():
     repeated = GridSpec(**{field: values + values for field, values
                            in vars(default_grid()).items()})
     again = run_grid(repeated, ["ratio-x-monotone", "ode"])
-    assert [r.as_dict() for r in again] == [r.as_dict() for r in reports]
+    assert again == reports
     assert all(r.passed and not r.skipped for r in again
                if r.check_name == "ratio-x-monotone")
 
@@ -579,15 +579,6 @@ def test_default_grid_all_checks_have_no_failures():
     assert bad == []
     # every skip carries a reason
     assert all(r.notes for r in reports if r.skipped)
-
-
-def test_report_as_dict_round_trip():
-    report = check_turan(1.0, 1.0, 0.5, 1.0)
-    payload = report.as_dict()
-    assert set(payload) == {"check_name", "grid_point", "margin", "passed",
-                            "skipped", "notes"}
-    assert payload["grid_point"] == report.grid_point
-    assert payload["grid_point"] is not report.grid_point
 
 
 def test_check_names_registry_is_stable():
