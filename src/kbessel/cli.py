@@ -318,10 +318,9 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
         for k in k_values:
             for nu, alpha, x, route in itertools.product(
                     sorted(nu_by_k[k]), alpha_values, x_values, ROUTES):
-                for c, integral_value in route_legs(k, nu, alpha, x, route)[1]:
-                    series_value = eval_w(KBesselParams(k, nu, c), x).value
-                    rows.append([k, nu, alpha, x, route, c, series_value,
-                                 integral_value, integral_value - series_value])
+                for c, quad, series in route_legs(k, nu, alpha, x, route)[1]:
+                    rows.append([k, nu, alpha, x, route, c, series, quad,
+                                 quad - series])
     header = ["k", "nu", "alpha", "x", "route", "c", "series", "integral",
               "diff"]
     _emit(_table_lines(fmt, header, rows), out)

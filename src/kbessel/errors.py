@@ -32,8 +32,10 @@ class NonConvergence(KBesselError, ArithmeticError):
 
 
 class Overflow(KBesselError, OverflowError):
-    """The result (or a required intermediate) exceeds double-precision range."""
+    """The result (or a required intermediate) exceeds double-precision range,
+    or falls below the normal double range, where too few bits are left."""
 
 
 class QuadratureFailure(KBesselError, ArithmeticError):
-    """Node-doubling refinement exhausted without meeting the tolerance."""
+    """Node-doubling refinement exhausted without meeting the tolerance, or
+    the transformed integrand left the double range."""

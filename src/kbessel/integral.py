@@ -133,17 +133,17 @@ def _substitution_levels(p1: float) -> int:
 
 @lru_cache(maxsize=128)
 def _node_transform(p1: float, extra: int, nodes: tuple[tuple[float, ...], ...]
-                    ) -> tuple[array, array, bool]:
+                    ) -> tuple[array, array]:
     """Nodes t_i and weights of one level after the sine-map chain.
 
     ``nodes`` is ``legendre_nodes(n)``; the weight w_i * (pi/4) * exp(ln_val)
     holds everything but h(t_i).  The chain depends only on (p1, extra, n),
-    so it is cached; callers share the arrays and only read them.  If a
-    node's weight overflows, the transform stops there and the flag is
-    True.  An entry holds 16 n bytes of arrays, a quarter of what
-    ``legendre_nodes(n)`` keeps, so the default QuadConfig (n <= 128 * 2**8)
-    bounds the cache at 128 * 16 * 32768 bytes = 64 MiB; the default verify
-    grid fills 76 entries with 228 KiB.
+    so it is cached; callers share the arrays and only read them.  A node
+    whose weight overflows raises QuadratureFailure.  An entry holds 16 n
+    bytes of arrays, a quarter of what ``legendre_nodes(n)`` keeps, so the
+    default QuadConfig (n <= 128 * 2**8) bounds the cache at
+    128 * 16 * 32768 bytes = 64 MiB; the default verify grid fills 76
+    entries with 228 KiB.
     """
     xs, ws = nodes
     quarter_pi = 0.25 * math.pi
@@ -159,27 +159,30 @@ def _node_transform(p1: float, extra: int, nodes: tuple[tuple[float, ...], ...]
             delta = math.exp(ln_delta)
         ln_val = p1 * _ln_sin(delta, ln_delta) + ln_w
         if ln_val > _MAX_EXP_ARG:
-            return ts, weights, True
+            raise QuadratureFailure(
+                "transformed integrand overflows double range")
         ts.append(math.cos(delta))
         weights.append(wi * quarter_pi * math.exp(ln_val))
-    return ts, weights, False
+    return ts, weights
 
 
 def _integrate_once(h, p1: float, extra: int, n: int) -> float:
     # legendre_nodes is called on every level, cached or not:
     # perfbench/tracer.py counts quadrature nodes from these calls
-    ts, weights, overflowed = _node_transform(p1, extra, legendre_nodes(n))
-    vals = list(map(mul, weights, map(h, ts)))
-    if overflowed:
-        raise QuadratureFailure("transformed integrand overflows double range")
-    return math.fsum(vals)
+    ts, weights = _node_transform(p1, extra, legendre_nodes(n))
+    try:
+        return math.fsum(map(mul, weights, map(h, ts)))
+    except OverflowError:  # in h (cosh of a large argument) or in the sum
+        raise QuadratureFailure(
+            "transformed integrand overflows double range") from None
 
 
 def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     """int_0^1 (1 - t^2)^a h(t) dt for a > -1, h bounded on [0, 1].
 
     Node doubling continues until two successive levels agree to abs_tol
-    relative to max(1, |value|); QuadratureFailure if the cap is hit first.
+    relative to max(1, |value|); QuadratureFailure if the cap is hit first
+    or the transformed integrand leaves the double range.
     """
     if not a > -1.0:
         raise InvalidParameter(f"weight exponent must exceed -1, got {a}")
@@ -210,6 +213,9 @@ def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
                + (p.nu / p.k) * math.log(0.5 * p.x))
     pref = _exp_guarded(ln_pref, "integral prefactor")
     omega = p.alpha * p.x / math.sqrt(p.k)
+    if math.isinf(omega):
+        raise Overflow(f"alpha x / sqrt(k) exceeds double range (alpha = "
+                       f"{p.alpha!r}, x = {p.x!r}, k = {p.k!r})")
     integral = weighted_integral(lambda t: weight(omega * t),
                                  p.nu / p.k - 0.5, cfg)
     return pref * integral
@@ -301,13 +307,14 @@ ROUTES = ("cos", "cosh", "kernel")
 
 def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
                cfg: QuadConfig = _DEFAULT_QUAD
-               ) -> tuple[str | None, list[tuple[float, float]]]:
-    """Admissibility and quadrature values of one route at (k, nu, alpha, x).
+               ) -> tuple[str | None, list[tuple[float, float, float]]]:
+    """Quadrature and series values of one route at (k, nu, alpha, x).
 
-    Returns ``(reason, legs)``.  ``legs`` are (c, W) pairs: 'cos' gives
-    c = +alpha^2, 'cosh' c = -alpha^2, and 'kernel' both signs.  Where the
-    route's representation refuses the point, ``reason`` is the refusal's
-    reason and there are no legs; otherwise ``reason`` is None.
+    Returns ``(reason, legs)``.  ``legs`` are (c, quadrature, series)
+    triples, the series from ``eval_w`` after every leg's quadrature: 'cos'
+    gives c = +alpha^2, 'cosh' c = -alpha^2, and 'kernel' both signs.  Where
+    the route's representation refuses the point, ``reason`` is the
+    refusal's reason and there are no legs; otherwise ``reason`` is None.
     """
     if route not in ROUTES:
         raise InvalidParameter(
@@ -316,28 +323,32 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
     rep = IntegralRepParams(k, nu, alpha, x)  # validates every route's input
     c_sq = alpha * alpha
     try:
-        if route == "kernel":
-            kernel_rep = IntegralRepParams(k, nu, 1.0, x)
-            return None, [(c_sq, eval_w_bessel_kernel(kernel_rep, c_sq, cfg)),
-                          (-c_sq, eval_w_bessel_kernel(kernel_rep, -c_sq, cfg))]
-        if route == "cos":
-            return None, [(c_sq, eval_w_cos(rep, cfg))]
-        return None, [(-c_sq, eval_w_cosh(rep, cfg))]
+        if route == "kernel":  # the kernel reads c, never alpha
+            quads = [(c, eval_w_bessel_kernel(rep, c, cfg)) for c in (c_sq, -c_sq)]
+        elif route == "cos":
+            quads = [(c_sq, eval_w_cos(rep, cfg))]
+        else:
+            quads = [(-c_sq, eval_w_cosh(rep, cfg))]
     except OutsideDomain as exc:
         return exc.reason, []
+    return None, [(c, quad, eval_w(KBesselParams(k, nu, c), x).value)
+                  for c, quad in quads]
 
 
-def _relation_residual(k: float, alpha: float, x: float, fn, c: float) -> float:
+def _relation_sides(name: str, k: float, alpha: float, x: float
+                    ) -> tuple[float, float]:
+    """Both sides of the 'sin' (c = alpha^2) or 'sinh' (c = -alpha^2) relation."""
+    fn, sign = (math.sin, 1.0) if name == "sin" else (math.sinh, -1.0)
     IntegralRepParams(k, 0.5 * k, alpha, x)  # validates k, alpha and x
     arg = alpha * x / math.sqrt(k)
     try:
         lhs = fn(arg)
     except OverflowError:
-        raise Overflow(f"{fn.__name__}({arg!r}) exceeds double range") from None
+        raise Overflow(f"{name}({arg!r}) exceeds double range") from None
     except ValueError:  # sin(inf) once alpha x overflows
-        raise DomainError(f"{fn.__name__} is undefined at {arg!r}") from None
-    w = eval_w(KBesselParams(k, 0.5 * k, c), x).value
-    return lhs - (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
+        raise DomainError(f"{name} is undefined at {arg!r}") from None
+    w = eval_w(KBesselParams(k, 0.5 * k, sign * (alpha * alpha)), x).value
+    return lhs, (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
 
 
 def sin_relation_check(k: float, alpha: float, x: float) -> float:
@@ -348,10 +359,12 @@ def sin_relation_check(k: float, alpha: float, x: float) -> float:
     classical half-order sine form); for other k the caller is expected to
     examine the residual (or fit the constant) rather than assume zero.
     """
-    return _relation_residual(k, alpha, x, math.sin, alpha * alpha)
+    lhs, rhs = _relation_sides("sin", k, alpha, x)
+    return lhs - rhs
 
 
 def sinh_relation_check(k: float, alpha: float, x: float) -> float:
     """Residual sinh(alpha x / sqrt(k)) - (alpha/k) sqrt(pi x / 2) W_(k/2)(x)
     with c = -alpha^2; same contract as sin_relation_check."""
-    return _relation_residual(k, alpha, x, math.sinh, -alpha * alpha)
+    lhs, rhs = _relation_sides("sinh", k, alpha, x)
+    return lhs - rhs

@@ -19,9 +19,12 @@ points raise ``DomainError``.
 from __future__ import annotations
 
 import math
+import sys
 
 from .classical import digamma, ln_gamma, trigamma
 from .errors import DomainError, InvalidParameter, Overflow
+
+_MIN_NORMAL = sys.float_info.min
 
 # exp() overflows past this; used to report Overflow instead of raising OverflowError
 _MAX_EXP_ARG = 709.782712893384
@@ -39,6 +42,14 @@ def _finite(value: float, what: str) -> float:
     if math.isinf(value):
         raise Overflow(f"{what} exceeds double range")
     return value
+
+
+def _over_k_squared(value: float, k: float) -> float:
+    """value / k^2, dividing by k twice where k^2 is not a normal double."""
+    k2 = k * k
+    if _MIN_NORMAL <= k2 <= sys.float_info.max:
+        return value / k2
+    return value / k / k
 
 
 def _require_k(k: float) -> None:
@@ -79,21 +90,38 @@ def k_gamma(t: float, k: float) -> float:
 
 
 def k_digamma(t: float, k: float) -> float:
-    """psi_k(t), the log-derivative of Gamma_k, for t > 0."""
+    """psi_k(t), the log-derivative of Gamma_k, for t > 0.
+
+    Where t/k is below the normal double range, psi's pole is split off:
+    psi_k(t) = (log(k) + psi(1 + t/k))/k - 1/t.
+    """
     _require_k(k)
     if not t > 0.0:
         raise DomainError(f"k_digamma requires t > 0, got {t}")
-    return _finite((math.log(k) + digamma(t / k)) / k, f"psi_k({t}, {k})")
+    u = t / k
+    if u < _MIN_NORMAL:
+        return _finite((math.log(k) + digamma(1.0 + u)) / k - 1.0 / t,
+                       f"psi_k({t}, {k})")
+    return _finite((math.log(k) + digamma(u)) / k, f"psi_k({t}, {k})")
 
 
 def k_trigamma(t: float, k: float) -> float:
-    """psi_k'(t) = sum_{n>=0} 1/(nk+t)^2, for t > 0."""
+    """psi_k'(t) = sum_{n>=0} 1/(nk+t)^2, for t > 0.
+
+    Where (t/k)^2 is below the normal double range, the pole is split off:
+    psi_k'(t) = psi'(1 + t/k)/k^2 + 1/t^2.
+    """
     _require_k(k)
     if not t > 0.0:
         raise DomainError(f"k_trigamma requires t > 0, got {t}")
     if t < 2.0 ** -512:  # psi_k'(t) > 1/t^2 > 2^1024
         raise Overflow(f"psi_k'({t}, {k}) exceeds double range")
-    return _finite(trigamma(t / k) / (k * k), f"psi_k'({t}, {k})")
+    u = t / k
+    if u * u < _MIN_NORMAL:
+        inv_t = 1.0 / t
+        return _finite(_over_k_squared(trigamma(1.0 + u), k) + inv_t * inv_t,
+                       f"psi_k'({t}, {k})")
+    return _finite(_over_k_squared(trigamma(u), k), f"psi_k'({t}, {k})")
 
 
 def k_beta(x: float, y: float, k: float) -> float:

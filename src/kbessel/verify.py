@@ -31,9 +31,8 @@ from .errors import InvalidParameter, KBesselError, OutsideDomain, Overflow
 from .integral import (
     ROUTES,
     QuadConfig,
+    _relation_sides,
     route_legs,
-    sin_relation_check,
-    sinh_relation_check,
     weighted_integral,
 )
 from .kbessel import (
@@ -437,18 +436,19 @@ def check_chebyshev_products(k: float, nu: float, x: float,
         return _skip("chebyshev", point,
                      "cosine weight changes sign on [0, 1] when "
                      "x/sqrt(k) >= pi/2")
-    if variant == "cos":
-        def q(t: float) -> float:
-            return math.cos(omega * t)
+    weight, antiderivative = ((math.cos, math.sin) if variant == "cos"
+                              else (math.cosh, math.sinh))
 
-        plain_true = math.sin(omega) / omega
-        plain_alt = (math.sqrt(k) / x) * math.sin(x / k)
-    else:
-        def q(t: float) -> float:
-            return math.cosh(omega * t)
+    def q(t: float) -> float:
+        return weight(omega * t)
 
-        plain_true = math.sinh(omega) / omega
-        plain_alt = (math.sqrt(k) / x) * math.sinh(x / k)
+    try:
+        plain_true = antiderivative(omega) / omega
+        plain_alt = (math.sqrt(k) / x) * antiderivative(x / k)
+    except OverflowError:
+        raise Overflow(f"closed-form probe {antiderivative.__name__} exceeds "
+                       f"double range at x/sqrt(k) = {omega!r}, "
+                       f"x/k = {x / k!r}") from None
 
     beta = nu / k
     int_q = weighted_integral(q, 0.0, _QUAD)
@@ -522,8 +522,9 @@ def check_coefficient_facts(k: float, mu: float, nu: float) -> VerifyReport:
 
 
 def _relation_report(name: str, k: float, alpha: float, x: float,
-                     lhs: float, residual_stated: float) -> VerifyReport:
-    rhs_stated = lhs - residual_stated
+                     sides: tuple[float, float]) -> VerifyReport:
+    lhs, rhs_stated = sides
+    residual_stated = lhs - rhs_stated
     scale = max(1.0, abs(lhs))
     residual_rescaled = lhs - k * rhs_stated
     if abs(rhs_stated) > 1e-13 * scale:
@@ -547,16 +548,14 @@ def check_sin_relation(k: float, alpha: float, x: float) -> VerifyReport:
     tol = 1e-10 * scale) and reports the stated-constant residual and the
     fitted multiplier in the notes.
     """
-    residual = sin_relation_check(k, alpha, x)
-    lhs = math.sin(alpha * x / math.sqrt(k))
-    return _relation_report("sin-relation", k, alpha, x, lhs, residual)
+    return _relation_report("sin-relation", k, alpha, x,
+                            _relation_sides("sin", k, alpha, x))
 
 
 def check_sinh_relation(k: float, alpha: float, x: float) -> VerifyReport:
     """Hyperbolic counterpart of :func:`check_sin_relation`."""
-    residual = sinh_relation_check(k, alpha, x)
-    lhs = math.sinh(alpha * x / math.sqrt(k))
-    return _relation_report("sinh-relation", k, alpha, x, lhs, residual)
+    return _relation_report("sinh-relation", k, alpha, x,
+                            _relation_sides("sinh", k, alpha, x))
 
 
 def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
@@ -569,7 +568,7 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
     tol = 1e-9 * max(1, |series value|); inadmissible combinations are
     skipped with the violated condition as the reason.
     """
-    reason, pairs = route_legs(k, nu, alpha, x, route, _QUAD)
+    reason, legs = route_legs(k, nu, alpha, x, route, _QUAD)
     point = {"k": k, "nu": nu, "alpha": alpha, "x": x, "route": route}
     if reason is not None:
         return _skip("integral-agreement", point, reason)
@@ -577,8 +576,7 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
     margin = math.inf
     tol = 0.0
     parts = []
-    for c, got in pairs:
-        want = eval_w(KBesselParams(k, nu, c), x).value
+    for c, got, want in legs:
         diff = got - want
         this_tol = 1e-9 * max(1.0, abs(want))
         if -abs(diff) < margin:

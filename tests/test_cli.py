@@ -516,6 +516,17 @@ class TestCompareIntegral:
         assert result.exit_code == 3
         assert "2a + 1 exceeds double range" in result.stderr
 
+    def test_infinite_cosine_argument_exits_3(self, runner, tmp_path):
+        # alpha x / sqrt(k) = 1e400 overflows; cos(inf) was a bare ValueError
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [1], "nu_values": [1], "alpha_values": [1e200],
+            "x_values": [1e200]}), encoding="utf-8")
+        result = runner.invoke(
+            main, ["compare-integral", "--grid", str(grid)])
+        assert result.exit_code == 3
+        assert "alpha x / sqrt(k) exceeds double range" in result.stderr
+
     def test_out_writes_file(self, runner, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
@@ -587,6 +598,32 @@ class TestVerify:
         record = json.loads(result.stdout)
         assert record["passed"] is False
         assert record["notes"].startswith("error: Overflow: sinh")
+
+    @pytest.mark.parametrize("check, payload, failed, message", [
+        # cosh(900 t) in the cosh route's integrand passes the double range
+        ("integral-agreement",
+         {"k_values": [1], "nu_values": [0.5], "alpha_values": [30],
+          "x_values": [30]},
+         "3 reports: 0 passed, 0 skipped, 3 failed",
+         "error: QuadratureFailure: transformed integrand overflows"),
+        # sinh(800) in the closed-form probe passes the double range
+        ("chebyshev",
+         {"k_values": [1], "nu_values": [1], "alpha_values": [1],
+          "x_values": [800]},
+         "2 reports: 0 passed, 1 skipped, 1 failed",
+         "error: Overflow: closed-form probe sinh exceeds double range"),
+    ], ids=["cosh-integrand", "chebyshev-probe"])
+    def test_quadrature_layer_overflow_is_a_failed_report(
+            self, runner, tmp_path, check, payload, failed, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(payload), encoding="utf-8")
+        result = runner.invoke(
+            main, ["verify", "--checks", check, "--grid", str(grid)])
+        assert result.exit_code == 4
+        assert failed in result.stderr
+        notes = [json.loads(line)["notes"]
+                 for line in result.stdout.splitlines()]
+        assert any(note.startswith(message) for note in notes)
 
     def test_recurrence_power_overflow_is_a_failed_report(self, runner,
                                                           tmp_path):

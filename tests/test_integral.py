@@ -22,6 +22,7 @@ from kbessel.integral import (
     eval_w_cos,
     eval_w_cosh,
     legendre_nodes,
+    _relation_sides,
     route_legs,
     sin_relation_check,
     sinh_relation_check,
@@ -125,9 +126,7 @@ def test_cached_node_transform_matches_reference_loop(a, n, extra):
     assert integral._substitution_levels(p1) == extra
     ts, weights, _ = _reference_nodes(a, n)
     for _ in range(2):  # a miss, then a hit
-        got_t, got_w, overflowed = integral._node_transform(
-            p1, extra, legendre_nodes(n))
-        assert not overflowed
+        got_t, got_w = integral._node_transform(p1, extra, legendre_nodes(n))
         assert got_t.tobytes() == array("d", ts).tobytes()
         assert got_w.tobytes() == array("d", weights).tobytes()
     want = math.fsum(w * math.cos(3.0 * t) for t, w in zip(ts, weights))
@@ -135,11 +134,11 @@ def test_cached_node_transform_matches_reference_loop(a, n, extra):
     assert got == want
 
 
-def test_node_overflow_calls_h_on_earlier_nodes_then_raises(monkeypatch):
+def test_node_overflow_raises_before_any_call_to_h(monkeypatch):
     # no a > -1 overflows a double weight, so the limit is lowered to fall
     # between the ln weights of nodes 1 and 2 (2.73 and 2.78 here)
     a, n = -0.9, 16
-    ts, _, ln_vals = _reference_nodes(a, n)
+    _, _, ln_vals = _reference_nodes(a, n)
     threshold = 0.5 * (ln_vals[1] + ln_vals[2])
     assert ln_vals[0] < threshold < ln_vals[2]
     integral._node_transform.cache_clear()
@@ -152,7 +151,7 @@ def test_node_overflow_calls_h_on_earlier_nodes_then_raises(monkeypatch):
                               QuadConfig(nodes=n))
     finally:
         integral._node_transform.cache_clear()
-    assert seen == ts[:2]
+    assert seen == []
 
 
 @pytest.fixture
@@ -398,3 +397,24 @@ def test_route_legs_reason_is_the_representation_refusal(route, nu, refuse):
     assert str(refusal.value).startswith(refusal.value.reason + ", got ")
     assert route_legs(1.0, nu, 1.0, 1.0, route) == (refusal.value.reason, [])
 
+
+@pytest.mark.parametrize("route, nu", [("cos", 0.7), ("cosh", -0.3),
+                                       ("kernel", 1.5)])
+def test_route_legs_series_is_eval_w_bit_for_bit(route, nu):
+    k, alpha, x = 2.0, 0.5, 3.0
+    reason, legs = route_legs(k, nu, alpha, x, route)
+    assert reason is None
+    assert [c for c, _, _ in legs] == {
+        "cos": [0.25], "cosh": [-0.25], "kernel": [0.25, -0.25]}[route]
+    for c, _, series in legs:
+        want = eval_w(KBesselParams(k, nu, c), x).value
+        assert series.hex() == want.hex()
+
+
+@pytest.mark.parametrize("name, check", [("sin", sin_relation_check),
+                                         ("sinh", sinh_relation_check)])
+def test_relation_sides_differ_by_the_residual(name, check):
+    for k, alpha, x in ((1.0, 1.0, 1.0), (4.0, 2.0, 0.5), (0.5, 1.0, 3.0)):
+        lhs, rhs = _relation_sides(name, k, alpha, x)
+        assert lhs == getattr(math, name)(alpha * x / math.sqrt(k))
+        assert lhs - rhs == check(k, alpha, x)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbessel.classical import digamma, trigamma
 from kbessel.errors import DomainError, InvalidParameter, Overflow
 from kbessel.kgamma import (
     k_beta,
@@ -234,3 +235,53 @@ def test_values_beyond_double_range_raise_overflow(fn, args):
 def test_trigamma_just_inside_double_range_is_finite():
     # psi'(z) ~ 1/z^2 = 1e308 still fits
     assert k_trigamma(1e-154, 1.0) == pytest.approx(1e308, rel=1e-15)
+
+
+def _mp_k_digamma(t: float, k: float):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        t, k = mp.mpf(t), mp.mpf(k)
+        return (mp.log(k) + mp.digamma(t / k)) / k
+
+
+def _mp_k_trigamma(t: float, k: float):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        t, k = mp.mpf(t), mp.mpf(k)
+        return mp.psi(1, t / k) / (k * k)
+
+
+@pytest.mark.parametrize("t,k", [
+    (1.0, 1e200),     # (t/k)^2 and k^2 leave the double range: 1/t^2 leads
+    (1e150, 1e160),   # k^2 = inf; psi'(t/k) / k / k = 1e-300
+    (1e-154, 1.0),    # (t/k)^2 is subnormal
+    (1e-100, 1e170),  # (t/k)^2 underflows and k^2 overflows
+])
+def test_k_trigamma_outside_the_normal_range_matches_mpmath(t, k):
+    assert k_trigamma(t, k) == pytest.approx(float(_mp_k_trigamma(t, k)),
+                                             rel=4e-16, abs=0.0)
+
+
+def test_k_trigamma_past_double_range_via_tiny_k_raises_overflow():
+    # k^2 = 1e-340 underflows to 0; the true value is 1e320
+    assert _mp_k_trigamma(1e-150, 1e-170) > 1e308
+    with pytest.raises(Overflow, match="exceeds double range"):
+        k_trigamma(1e-150, 1e-170)
+
+
+@pytest.mark.parametrize("t,k", [
+    (1e-300, 1e300),  # t/k = 1e-600 underflows to 0
+    (1e-300, 1e10),   # t/k is subnormal
+    (1e-200, 1e120),
+])
+def test_k_digamma_below_the_normal_range_matches_mpmath(t, k):
+    assert k_digamma(t, k) == pytest.approx(float(_mp_k_digamma(t, k)),
+                                            rel=4e-16, abs=0.0)
+
+
+@given(t=st.floats(1e-3, 1e3), k=st.floats(1e-2, 1e2))
+@settings(max_examples=200, deadline=None)
+def test_digamma_and_trigamma_bits_unchanged_in_the_normal_range(t, k):
+    # where t/k, (t/k)^2 and k^2 are normal doubles, the plain reduction runs
+    assert k_digamma(t, k) == (math.log(k) + digamma(t / k)) / k
+    assert k_trigamma(t, k) == trigamma(t / k) / (k * k)
