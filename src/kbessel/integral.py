@@ -204,6 +204,16 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     )
 
 
+def _argument(name: str, alpha: float, x: float, k: float) -> float:
+    """alpha x / sqrt(k), where ``name`` (cos, cosh, sin or sinh) is taken;
+    Overflow where it leaves the double range."""
+    arg = alpha * x / math.sqrt(k)
+    if math.isinf(arg):
+        raise Overflow(f"{name} argument alpha x / sqrt(k) exceeds double "
+                       f"range (alpha = {alpha!r}, x = {x!r}, k = {k!r})")
+    return arg
+
+
 def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
     if not p.nu / p.k > -0.5:
         raise OutsideDomain("cosine/cosh representation requires nu/k > -1/2",
@@ -212,10 +222,7 @@ def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
                - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
                + (p.nu / p.k) * math.log(0.5 * p.x))
     pref = _exp_guarded(ln_pref, "integral prefactor")
-    omega = p.alpha * p.x / math.sqrt(p.k)
-    if math.isinf(omega):
-        raise Overflow(f"alpha x / sqrt(k) exceeds double range (alpha = "
-                       f"{p.alpha!r}, x = {p.x!r}, k = {p.k!r})")
+    omega = _argument(weight.__name__, p.alpha, p.x, p.k)
     integral = weighted_integral(lambda t: weight(omega * t),
                                  p.nu / p.k - 0.5, cfg)
     return pref * integral
@@ -340,13 +347,11 @@ def _relation_sides(name: str, k: float, alpha: float, x: float
     """Both sides of the 'sin' (c = alpha^2) or 'sinh' (c = -alpha^2) relation."""
     fn, sign = (math.sin, 1.0) if name == "sin" else (math.sinh, -1.0)
     IntegralRepParams(k, 0.5 * k, alpha, x)  # validates k, alpha and x
-    arg = alpha * x / math.sqrt(k)
+    arg = _argument(name, alpha, x, k)
     try:
         lhs = fn(arg)
     except OverflowError:
         raise Overflow(f"{name}({arg!r}) exceeds double range") from None
-    except ValueError:  # sin(inf) once alpha x overflows
-        raise DomainError(f"{name} is undefined at {arg!r}") from None
     w = eval_w(KBesselParams(k, 0.5 * k, sign * (alpha * alpha)), x).value
     return lhs, (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
 

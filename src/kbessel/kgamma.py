@@ -93,12 +93,16 @@ def k_digamma(t: float, k: float) -> float:
     """psi_k(t), the log-derivative of Gamma_k, for t > 0.
 
     Where t/k is below the normal double range, psi's pole is split off:
-    psi_k(t) = (log(k) + psi(1 + t/k))/k - 1/t.
+    psi_k(t) = (log(k) + psi(1 + t/k))/k - 1/t.  Where t/k overflows,
+    psi(u) = log(u) - 1/(2u) - O(1/u^2) gives psi_k(t) = log(t)/k - 1/(2t),
+    whose next term, -k/(12 t^2), is below 2^-1024 of the value.
     """
     _require_k(k)
     if not t > 0.0:
         raise DomainError(f"k_digamma requires t > 0, got {t}")
     u = t / k
+    if u == math.inf:
+        return _finite(math.log(t) / k - 0.5 / t, f"psi_k({t}, {k})")
     if u < _MIN_NORMAL:
         return _finite((math.log(k) + digamma(1.0 + u)) / k - 1.0 / t,
                        f"psi_k({t}, {k})")
@@ -109,7 +113,8 @@ def k_trigamma(t: float, k: float) -> float:
     """psi_k'(t) = sum_{n>=0} 1/(nk+t)^2, for t > 0.
 
     Where (t/k)^2 is below the normal double range, the pole is split off:
-    psi_k'(t) = psi'(1 + t/k)/k^2 + 1/t^2.
+    psi_k'(t) = psi'(1 + t/k)/k^2 + 1/t^2.  Where t/k overflows,
+    psi'(u) = 1/u + 1/(2u^2) + ... gives psi_k'(t) = 1/(t k) to rounding.
     """
     _require_k(k)
     if not t > 0.0:
@@ -117,6 +122,10 @@ def k_trigamma(t: float, k: float) -> float:
     if t < 2.0 ** -512:  # psi_k'(t) > 1/t^2 > 2^1024
         raise Overflow(f"psi_k'({t}, {k}) exceeds double range")
     u = t / k
+    if u == math.inf:
+        tk = t * k  # below the normal range t k has lost bits: divide twice
+        return _finite(1.0 / tk if tk >= _MIN_NORMAL else 1.0 / t / k,
+                       f"psi_k'({t}, {k})")
     if u * u < _MIN_NORMAL:
         inv_t = 1.0 / t
         return _finite(_over_k_squared(trigamma(1.0 + u), k) + inv_t * inv_t,

@@ -24,6 +24,7 @@ from kbessel import (
     SeriesConfig,
     deriv_w,
     eval_w,
+    k_digamma,
     k_pochhammer,
     k_trigamma,
     ln_k_gamma,
@@ -253,6 +254,16 @@ class TestGamma:
             main, ["gamma", "--fn", "trigamma", "--t", "0.7", "--k", "2"])
         assert result.exit_code == 0
         assert result.stdout == repr(k_trigamma(0.7, 2.0)) + "\n"
+
+    @pytest.mark.parametrize("fn", ["digamma", "trigamma"])
+    def test_log_derivatives_where_t_over_k_overflows_exit_0(self, runner,
+                                                               fn):
+        # t/k = 1e310 is inf; both values fit in a double
+        result = runner.invoke(
+            main, ["gamma", "--fn", fn, "--t", "1e300", "--k", "1e-10"])
+        assert result.exit_code == 0
+        function = k_digamma if fn == "digamma" else k_trigamma
+        assert result.stdout == repr(function(1e300, 1e-10)) + "\n"
 
     def test_missing_function_argument_exits_2(self, runner):
         result = runner.invoke(
@@ -606,13 +617,13 @@ class TestVerify:
           "x_values": [30]},
          "3 reports: 0 passed, 0 skipped, 3 failed",
          "error: QuadratureFailure: transformed integrand overflows"),
-        # sinh(800) in the closed-form probe passes the double range
+        # cosh(800 t) in the four weighted integrals passes the double range
         ("chebyshev",
          {"k_values": [1], "nu_values": [1], "alpha_values": [1],
           "x_values": [800]},
          "2 reports: 0 passed, 1 skipped, 1 failed",
-         "error: Overflow: closed-form probe sinh exceeds double range"),
-    ], ids=["cosh-integrand", "chebyshev-probe"])
+         "error: QuadratureFailure: transformed integrand overflows"),
+    ], ids=["cosh-integrand", "chebyshev-integrand"])
     def test_quadrature_layer_overflow_is_a_failed_report(
             self, runner, tmp_path, check, payload, failed, message):
         grid = tmp_path / "grid.json"

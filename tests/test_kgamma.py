@@ -279,6 +279,26 @@ def test_k_digamma_below_the_normal_range_matches_mpmath(t, k):
                                             rel=4e-16, abs=0.0)
 
 
+@pytest.mark.parametrize("t,k", [
+    (1e300, 1e-10),   # t/k = 1e310 overflows to inf
+    (1e308, 1e-5),
+    (3.0, 1e-308),
+    (1e200, 1e-200),
+])
+def test_digamma_and_trigamma_where_t_over_k_overflows_match_mpmath(t, k):
+    assert t / k == math.inf
+    assert k_digamma(t, k) == pytest.approx(float(_mp_k_digamma(t, k)),
+                                            rel=4e-16, abs=0.0)
+    assert k_trigamma(t, k) == pytest.approx(float(_mp_k_trigamma(t, k)),
+                                             rel=4e-16, abs=0.0)
+
+
+def test_digamma_past_double_range_where_t_over_k_overflows_raises():
+    # log(10)/1e-309 = 2.3e309
+    with pytest.raises(Overflow, match="exceeds double range"):
+        k_digamma(10.0, 1e-309)
+
+
 @given(t=st.floats(1e-3, 1e3), k=st.floats(1e-2, 1e2))
 @settings(max_examples=200, deadline=None)
 def test_digamma_and_trigamma_bits_unchanged_in_the_normal_range(t, k):

@@ -37,7 +37,7 @@ from kbessel import (
 )
 from kbessel._dd import dd_mul_d, quick_two_sum, two_prod
 from kbessel.kbessel import (EvalResult, _leading_term, _series,
-                             _tail_estimate, _w_ratio)
+                             _series_sum, _tail_estimate, _w_ratio)
 
 # (nu, x) -> J_nu(x), 60-term 40-digit oracle, correctly rounded doubles
 BESSEL_J_FIXTURES = [
@@ -457,6 +457,24 @@ def test_inline_series_loop_matches_the_composed_dd_loop():
         for arg in (None, x):
             assert (_outcome(_series, t0, qhi, qlo, k, nu, arg)
                     == _outcome(_reference_series, t0, qhi, qlo, k, nu, arg))
+
+
+@given(k=st.floats(1e-3, 1e3), c=st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0]),
+       x=st.one_of(st.sampled_from([0.25, 1.0, 2.0, 3.0]),  # qlo = 0 here
+                   st.floats(1e-3, 30.0)),
+       derivs=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_zero_signs_merged_by_the_memo_key_give_the_same_bits(k, c, x,
+                                                               derivs):
+    # the sweep memo keys by value, so +0.0 and -0.0 in nu, qhi or qlo share
+    # an entry: the sum must not tell them apart
+    qhi, qlo = _w_ratio(c, x)
+    his = (0.0, -0.0) if qhi == 0.0 else (qhi,)
+    los = (0.0, -0.0) if qlo == 0.0 else (qlo,)
+    arg = x if derivs else None
+    outcomes = {_outcome(_series_sum, 1.0, hi, lo, k, nu, arg)
+                for hi in his for lo in los for nu in (0.0, -0.0)}
+    assert len(outcomes) == 1
 
 
 @pytest.mark.parametrize("point,max_terms,kinds", [

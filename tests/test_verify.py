@@ -8,15 +8,19 @@ directly.
 """
 
 import math
+import random
 
 import pytest
 
-from kbessel import verify
+from kbessel import kbessel, verify
 from kbessel import (
     CHECK_NAMES,
     GridSpec,
     InvalidParameter,
     KBesselParams,
+    NonConvergence,
+    Overflow,
+    SeriesConfig,
     VerifyReport,
     check_chebyshev_products,
     check_coefficient_facts,
@@ -31,6 +35,7 @@ from kbessel import (
     check_sinh_relation,
     check_turan,
     default_grid,
+    eval_w,
     run_grid,
 )
 from kbessel.integral import IntegralRepParams, eval_w_bessel_kernel, eval_w_cos
@@ -319,6 +324,26 @@ def test_chebyshev_probe_logged_not_asserted():
     assert "closed form with argument x/k" in report.notes
 
 
+def test_chebyshev_probe_out_of_range_is_noted_and_inequality_asserted():
+    # sinh(x/k) = sinh(800) overflows; the integrals fit, their products
+    # do not, so both sides are compared scaled by one power of two
+    report = check_chebyshev_products(0.5, 1.0, 400.0, "cosh")
+    assert report.passed and report.margin > 0.0
+    assert "closed-form probes out of range: sinh" in report.notes
+    assert "(both scaled by 2^-" in report.notes
+
+
+def test_chebyshev_overflowing_products_keep_the_relative_test():
+    # the probes fit at x/k = 400, the products of the integrals do not
+    # (a NaN margin before); scaled, the larger side lies in [1, 8)
+    report = check_chebyshev_products(1.0, 1.0, 400.0, "cosh")
+    assert report.passed
+    assert math.isfinite(report.margin)
+    assert "closed form with argument x/k" in report.notes
+    joint = float(report.notes.split("joint=")[1].split()[0])
+    assert 1.0 <= joint < 8.0
+
+
 def test_chebyshev_regime_partition_on_default_grid():
     reports = run_grid(default_grid(), ["chebyshev"])
     ran = [r for r in reports if not r.skipped]
@@ -397,6 +422,14 @@ def test_sin_relation_stated_constant_only_closes_at_unit_k():
 
 # ---------------------------------------------------------------------------
 # series vs quadrature agreement
+
+
+@pytest.mark.parametrize("check", [check_sin_relation, check_sinh_relation])
+def test_relation_checks_raise_overflow_for_an_infinite_argument(check):
+    # alpha x / sqrt(k) = 1e400; sin(inf) was a DomainError, sinh(inf) an
+    # Overflow from the series
+    with pytest.raises(Overflow, match=r"alpha x / sqrt\(k\) exceeds double"):
+        check(1.0, 1e200, 1e200)
 
 
 def test_integral_agreement_all_routes_at_interior_point():
@@ -595,3 +628,111 @@ def test_verify_report_is_frozen():
     with pytest.raises(AttributeError):
         report.passed = False
     assert isinstance(report, VerifyReport)
+
+
+# ---------------------------------------------------------------------------
+# the series memo of one run_grid sweep
+
+
+def _memo_grid(seed: int) -> GridSpec:
+    """A small seeded grid whose orders repeat across checks (nu + k and
+    nu - k land on grid orders at k = 0.5) and where nu = -0.0 from the
+    grid meets nu = +0.0 from nu - k and nu - a."""
+    rng = random.Random(seed)
+    return GridSpec(
+        k_values=(0.5, round(rng.uniform(0.6, 2.5), 3)),
+        nu_values=(-0.0, 0.5, 1.0, round(rng.uniform(-0.4, 3.0), 3)),
+        c_values=(-1.0, round(rng.uniform(0.1, 3.0), 3)),
+        alpha_values=(round(rng.uniform(0.2, 2.0), 3),),
+        x_values=(round(rng.uniform(0.1, 1.0), 3),
+                  round(rng.uniform(1.0, 4.0), 3)),
+        a_values=(0.5, round(rng.uniform(0.1, 1.0), 3)),
+        cvx_weights=(0.0, 0.5, round(rng.random(), 3)),
+    )
+
+
+def _counting_series_sum(monkeypatch) -> list:
+    calls = []
+    original = kbessel._series_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kbessel, "_series_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_sweep_memo_reports_equal_direct_checks(monkeypatch, seed):
+    spec = _memo_grid(seed)
+    calls = _counting_series_sum(monkeypatch)
+    swept = run_grid(spec, CHECK_NAMES)
+    in_sweep = len(calls)
+    assert kbessel._MEMO.get() is None
+    direct = [report for name in CHECK_NAMES
+              for report in verify._expand(name, spec)]
+    # repr tells -0.0 from 0.0 in margins and notes
+    assert len(swept) == len(direct)
+    differing = [(a, b) for a, b in zip(map(repr, swept), map(repr, direct))
+                 if a != b]
+    assert differing[:1] == []
+    assert 0 < in_sweep < len(calls) - in_sweep
+    assert any(args[4] == 0.0 and math.copysign(1.0, args[4]) < 0.0
+               for args in calls)
+    assert any(args[4] == 0.0 and math.copysign(1.0, args[4]) > 0.0
+               for args in calls)
+
+
+def test_sweep_memo_is_open_only_during_run_grid(monkeypatch):
+    seen = []
+    check = verify.check_turan
+
+    def spy(*args, **kwargs):
+        seen.append(kbessel._MEMO.get() is not None)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_turan", spy)
+    assert kbessel._MEMO.get() is None
+    run_grid(small_grid(), ["turan"])
+    assert seen == [True]
+    assert kbessel._MEMO.get() is None
+
+
+def test_sweep_memo_is_removed_when_run_grid_raises(monkeypatch):
+    def boom(*args, **kwargs):
+        assert kbessel._MEMO.get() is not None
+        raise RuntimeError("check broke")
+
+    monkeypatch.setattr(verify, "check_turan", boom)
+    with pytest.raises(RuntimeError, match="check broke"):
+        run_grid(small_grid(), ["ode", "turan"])
+    assert kbessel._MEMO.get() is None
+
+
+def test_sweep_memo_does_not_store_a_call_that_raises(monkeypatch):
+    calls = _counting_series_sum(monkeypatch)
+    outcomes = []
+
+    def repeat(p, x):
+        # capped at 5 terms, J0 at x = 10 does not converge
+        for _ in range(2):
+            try:
+                eval_w(KBesselParams(1.0, 0.0, 1.0), 10.0,
+                       SeriesConfig(max_terms=5))
+            except NonConvergence:
+                outcomes.append("raised")
+        for _ in range(2):
+            outcomes.append(eval_w(KBesselParams(1.0, 0.0, 1.0), 10.0).value)
+        return check_ode(p, x)
+
+    monkeypatch.setattr(verify, "check_ode", repeat)
+    run_grid(small_grid(), ["ode"])
+    assert outcomes[:2] == ["raised", "raised"]
+    assert outcomes[2] == outcomes[3]
+    # both capped calls ran the sum; the second uncapped one was a hit
+    capped = [args for args in calls if args[5].max_terms == 5]
+    uncapped = [args for args in calls if args[:3] == capped[0][:3]
+                and args[5].max_terms != 5]
+    assert len(capped) == 2
+    assert len(uncapped) == 1
