@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
+from typing import Callable
 
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow, QuadratureFailure)
@@ -88,13 +89,17 @@ def legendre_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     xs = [0.0] * n
     ws = [0.0] * n
     m = (n + 1) // 2
+    # the recurrence's integer coefficients as floats, built once: int to
+    # float is exact here, so every product and quotient keeps its bits
+    coefficients = [(float(2 * j - 1), float(j - 1), float(j))
+                    for j in range(1, n + 1)]
     for i in range(1, m + 1):
         z = math.cos(math.pi * (i - 0.25) / (n + 0.5))
         pp = 0.0
         for _ in range(64):
             p1, p2 = 1.0, 0.0
-            for j in range(1, n + 1):
-                p1, p2 = ((2 * j - 1) * z * p1 - (j - 1) * p2) / j, p1
+            for a, b, c in coefficients:
+                p1, p2 = (a * z * p1 - b * p2) / c, p1
             pp = n * (z * p1 - p2) / (z * z - 1.0)
             dz = p1 / pp
             z -= dz
@@ -138,10 +143,13 @@ def _node_transform(p1: float, extra: int, nodes: tuple[tuple[float, ...], ...]
 
     ``nodes`` is ``legendre_nodes(n)``; the weight w_i * (pi/4) * exp(ln_val)
     holds everything but h(t_i).  The chain depends only on (p1, extra, n),
-    so it is cached; callers share the arrays and only read them.  A node
-    whose weight overflows raises QuadratureFailure.  An entry holds 16 n
-    bytes of arrays, a quarter of what ``legendre_nodes(n)`` keeps, so the
-    default QuadConfig (n <= 128 * 2**8) bounds the cache at
+    so it is cached; callers share the arrays and only read them.  The t_i
+    do not read p1: every p1 with the same (extra, n) gets the same t_i, bit
+    for bit, which is what lets ``_level_values`` share h's values across
+    weight exponents.  A node whose weight overflows raises
+    QuadratureFailure, before any h is evaluated on the level.  An entry
+    holds 16 n bytes of arrays, a quarter of what ``legendre_nodes(n)``
+    keeps, so the default QuadConfig (n <= 128 * 2**8) bounds the cache at
     128 * 16 * 32768 bytes = 64 MiB; the default verify grid fills 76
     entries with 228 KiB.
     """
@@ -166,12 +174,91 @@ def _node_transform(p1: float, extra: int, nodes: tuple[tuple[float, ...], ...]
     return ts, weights
 
 
+@dataclass(frozen=True, slots=True)
+class _TrigIntegrand:
+    """h(t) = fn(omega t), fn cos or cosh: the cos/cosh routes' integrand
+    and ``check_chebyshev_products``'s weight.  A hashable value, so
+    ``_integrate_once`` may share its values between weight exponents."""
+
+    fn: Callable[[float], float]
+    omega: float
+
+    def __call__(self, t: float) -> float:
+        return self.fn(self.omega * t)
+
+    def values(self, ts: array) -> array:
+        """h at every t in ``ts``; the same bits as ``map(self, ts)``."""
+        fn, omega = self.fn, self.omega
+        return array("d", [fn(omega * t) for t in ts])
+
+
+@dataclass(frozen=True, slots=True)
+class _KernelIntegrand:
+    """h(t) = t K_c(scale t), the kernel route's integrand; a hashable
+    value, as ``_TrigIntegrand`` is."""
+
+    scale: float
+    c: float
+
+    def __call__(self, t: float) -> float:
+        return t * bessel_kernel(self.scale * t, self.c)
+
+    def values(self, ts: array) -> array:
+        """h at every t in ``ts``; the same bits as ``map(self, ts)``."""
+        scale, c = self.scale, self.c
+        return array("d", [t * bessel_kernel(scale * t, c) for t in ts])
+
+
+_VALUE_INTEGRANDS = (_TrigIntegrand, _KernelIntegrand)
+
+
+@dataclass(frozen=True, slots=True)
+class _Level:
+    """The nodes t_i of one level, compared and hashed by (extra, n) alone,
+    since those fix them (see ``_node_transform``)."""
+
+    extra: int
+    n: int
+    ts: array = field(compare=False, repr=False)
+
+
+@lru_cache(maxsize=256)
+def _level_values(h, level: _Level) -> array:
+    """h(t_i) at every node of ``level``, for an h of ``_VALUE_INTEGRANDS``.
+
+    The key (h, extra, n) compares floats by value, so +0.0 and -0.0 share
+    an entry; that changes no bit.  omega and scale are alpha x / sqrt(k)
+    or x / sqrt(k) with every factor positive, so they are > 0 or +0.0.
+    c = -alpha^2 is -0.0 where alpha^2 underflows; with c = +-0.0,
+    bessel_kernel's q is -+0.0, its first term test passes, and both signs
+    return fsum([1.0, +-0.0]) = 1.0.  A level whose h raises is not stored.
+    An entry holds 8 n bytes of values, so with the default QuadConfig
+    (n <= 32768) the memo holds at most 256 * 8 * 32768 bytes = 64 MiB of
+    them; its key also keeps the level's t_i array, which is the one
+    ``_node_transform``'s cache holds until that entry is evicted.
+    """
+    return h.values(level.ts)
+
+
 def _integrate_once(h, p1: float, extra: int, n: int) -> float:
+    """One level: fsum of w_i h(t_i) over the level's n nodes.
+
+    Where h is a ``_VALUE_INTEGRANDS`` value, h(t_i) comes from the
+    ``_level_values`` memo, so integrals of one h at weight exponents that
+    share (extra, n) evaluate h once per level between them.  Any other
+    callable is evaluated on every level and never stored: it may hold
+    state.  Either way the sum is the same fsum of the same products, and
+    the weights are built, or refused, before h is evaluated.
+    """
     # legendre_nodes is called on every level, cached or not:
     # perfbench/tracer.py counts quadrature nodes from these calls
     ts, weights = _node_transform(p1, extra, legendre_nodes(n))
     try:
-        return math.fsum(map(mul, weights, map(h, ts)))
+        if type(h) in _VALUE_INTEGRANDS:
+            values = _level_values(h, _Level(extra, n, ts))
+        else:
+            values = map(h, ts)
+        return math.fsum(map(mul, weights, values))
     except OverflowError:  # in h (cosh of a large argument) or in the sum
         raise QuadratureFailure(
             "transformed integrand overflows double range") from None
@@ -223,7 +310,7 @@ def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
                + (p.nu / p.k) * math.log(0.5 * p.x))
     pref = _exp_guarded(ln_pref, "integral prefactor")
     omega = _argument(weight.__name__, p.alpha, p.x, p.k)
-    integral = weighted_integral(lambda t: weight(omega * t),
+    integral = weighted_integral(_TrigIntegrand(weight, omega),
                                  p.nu / p.k - 0.5, cfg)
     return pref * integral
 
@@ -304,7 +391,7 @@ def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
                + (p.nu / p.k) * math.log(0.5 * p.x))
     pref = _exp_guarded(ln_pref, "integral prefactor")
     scale = p.x / math.sqrt(p.k)
-    integral = weighted_integral(lambda t: t * bessel_kernel(scale * t, c),
+    integral = weighted_integral(_KernelIntegrand(scale, c),
                                  p.nu / p.k - 1.0, cfg)
     return pref * integral
 

@@ -26,6 +26,9 @@ from .errors import DomainError, InvalidParameter, Overflow
 
 _MIN_NORMAL = sys.float_info.min
 
+# k_digamma sums log(t) and psi(t/k) - log(t/k) from here up
+_LARGE_U = 2.0 ** 17
+
 # exp() overflows past this; used to report Overflow instead of raising OverflowError
 _MAX_EXP_ARG = 709.782712893384
 
@@ -93,9 +96,15 @@ def k_digamma(t: float, k: float) -> float:
     """psi_k(t), the log-derivative of Gamma_k, for t > 0.
 
     Where t/k is below the normal double range, psi's pole is split off:
-    psi_k(t) = (log(k) + psi(1 + t/k))/k - 1/t.  Where t/k overflows,
-    psi(u) = log(u) - 1/(2u) - O(1/u^2) gives psi_k(t) = log(t)/k - 1/(2t),
-    whose next term, -k/(12 t^2), is below 2^-1024 of the value.
+    psi_k(t) = (log(k) + psi(1 + t/k))/k - 1/t.  For u = t/k >= 2^17,
+    log(k) and psi(u) ~ log(u) cancel where t is near 1, so the sum is
+    taken as psi_k(t) = (log(t) + R(u))/k with R(u) = psi(u) - log(u)
+    = -1/(2u) - 1/(12u^2) + 1/(120u^4) - ..., whose first omitted term is
+    below 2^-56 of R there (1/u is subnormal only past u = 2^1022, and the
+    value then stays within 1e-15).  Just below 2^17 the plain reduction
+    still runs; its relative error there reaches about 6e-10, near t = 1.
+    Where t/k overflows, psi_k(t) = log(t)/k - 1/(2t), whose next term,
+    -k/(12 t^2), is below 2^-1024 of the value.
     """
     _require_k(k)
     if not t > 0.0:
@@ -103,6 +112,10 @@ def k_digamma(t: float, k: float) -> float:
     u = t / k
     if u == math.inf:
         return _finite(math.log(t) / k - 0.5 / t, f"psi_k({t}, {k})")
+    if u >= _LARGE_U:
+        inv_u = 1.0 / u
+        return _finite((math.log(t) - inv_u * (0.5 + inv_u / 12.0)) / k,
+                       f"psi_k({t}, {k})")
     if u < _MIN_NORMAL:
         return _finite((math.log(k) + digamma(1.0 + u)) / k - 1.0 / t,
                        f"psi_k({t}, {k})")

@@ -32,6 +32,7 @@ from .integral import (
     ROUTES,
     QuadConfig,
     _relation_sides,
+    _TrigIntegrand,
     route_legs,
     weighted_integral,
 )
@@ -442,10 +443,7 @@ def check_chebyshev_products(k: float, nu: float, x: float,
                      "x/sqrt(k) >= pi/2")
     weight, antiderivative = ((math.cos, math.sin) if variant == "cos"
                               else (math.cosh, math.sinh))
-
-    def q(t: float) -> float:
-        return weight(omega * t)
-
+    q = _TrigIntegrand(weight, omega)
     beta = nu / k
     int_q = weighted_integral(q, 0.0, _QUAD)
     int_qf = weighted_integral(q, beta - 0.5, _QUAD)

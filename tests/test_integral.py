@@ -7,6 +7,7 @@ integrals are checked against beta-function closed forms through lgamma.
 """
 
 import math
+import random
 from array import array
 
 import pytest
@@ -15,6 +16,7 @@ from kbessel import InvalidParameter, KBesselParams, eval_w
 from kbessel import integral
 from kbessel.errors import KBesselError, NonConvergence, QuadratureFailure
 from kbessel.integral import (
+    ROUTES,
     IntegralRepParams,
     QuadConfig,
     bessel_kernel,
@@ -52,6 +54,37 @@ def test_legendre_polynomial_exactness():
     assert got == pytest.approx(2.0 / 7.0, rel=1e-14)
     got_odd = math.fsum(w * x**7 for x, w in zip(xs, ws))
     assert abs(got_odd) < 1e-16
+
+
+def _legendre_reference(n: int) -> tuple[list, list]:
+    """Gauss-Legendre nodes and weights with the recurrence's integer
+    coefficients formed inside the Newton loop, as ``legendre_nodes`` once
+    built them."""
+    xs = [0.0] * n
+    ws = [0.0] * n
+    for i in range(1, (n + 1) // 2 + 1):
+        z = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        pp = 0.0
+        for _ in range(64):
+            p1, p2 = 1.0, 0.0
+            for j in range(1, n + 1):
+                p1, p2 = ((2 * j - 1) * z * p1 - (j - 1) * p2) / j, p1
+            pp = n * (z * p1 - p2) / (z * z - 1.0)
+            dz = p1 / pp
+            z -= dz
+            if abs(dz) <= 1e-15 * max(1.0, abs(z)):
+                break
+        xs[i - 1], xs[n - i] = -z, z
+        ws[i - 1] = ws[n - i] = 2.0 / ((1.0 - z * z) * pp * pp)
+    return xs, ws
+
+
+def test_legendre_nodes_bits_equal_the_integer_recurrence():
+    for n in [*range(2, 65), 127, 128, 255, 256, 257]:
+        got = legendre_nodes.__wrapped__(n)  # built afresh, not from the cache
+        want = _legendre_reference(n)
+        for got_part, want_part in zip(got, want):
+            assert list(map(float.hex, got_part)) == list(map(float.hex, want_part)), n
 
 
 def _beta_weight_integral(a: float) -> float:
@@ -418,3 +451,120 @@ def test_relation_sides_differ_by_the_residual(name, check):
         lhs, rhs = _relation_sides(name, k, alpha, x)
         assert lhs == getattr(math, name)(alpha * x / math.sqrt(k))
         assert lhs - rhs == check(k, alpha, x)
+
+
+# ---------------------------------------------------------------------------
+# the level-value memo: one h's values shared across weight exponents
+
+
+def test_node_transform_nodes_do_not_depend_on_the_weight_exponent():
+    # the memo's premise: one (extra, n) gives one set of t_i, bit for bit
+    for exponents in ((0.0, 1.0, 4.0, 7.5), (0.6, 0.45), (-0.4, -0.45)):
+        extras = {integral._substitution_levels(p1) for p1 in exponents}
+        assert len(extras) == 1
+        extra = extras.pop()
+        for n in (128, 256):
+            nodes = [integral._node_transform(p1, extra, legendre_nodes(n))[0]
+                     for p1 in exponents]
+            assert len({ts.tobytes() for ts in nodes}) == 1
+
+
+def _legs_points(seed: int) -> list[tuple]:
+    """Seeded route_legs points.  At beta = nu/k in {0.5, 1, 2.5} the kernel
+    exponents 2 beta - 1 share extra = 0, as the cos/cosh ones 2 beta do;
+    beta = 0.3 and a drawn beta give other extras."""
+    rng = random.Random(seed)
+    ks = (1.0, round(rng.uniform(0.5, 2.0), 3))
+    betas = (0.5, 1.0, 2.5, 0.3, round(rng.uniform(0.05, 3.0), 3))
+    alpha = round(rng.uniform(0.2, 1.5), 3)
+    xs = (round(rng.uniform(0.2, 1.0), 3), round(rng.uniform(1.0, 3.0), 3))
+    return [(k, beta * k, alpha, x, route)
+            for k in ks for x in xs for route in ROUTES for beta in betas]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_level_memo_legs_equal_legs_with_the_memo_cleared(seed):
+    points = _legs_points(seed)
+    integral._level_values.cache_clear()
+    shared = [route_legs(*point) for point in points]
+    hits = integral._level_values.cache_info().hits
+    cleared = []
+    for point in points:
+        integral._level_values.cache_clear()
+        cleared.append(route_legs(*point))
+    assert hits > 0
+    # repr tells -0.0 from 0.0
+    assert list(map(repr, shared)) == list(map(repr, cleared))
+
+
+def test_kernel_legs_evaluate_the_kernel_once_across_weight_exponents(
+        monkeypatch):
+    calls = []
+
+    def spy(u, c):
+        calls.append((u, c))
+        return bessel_kernel(u, c)
+
+    monkeypatch.setattr(integral, "bessel_kernel", spy)
+    k, alpha, x = 1.5, 0.8, 2.0
+    integral._level_values.cache_clear()
+    for beta in (0.5, 1.0, 2.5):  # weight exponents p1 = 0, 1, 4: extra 0
+        route_legs(k, beta * k, alpha, x, "kernel")
+    # one level pair, 128 and 256 nodes, for each of c = +-alpha^2
+    assert len(calls) == 2 * (128 + 256)
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("args, error, plain", [
+    # weight exponent nu/k - 1 = 0 and nu/k - 1/2 = 0
+    ((1.0, 1.0, 1.0, 10.0, "kernel"), NonConvergence,
+     lambda t: t * bessel_kernel(10.0 * t, 1.0)),
+    ((1.0, 0.5, 30.0, 30.0, "cosh"), QuadratureFailure,
+     lambda t: math.cosh(900.0 * t)),
+], ids=["kernel", "cosh"])
+def test_a_raising_level_raises_again_and_is_not_stored(args, error, plain):
+    integral._level_values.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            route_legs(*args)
+        messages.append(str(raised.value))
+    # the message a callable outside the memo gets at the same nodes
+    with pytest.raises(error) as raised:
+        weighted_integral(plain, 0.0)
+    assert messages == [str(raised.value)] * 2
+    assert integral._level_values.cache_info().currsize == 0
+
+
+def test_other_callables_are_evaluated_on_every_level(node_calls):
+    integral._level_values.cache_clear()
+    seen = []
+
+    def stateful(t):
+        seen.append(t)
+        return 1.0
+
+    for _ in range(2):  # one callable, hashable and equal to itself
+        weighted_integral(stateful, 0.5)
+    assert len(seen) == sum(node_calls) == 2 * (128 + 256)
+    assert integral._level_values.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("h", [
+    integral._TrigIntegrand(math.cos, 3.0),
+    integral._TrigIntegrand(math.cosh, 7.0),
+    integral._KernelIntegrand(2.0, 1.5),
+    integral._KernelIntegrand(3.0, -2.0),
+], ids=["cos", "cosh", "kernel-j", "kernel-i"])
+def test_value_integrand_values_equal_calls_node_by_node(h):
+    ts, _ = integral._node_transform(0.2, 3, legendre_nodes(256))
+    assert h.values(ts).tobytes() == array("d", map(h, ts)).tobytes()
+
+
+def test_kernel_integrands_of_either_zero_sign_share_equal_values():
+    plus = integral._KernelIntegrand(0.5, 0.0)
+    minus = integral._KernelIntegrand(0.5, -0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    ts, _ = integral._node_transform(1.0, 0, legendre_nodes(128))
+    assert (array("d", map(plus, ts)).tobytes()
+            == array("d", map(minus, ts)).tobytes())

@@ -293,6 +293,33 @@ def test_digamma_and_trigamma_where_t_over_k_overflows_match_mpmath(t, k):
                                              rel=4e-16, abs=0.0)
 
 
+def _mp_k_digamma_large_u(t: float, k: float):
+    """(log t + (psi(u) - log u))/k with u = t/k, carried with enough digits
+    that psi(u) - log u, about -1/(2u), keeps 40 of its own."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40 + int(math.log10(t / k))):
+        t, k = mp.mpf(t), mp.mpf(k)
+        u = t / k
+        return (mp.log(t) + (mp.digamma(u) - mp.log(u))) / k
+
+
+@pytest.mark.parametrize("t,k,plain", [
+    (1.0, 1e-10, -0.5000089),  # log(k) and psi(t/k) cancel to 5e-11
+    (1.0, 1e-300, 0.0),        # ... and to nothing
+    (1.0, 2.0 ** -17, None),   # u = 2^17, the first u summed this way
+    (0.999, 1e-7, None),
+    (3.0, 1e-8, None),
+    (1e5, 1e-300, None),
+])
+def test_k_digamma_at_large_t_over_k_matches_mpmath(t, k, plain):
+    want = float(_mp_k_digamma_large_u(t, k))
+    assert k_digamma(t, k) == pytest.approx(want, rel=4e-16, abs=0.0)
+    if plain is not None:  # what the plain reduction returned
+        got = (math.log(k) + digamma(t / k)) / k
+        assert got == pytest.approx(plain, rel=1e-6, abs=1e-300)
+        assert got != pytest.approx(want, rel=1e-6)
+
+
 def test_digamma_past_double_range_where_t_over_k_overflows_raises():
     # log(10)/1e-309 = 2.3e309
     with pytest.raises(Overflow, match="exceeds double range"):

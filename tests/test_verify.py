@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from kbessel import kbessel, verify
+from kbessel import integral, kbessel, verify
 from kbessel import (
     CHECK_NAMES,
     GridSpec,
@@ -277,6 +277,34 @@ def test_turan_large_k_point():
 def test_turan_rejects_order_below_shift_window():
     with pytest.raises(InvalidParameter):
         check_turan(1.0, -0.8, 0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the level-value memo under check_chebyshev_products
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_chebyshev_reports_equal_reports_with_the_level_memo_cleared(seed):
+    # nu/k = 1 and 2.5 put all four weight exponents at extra = 0; at
+    # nu/k = 0.3 and a drawn nu/k they spread over other extras
+    rng = random.Random(seed)
+    points = [(k, beta * k, x, variant)
+              for k in (1.0, round(rng.uniform(0.5, 2.0), 3))
+              for beta in (1.0, 2.5, 0.3, round(rng.uniform(-0.45, 3.0), 3))
+              for x in (round(rng.uniform(0.1, 1.0), 3),
+                        round(rng.uniform(1.0, 6.0), 3))
+              for variant in ("cos", "cosh")]
+    integral._level_values.cache_clear()
+    shared = [check_chebyshev_products(*point) for point in points]
+    hits = integral._level_values.cache_info().hits
+    cleared = []
+    for point in points:
+        integral._level_values.cache_clear()
+        cleared.append(check_chebyshev_products(*point))
+    assert hits > 0
+    assert sum(not report.skipped for report in shared) >= len(points) // 2
+    # repr tells -0.0 from 0.0 in margins and notes
+    assert list(map(repr, shared)) == list(map(repr, cleared))
 
 
 # ---------------------------------------------------------------------------
