@@ -2,7 +2,7 @@
 
 Dekker's error-free product (Numer. Math. 18, 1971) and the dd-times-double
 product built on it.  The series ratio -c (x/2)^2 is formed with them; the
-series loop in ``kbessel._series_sum`` writes the same operations out inline
+series loop in ``kbessel._series`` writes the same operations out inline
 and splits with the same ``_SPLITTER``, leaving out what is exact there:
 an integer 0 <= r <= 2^26 splits as (r, 0), since 134217729 r is exact,
 and a two-sum with a zero operand is (lo + 0.0, +0.0).  Neither dropped

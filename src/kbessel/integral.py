@@ -43,6 +43,10 @@ class QuadConfig:
     max_refinements: int = 8
 
     def __post_init__(self):
+        for name in ("nodes", "max_refinements"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.nodes < 2:
             raise InvalidParameter(f"nodes must be >= 2, got {self.nodes}")
         if not self.abs_tol > 0.0:
@@ -63,10 +67,12 @@ class IntegralRepParams:
     x: float
 
     def __post_init__(self):
+        for name in ("k", "nu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameter(f"{name} must be finite, got {value}")
         if not self.k > 0.0:
             raise InvalidParameter(f"k must be positive, got {self.k}")
-        if math.isnan(self.nu):
-            raise InvalidParameter("nu must be a real number, got nan")
         if not self.alpha > 0.0:
             raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
         if not self.x > 0.0:
@@ -425,8 +431,15 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
             quads = [(-c_sq, eval_w_cosh(rep, cfg))]
     except OutsideDomain as exc:
         return exc.reason, []
-    return None, [(c, quad, eval_w(KBesselParams(k, nu, c), x).value)
-                  for c, quad in quads]
+    return None, [(c, quad, _series_w(k, nu, c, x)) for c, quad in quads]
+
+
+def _series_w(k: float, nu: float, c: float, x: float) -> float:
+    """eval_w's value at c = +-alpha^2; Overflow where alpha^2 has left the
+    double range (KBesselParams refuses an infinite c as invalid)."""
+    if math.isinf(c):
+        raise Overflow(f"c = +-alpha^2 exceeds double range, got {c!r}")
+    return eval_w(KBesselParams(k, nu, c), x).value
 
 
 def _relation_sides(name: str, k: float, alpha: float, x: float
@@ -439,7 +452,7 @@ def _relation_sides(name: str, k: float, alpha: float, x: float
         lhs = fn(arg)
     except OverflowError:
         raise Overflow(f"{name}({arg!r}) exceeds double range") from None
-    w = eval_w(KBesselParams(k, 0.5 * k, sign * (alpha * alpha)), x).value
+    w = _series_w(k, 0.5 * k, sign * (alpha * alpha), x)
     return lhs, (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
 
 

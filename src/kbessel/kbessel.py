@@ -25,8 +25,6 @@ consecutive terms fall below rel_tol times the running sum.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 import sys
@@ -40,19 +38,21 @@ from .kgamma import _exp_guarded, ln_k_gamma
 
 @dataclass(frozen=True)
 class KBesselParams:
-    """Parameter triple (k, nu, c); requires k > 0 and nu > -k."""
+    """Parameter triple (k, nu, c); requires all finite, k > 0 and nu > -k."""
 
     k: float
     nu: float
     c: float
 
     def __post_init__(self):
+        for name in ("k", "nu", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameter(f"{name} must be finite, got {value}")
         if not self.k > 0.0:
             raise InvalidParameter(f"k must be positive, got {self.k}")
         if not self.nu > -self.k:
             raise OutsideDomain("nu must exceed -k", f"nu={self.nu}, k={self.k}")
-        if math.isnan(self.c):
-            raise InvalidParameter("c must be a real number, got nan")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class SeriesConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise InvalidParameter(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not 1 <= self.max_terms <= 2**26:  # _series_sum splits r + 1 exactly
+        if not 1 <= self.max_terms <= 2**26:  # _series splits r + 1 exactly
             raise InvalidParameter(f"max_terms must be in [1, 2**26], got {self.max_terms}")
 
 
@@ -87,50 +87,10 @@ def _tail_estimate(first_omitted: float, next_ratio: float, alternating: bool) -
     return math.inf
 
 
-# The series memo of the verify sweep running in this context, else None.
-_MEMO: contextvars.ContextVar = contextvars.ContextVar("series_memo", default=None)
-# On the default verify sweep, 3356 of the 3749 repeated series calls hit
-# at 256 entries; unbounded, the memo held 4494 entries, 1.9 MB more RSS.
-_MEMO_SIZE = 256
-
-
-@contextlib.contextmanager
-def _series_memo():
-    """Memoize _series within the block, in this context only (another
-    thread does not see the memo); removed on exit or raise."""
-    token = _MEMO.set(functools.lru_cache(maxsize=_MEMO_SIZE)(_series_sum))
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
+@functools.lru_cache(maxsize=256, typed=True)
 def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             cfg: SeriesConfig, x: float | None = None
             ) -> tuple[EvalResult, float, float]:
-    """_series_sum, through the memo of the enclosing _series_memo block.
-
-    Outside such a block (every call but those of verify.run_grid) there is
-    no memo.  Inside, the key is every argument and the value the returned
-    (EvalResult, d1, d2), shared between callers (EvalResult is frozen);
-    a call that raises is not stored.  Keys compare by value, so +0.0 and
-    -0.0 collide, which cannot change a bit: t0, k and x are > 0 or None.
-    A nu of +-0.0 is added to +0.0 (0*k + nu and 2r + nu/k at r = 0) or to
-    a nonzero dh (r > 0), with the same sum either way, and its two-sum
-    error nu - v (v = +0.0 there) is added to +0.0, giving +0.0.  A qhi of
-    +-0.0 ends the sum at t_0 before q is read.  A qlo of +-0.0 joins only
-    e += t*qlo + tlo*qhi, where e, an error sum (a*b - p) + ... with p =
-    a*b rounded, is never -0.0, so adding either zero leaves e as it is.
-    Keys 1 and 1.0 would collide too; within a sweep every argument is a
-    float (GridSpec converts the grid).
-    """
-    memo = _MEMO.get()
-    return (memo or _series_sum)(t0, qhi, qlo, k, nu, cfg, x)
-
-
-def _series_sum(t0: float, qhi: float, qlo: float, k: float, nu: float,
-                cfg: SeriesConfig, x: float | None = None
-                ) -> tuple[EvalResult, float, float]:
     """Sum t_r with t_{r+1} = t_r * q / ((r+1)(r k + nu + k)) in dd arithmetic.
 
     Given x, also sums the term-wise derivatives t_r (2r+b)/x and
@@ -147,6 +107,20 @@ def _series_sum(t0: float, qhi: float, qlo: float, k: float, nu: float,
     it) splits as (r, 0).  Each dropped zero would join a two-sum error or
     a sum (a*b - p) + ... with a*b >= 0, never -0.0, so no bit changes and
     NaN stays NaN.  tests/test_series.py keeps the composed loop as oracle.
+
+    Memoized for every caller: the key is every argument and the value the
+    returned (EvalResult, d1, d2), shared between callers (EvalResult is
+    frozen); a call that raises is not stored.  The 256 most recently used
+    entries stay, about 0.16 MB; on the default verify sweep 3356 of 8253
+    calls hit.  typed=True keeps 1 and 1.0 apart.  Keys compare floats by
+    value, so +0.0 and -0.0 collide, which cannot change a bit: t0, k and x
+    are > 0 or None.  A nu of +-0.0 is added to +0.0 (0*k + nu and 2r + nu/k
+    at r = 0) or to a nonzero dh (r > 0), with the same sum either way, and
+    its two-sum error nu - v (v = +0.0 there) is added to +0.0, giving +0.0.
+    A qhi of +-0.0 ends the sum at t_0 before q is read.  A qlo of +-0.0
+    joins only e += t*qlo + tlo*qhi, where e, an error sum (a*b - p) + ...
+    with p = a*b rounded, is never -0.0, so adding either zero leaves e as
+    it is.
     """
     rel_tol = cfg.rel_tol
     max_terms = cfg.max_terms

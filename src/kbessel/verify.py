@@ -38,7 +38,6 @@ from .integral import (
 )
 from .kbessel import (
     KBesselParams,
-    _series_memo,
     deriv_w,
     eval_normalized_i,
     eval_w,
@@ -706,12 +705,6 @@ def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
     check the reports follow the lexicographic order of the sorted grid
     values, so output is byte-identical across runs.  A failing point
     produces a failed report; it never aborts the run.
-
-    The checks share a memo of the series sums (``kbessel._series``) for
-    the length of the sweep: it keys on every argument of the sum, holds
-    the 256 most recently used (about 0.16 MB of peak RSS) and is removed
-    when the sweep returns or raises.  Values are the ones each check gets
-    on its own; on the default grid 3356 of 8253 sums are served from it.
     """
     ordered: list[str] = []
     for name in checks:
@@ -721,7 +714,6 @@ def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
         if name not in ordered:
             ordered.append(name)
     reports: list[VerifyReport] = []
-    with _series_memo():
-        for name in ordered:
-            reports.extend(_expand(name, spec))
+    for name in ordered:
+        reports.extend(_expand(name, spec))
     return reports

@@ -198,6 +198,16 @@ class TestEval:
         assert result.exit_code == 2
         assert "k must be positive" in result.stderr
 
+    @pytest.mark.parametrize("option, value", [
+        ("--k", "inf"), ("--nu", "inf"), ("--c", "inf"), ("--c", "-inf")])
+    def test_non_finite_parameter_exits_2(self, runner, option, value):
+        args = {"--k": "1", "--nu": "0", "--c": "1", option: value}
+        result = runner.invoke(
+            main, ["eval", *(a for pair in args.items() for a in pair),
+                   "--x", "1"])
+        assert result.exit_code == 2
+        assert f"{option[2:]} must be finite, got {value}" in result.stderr
+
     def test_missing_required_option_exits_2(self, runner):
         result = runner.invoke(main, ["eval", "--k", "1", "--nu", "0"])
         assert result.exit_code == 2

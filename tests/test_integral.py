@@ -14,7 +14,8 @@ import pytest
 
 from kbessel import InvalidParameter, KBesselParams, eval_w
 from kbessel import integral
-from kbessel.errors import KBesselError, NonConvergence, QuadratureFailure
+from kbessel.errors import (KBesselError, NonConvergence, Overflow,
+                            QuadratureFailure)
 from kbessel.integral import (
     ROUTES,
     IntegralRepParams,
@@ -214,6 +215,35 @@ def test_quad_config_validation():
         QuadConfig(abs_tol=0.0)
     with pytest.raises(InvalidParameter):
         QuadConfig(max_refinements=0)
+
+
+@pytest.mark.parametrize("field, value", [("nodes", 2.5),
+                                          ("max_refinements", 1.5)])
+def test_quad_config_refuses_a_non_integer_count(field, value):
+    # before the integral, where the count would end in a bare TypeError
+    with pytest.raises(InvalidParameter, match=f"^{field} must be an integer"):
+        weighted_integral(math.cos, 0.5, QuadConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["k", "nu"])
+def test_integral_rep_params_refuse_a_non_finite_field_by_name(field, value):
+    args = {"k": 1.0, "nu": 0.5, "alpha": 1.0, "x": 1.0, field: value}
+    with pytest.raises(InvalidParameter, match=f"^{field} must be finite"):
+        IntegralRepParams(**args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: route_legs(1.0, 0.5, 1e200, 1e-200, "cos"),
+    lambda: route_legs(1.0, 0.5, 1e200, 1e-200, "cosh"),
+    lambda: sin_relation_check(1.0, 1e200, 1e-200),
+    lambda: sinh_relation_check(1.0, 1e200, 1e-200),
+], ids=["cos", "cosh", "sin", "sinh"])
+def test_series_side_refuses_an_overflowing_alpha_squared(call):
+    # alpha x is 1, but c = +-alpha^2 is infinite: an overflow of the
+    # point, not an invalid parameter
+    with pytest.raises(Overflow, match="alpha\\^2 exceeds double range"):
+        call()
 
 
 def test_integral_rep_params_validation():

@@ -37,7 +37,7 @@ from kbessel import (
 )
 from kbessel._dd import dd_mul_d, quick_two_sum, two_prod
 from kbessel.kbessel import (EvalResult, _leading_term, _series,
-                             _series_sum, _tail_estimate, _w_ratio)
+                             _tail_estimate, _w_ratio)
 
 # (nu, x) -> J_nu(x), 60-term 40-digit oracle, correctly rounded doubles
 BESSEL_J_FIXTURES = [
@@ -79,6 +79,14 @@ def test_params_validation_messages():
         KBesselParams(1.0, math.nan, 1.0)
     with pytest.raises(InvalidParameter):
         KBesselParams(1.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["k", "nu", "c"])
+def test_params_refuse_a_non_finite_field_by_name(field, value):
+    args = {"k": 1.0, "nu": 0.5, "c": 1.0, field: value}
+    with pytest.raises(InvalidParameter, match=f"^{field} must be finite"):
+        KBesselParams(**args)
 
 
 def test_series_config_validation():
@@ -441,21 +449,25 @@ def _outcome(series, t0, qhi, qlo, k, nu, x, cfg=SeriesConfig()):
                        d1, d2)
 
 
+# The loop itself, past the memo: a check of its bits must run it
+_series_loop = _series.__wrapped__
+
+
 def _oracle_digest(seed, count):
     """sha256 over _series's outcomes, without and with x, at _series_cases;
     the same number for every version of the loop that keeps its bits."""
     digest = hashlib.sha256()
     for t0, qhi, qlo, k, nu, x in _series_cases(seed, count):
         for arg in (None, x):
-            digest.update(repr(_outcome(_series, t0, qhi, qlo, k, nu, arg))
-                          .encode())
+            digest.update(repr(_outcome(_series_loop, t0, qhi, qlo, k, nu,
+                                        arg)).encode())
     return digest.hexdigest()
 
 
 def test_inline_series_loop_matches_the_composed_dd_loop():
     for t0, qhi, qlo, k, nu, x in _series_cases(8, 2000):
         for arg in (None, x):
-            assert (_outcome(_series, t0, qhi, qlo, k, nu, arg)
+            assert (_outcome(_series_loop, t0, qhi, qlo, k, nu, arg)
                     == _outcome(_reference_series, t0, qhi, qlo, k, nu, arg))
 
 
@@ -466,15 +478,27 @@ def test_inline_series_loop_matches_the_composed_dd_loop():
 @settings(max_examples=300, deadline=None)
 def test_zero_signs_merged_by_the_memo_key_give_the_same_bits(k, c, x,
                                                                derivs):
-    # the sweep memo keys by value, so +0.0 and -0.0 in nu, qhi or qlo share
-    # an entry: the sum must not tell them apart
+    # the memo keys by value, so +0.0 and -0.0 in nu, qhi or qlo share an
+    # entry: the sum must not tell them apart (through the memo, every
+    # sign would get the first one's entry and this would test nothing)
     qhi, qlo = _w_ratio(c, x)
     his = (0.0, -0.0) if qhi == 0.0 else (qhi,)
     los = (0.0, -0.0) if qlo == 0.0 else (qlo,)
     arg = x if derivs else None
-    outcomes = {_outcome(_series_sum, 1.0, hi, lo, k, nu, arg)
+    outcomes = {_outcome(_series_loop, 1.0, hi, lo, k, nu, arg)
                 for hi in his for lo in los for nu in (0.0, -0.0)}
     assert len(outcomes) == 1
+
+
+def test_memo_keeps_int_and_float_arguments_apart():
+    qhi, qlo = _w_ratio(1.0, 2.0)
+    cfg = SeriesConfig()
+    _series.cache_clear()
+    as_int = _series(1, qhi, qlo, 1, 0, cfg, 2)
+    as_float = _series(1.0, qhi, qlo, 1.0, 0.0, cfg, 2.0)
+    info = _series.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    assert repr(as_int) == repr(as_float)
 
 
 @pytest.mark.parametrize("point,max_terms,kinds", [
@@ -496,7 +520,7 @@ def test_inline_series_loop_matches_the_composed_dd_loop_at_the_edges(
     qhi, qlo = _w_ratio(c, x)
     cfg = SeriesConfig(max_terms=max_terms)
     for arg, kind in zip((None, x), kinds):
-        got = _outcome(_series, t0, qhi, qlo, k, nu, arg, cfg)
+        got = _outcome(_series_loop, t0, qhi, qlo, k, nu, arg, cfg)
         assert got == _outcome(_reference_series, t0, qhi, qlo, k, nu, arg,
                                cfg)
         assert ("bytes" if isinstance(got, bytes) else got[0]) == kind

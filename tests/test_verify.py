@@ -659,7 +659,7 @@ def test_verify_report_is_frozen():
 
 
 # ---------------------------------------------------------------------------
-# the series memo of one run_grid sweep
+# the series memo (kbessel._series) seen from a run_grid sweep
 
 
 def _memo_grid(seed: int) -> GridSpec:
@@ -679,70 +679,50 @@ def _memo_grid(seed: int) -> GridSpec:
     )
 
 
-def _counting_series_sum(monkeypatch) -> list:
+def _spy_series(monkeypatch, target) -> list:
+    """Route kbessel's series calls through a spy that records their
+    arguments and calls ``target``."""
     calls = []
-    original = kbessel._series_sum
 
-    def counted(*args):
+    def spy(*args):
         calls.append(args)
-        return original(*args)
+        return target(*args)
 
-    monkeypatch.setattr(kbessel, "_series_sum", counted)
+    monkeypatch.setattr(kbessel, "_series", spy)
     return calls
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_sweep_memo_reports_equal_direct_checks(monkeypatch, seed):
     spec = _memo_grid(seed)
-    calls = _counting_series_sum(monkeypatch)
+    memo = kbessel._series
+    memo.cache_clear()
+    calls = _spy_series(monkeypatch, memo)
     swept = run_grid(spec, CHECK_NAMES)
-    in_sweep = len(calls)
-    assert kbessel._MEMO.get() is None
+    hits = memo.cache_info().hits
+    # the same checks with every series sum run afresh, past the memo
+    _spy_series(monkeypatch, memo.__wrapped__)
     direct = [report for name in CHECK_NAMES
               for report in verify._expand(name, spec)]
+    assert memo.cache_info().hits == hits
     # repr tells -0.0 from 0.0 in margins and notes
     assert len(swept) == len(direct)
     differing = [(a, b) for a, b in zip(map(repr, swept), map(repr, direct))
                  if a != b]
     assert differing[:1] == []
-    assert 0 < in_sweep < len(calls) - in_sweep
+    assert 0 < hits < len(calls)
     assert any(args[4] == 0.0 and math.copysign(1.0, args[4]) < 0.0
                for args in calls)
     assert any(args[4] == 0.0 and math.copysign(1.0, args[4]) > 0.0
                for args in calls)
 
 
-def test_sweep_memo_is_open_only_during_run_grid(monkeypatch):
-    seen = []
-    check = verify.check_turan
-
-    def spy(*args, **kwargs):
-        seen.append(kbessel._MEMO.get() is not None)
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "check_turan", spy)
-    assert kbessel._MEMO.get() is None
-    run_grid(small_grid(), ["turan"])
-    assert seen == [True]
-    assert kbessel._MEMO.get() is None
-
-
-def test_sweep_memo_is_removed_when_run_grid_raises(monkeypatch):
-    def boom(*args, **kwargs):
-        assert kbessel._MEMO.get() is not None
-        raise RuntimeError("check broke")
-
-    monkeypatch.setattr(verify, "check_turan", boom)
-    with pytest.raises(RuntimeError, match="check broke"):
-        run_grid(small_grid(), ["ode", "turan"])
-    assert kbessel._MEMO.get() is None
-
-
 def test_sweep_memo_does_not_store_a_call_that_raises(monkeypatch):
-    calls = _counting_series_sum(monkeypatch)
+    memo = kbessel._series
     outcomes = []
 
     def repeat(p, x):
+        memo.cache_clear()
         # capped at 5 terms, J0 at x = 10 does not converge
         for _ in range(2):
             try:
@@ -750,17 +730,19 @@ def test_sweep_memo_does_not_store_a_call_that_raises(monkeypatch):
                        SeriesConfig(max_terms=5))
             except NonConvergence:
                 outcomes.append("raised")
+        outcomes.append(memo.cache_info())
         for _ in range(2):
             outcomes.append(eval_w(KBesselParams(1.0, 0.0, 1.0), 10.0).value)
+        outcomes.append(memo.cache_info())
         return check_ode(p, x)
 
     monkeypatch.setattr(verify, "check_ode", repeat)
     run_grid(small_grid(), ["ode"])
-    assert outcomes[:2] == ["raised", "raised"]
-    assert outcomes[2] == outcomes[3]
-    # both capped calls ran the sum; the second uncapped one was a hit
-    capped = [args for args in calls if args[5].max_terms == 5]
-    uncapped = [args for args in calls if args[:3] == capped[0][:3]
-                and args[5].max_terms != 5]
-    assert len(capped) == 2
-    assert len(uncapped) == 1
+    raised, capped, first, second, uncapped = (
+        outcomes[:2], outcomes[2], outcomes[3], outcomes[4], outcomes[5])
+    assert raised == ["raised", "raised"]
+    # both capped calls ran the sum and left no entry; the second uncapped
+    # one was a hit
+    assert (capped.hits, capped.misses, capped.currsize) == (0, 2, 0)
+    assert first == second
+    assert (uncapped.hits, uncapped.misses, uncapped.currsize) == (1, 3, 1)
