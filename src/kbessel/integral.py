@@ -4,7 +4,9 @@ Three independent quadrature routes, all of the shape
 
     W(x) = prefactor(k, nu, x) * int_0^1 (1 - t^2)^a h(t) dt,
 
-with h a cosine, hyperbolic cosine, or an inner power-series kernel.  They
+with h a cosine, hyperbolic cosine, or an inner power-series kernel.  The
+prefactor is formed in log space and exponentiated after the integral, so
+the integral's own refusals (an overflowing weight exponent) come first.  They
 share one weighted-integral engine: Gauss-Legendre with node doubling, after
 the substitution t = cos(delta) (one power of the endpoint weight moves into
 the Jacobian) iterated with further sine maps until the transformed endpoint
@@ -45,7 +47,7 @@ class QuadConfig:
     def __post_init__(self):
         for name in ("nodes", "max_refinements"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.nodes < 2:
             raise InvalidParameter(f"nodes must be >= 2, got {self.nodes}")
@@ -142,14 +144,26 @@ def _substitution_levels(p1: float) -> int:
     return max(0, math.ceil(math.log2(8.0 / (p1 + 1.0))))
 
 
+@dataclass(frozen=True, slots=True)
+class _Level:
+    """One quadrature level as a cache key: (extra, n) and the nodes that
+    the cached function reads, ``legendre_nodes(n)`` for
+    ``_node_transform`` and the level's t_i for ``_level_values``.  It is
+    compared and hashed by (extra, n) alone, since those fix the nodes."""
+
+    extra: int
+    n: int
+    nodes: tuple | array = field(compare=False, repr=False)
+
+
 @lru_cache(maxsize=128)
-def _node_transform(p1: float, extra: int, nodes: tuple[tuple[float, ...], ...]
-                    ) -> tuple[array, array]:
+def _node_transform(p1: float, level: _Level) -> tuple[array, array]:
     """Nodes t_i and weights of one level after the sine-map chain.
 
-    ``nodes`` is ``legendre_nodes(n)``; the weight w_i * (pi/4) * exp(ln_val)
-    holds everything but h(t_i).  The chain depends only on (p1, extra, n),
-    so it is cached; callers share the arrays and only read them.  The t_i
+    ``level.nodes`` is ``legendre_nodes(level.n)``; the weight
+    w_i * (pi/4) * exp(ln_val) holds everything but h(t_i).  The chain
+    depends only on (p1, extra, n), so it is cached under that key;
+    callers share the arrays and only read them.  The t_i
     do not read p1: every p1 with the same (extra, n) gets the same t_i, bit
     for bit, which is what lets ``_level_values`` share h's values across
     weight exponents.  A node whose weight overflows raises
@@ -159,7 +173,8 @@ def _node_transform(p1: float, extra: int, nodes: tuple[tuple[float, ...], ...]
     128 * 16 * 32768 bytes = 64 MiB; the default verify grid fills 76
     entries with 228 KiB.
     """
-    xs, ws = nodes
+    extra = level.extra
+    xs, ws = level.nodes
     quarter_pi = 0.25 * math.pi
     ts = array("d")
     weights = array("d")
@@ -218,16 +233,6 @@ class _KernelIntegrand:
 _VALUE_INTEGRANDS = (_TrigIntegrand, _KernelIntegrand)
 
 
-@dataclass(frozen=True, slots=True)
-class _Level:
-    """The nodes t_i of one level, compared and hashed by (extra, n) alone,
-    since those fix them (see ``_node_transform``)."""
-
-    extra: int
-    n: int
-    ts: array = field(compare=False, repr=False)
-
-
 @lru_cache(maxsize=256)
 def _level_values(h, level: _Level) -> array:
     """h(t_i) at every node of ``level``, for an h of ``_VALUE_INTEGRANDS``.
@@ -243,11 +248,12 @@ def _level_values(h, level: _Level) -> array:
     them; its key also keeps the level's t_i array, which is the one
     ``_node_transform``'s cache holds until that entry is evicted.
     """
-    return h.values(level.ts)
+    return h.values(level.nodes)
 
 
 def _integrate_once(h, p1: float, extra: int, n: int) -> float:
-    """One level: fsum of w_i h(t_i) over the level's n nodes.
+    """One level: fsum of w_i h(t_i) over the level's n nodes, or
+    QuadratureFailure where that sum is not finite.
 
     Where h is a ``_VALUE_INTEGRANDS`` value, h(t_i) comes from the
     ``_level_values`` memo, so integrals of one h at weight exponents that
@@ -258,16 +264,23 @@ def _integrate_once(h, p1: float, extra: int, n: int) -> float:
     """
     # legendre_nodes is called on every level, cached or not:
     # perfbench/tracer.py counts quadrature nodes from these calls
-    ts, weights = _node_transform(p1, extra, legendre_nodes(n))
+    ts, weights = _node_transform(p1, _Level(extra, n, legendre_nodes(n)))
     try:
         if type(h) in _VALUE_INTEGRANDS:
             values = _level_values(h, _Level(extra, n, ts))
         else:
-            values = map(h, ts)
-        return math.fsum(map(mul, weights, values))
+            values = list(map(h, ts))  # h runs before fsum's try below
+        try:
+            total = math.fsum(map(mul, weights, values))
+        except ValueError:  # fsum of +inf and -inf
+            total = math.nan
     except OverflowError:  # in h (cosh of a large argument) or in the sum
         raise QuadratureFailure(
             "transformed integrand overflows double range") from None
+    if not math.isfinite(total):
+        raise QuadratureFailure(
+            f"transformed integrand sums to {total!r} over {n} nodes")
+    return total
 
 
 def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
@@ -275,7 +288,8 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
 
     Node doubling continues until two successive levels agree to abs_tol
     relative to max(1, |value|); QuadratureFailure if the cap is hit first
-    or the transformed integrand leaves the double range.
+    or the transformed integrand leaves the double range or a level's sum
+    is not finite (a NaN level would otherwise double on to the cap).
     """
     if not a > -1.0:
         raise InvalidParameter(f"weight exponent must exceed -1, got {a}")
@@ -314,11 +328,10 @@ def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
     ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
                - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
                + (p.nu / p.k) * math.log(0.5 * p.x))
-    pref = _exp_guarded(ln_pref, "integral prefactor")
     omega = _argument(weight.__name__, p.alpha, p.x, p.k)
     integral = weighted_integral(_TrigIntegrand(weight, omega),
                                  p.nu / p.k - 0.5, cfg)
-    return pref * integral
+    return _exp_guarded(ln_pref, "integral prefactor") * integral
 
 
 def eval_w_cos(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
@@ -395,11 +408,10 @@ def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
         raise InvalidParameter("c must be a real number, got nan")
     ln_pref = (_LN2 - math.log(p.k) - ln_k_gamma(p.nu, p.k)
                + (p.nu / p.k) * math.log(0.5 * p.x))
-    pref = _exp_guarded(ln_pref, "integral prefactor")
     scale = p.x / math.sqrt(p.k)
     integral = weighted_integral(_KernelIntegrand(scale, c),
                                  p.nu / p.k - 1.0, cfg)
-    return pref * integral
+    return _exp_guarded(ln_pref, "integral prefactor") * integral
 
 
 ROUTES = ("cos", "cosh", "kernel")
@@ -424,7 +436,8 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
     c_sq = alpha * alpha
     try:
         if route == "kernel":  # the kernel reads c, never alpha
-            quads = [(c, eval_w_bessel_kernel(rep, c, cfg)) for c in (c_sq, -c_sq)]
+            quads = [(c, eval_w_bessel_kernel(rep, c, cfg))
+                     for c in (_finite_c(c_sq), -c_sq)]
         elif route == "cos":
             quads = [(c_sq, eval_w_cos(rep, cfg))]
         else:
@@ -434,12 +447,20 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
     return None, [(c, quad, _series_w(k, nu, c, x)) for c, quad in quads]
 
 
-def _series_w(k: float, nu: float, c: float, x: float) -> float:
-    """eval_w's value at c = +-alpha^2; Overflow where alpha^2 has left the
-    double range (KBesselParams refuses an infinite c as invalid)."""
+def _finite_c(c: float) -> float:
+    """c = +-alpha^2, or Overflow where alpha^2 has left the double range;
+    it is checked before the first leg that reads c (the kernel's
+    quadrature, or the series after a cos or cosh quadrature), since
+    KBesselParams refuses an infinite c as invalid and bessel_kernel as a
+    bad argument."""
     if math.isinf(c):
         raise Overflow(f"c = +-alpha^2 exceeds double range, got {c!r}")
-    return eval_w(KBesselParams(k, nu, c), x).value
+    return c
+
+
+def _series_w(k: float, nu: float, c: float, x: float) -> float:
+    """eval_w's value at c = +-alpha^2."""
+    return eval_w(KBesselParams(k, nu, _finite_c(c)), x).value
 
 
 def _relation_sides(name: str, k: float, alpha: float, x: float

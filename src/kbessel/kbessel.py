@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
-from ._dd import _SPLITTER, dd_mul_d, two_prod
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow)
 from .kgamma import _exp_guarded, ln_k_gamma
@@ -63,6 +61,8 @@ class SeriesConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise InvalidParameter(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+        if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int):
+            raise InvalidParameter(f"max_terms must be an integer, got {self.max_terms!r}")
         if not 1 <= self.max_terms <= 2**26:  # _series splits r + 1 exactly
             raise InvalidParameter(f"max_terms must be in [1, 2**26], got {self.max_terms}")
 
@@ -75,6 +75,7 @@ class EvalResult:
 
 
 _DEFAULT_CONFIG = SeriesConfig()
+_SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double in halves
 
 
 def _tail_estimate(first_omitted: float, next_ratio: float, alternating: bool) -> float:
@@ -88,49 +89,73 @@ def _tail_estimate(first_omitted: float, next_ratio: float, alternating: bool) -
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
-            cfg: SeriesConfig, x: float | None = None
+def _series(t0: float, c: float, x: float, k: float, nu: float,
+            cfg: SeriesConfig, derivs: bool
             ) -> tuple[EvalResult, float, float]:
-    """Sum t_r with t_{r+1} = t_r * q / ((r+1)(r k + nu + k)) in dd arithmetic.
+    """Sum t_r with t_{r+1} = t_r * q / ((r+1)(r k + nu + k)) in dd arithmetic,
+    where q = -c (x/2)^2.
 
-    Given x, also sums the term-wise derivatives t_r (2r+b)/x and
+    With derivs, also sums the term-wise derivatives t_r (2r+b)/x and
     t_r (2r+b)(2r+b-1)/x^2 with b = nu/k, and truncation waits for all three
-    sums (Overflow if one leaves double range); without x both are returned
+    sums (Overflow if one leaves double range); without, both are returned
     as 0.0.  q = 0 (c = 0, or underflow) ends the sum at t_0, est_error 0.0.
 
-    The loop body writes out the dd operations named in its comments
-    (two-sum based dd_add, Dekker two_prod, dd_mul, dd_mul_d, three-digit
-    dd_div) in the same order, so the bits are those of the composed
-    functions without the calls; q, k and each term are split once.  Work
-    on exact zeros is left out: nu, k and q3 have low part 0, two_sum(lo,
-    0.0) is (lo + 0.0, +0.0), and an integer r <= 2^26 (max_terms bounds
-    it) splits as (r, 0).  Each dropped zero would join a two-sum error or
-    a sum (a*b - p) + ... with a*b >= 0, never -0.0, so no bit changes and
-    NaN stays NaN.  tests/test_series.py keeps the composed loop as oracle.
+    q is Dekker's exact product (x/2)(x/2) (Numer. Math. 18, 1971) times -c
+    as a dd times a double, and exactly 0 at c = 0, where that product is
+    NaN once (x/2)^2 or its split overflows.  The body writes out the dd
+    operations named in its comments (two-sum based dd_add, Dekker's exact
+    product, dd_mul, dd times double, three-digit dd_div) in the same
+    order, so the bits are those of the composed functions without the
+    calls; x/2, q, k and each term are split once.  Work on exact zeros is
+    left out: nu, k and q3 have low part 0, two_sum(lo, 0.0) is
+    (lo + 0.0, +0.0), and an integer r <= 2^26 (max_terms bounds it) splits
+    as (r, 0).  Each dropped zero would join a two-sum error or a sum
+    (a*b - p) + ... with a*b >= 0, never -0.0, so no bit changes and NaN
+    stays NaN.  tests/test_series.py keeps the composed functions and loop
+    as oracle.
 
     Memoized for every caller: the key is every argument and the value the
     returned (EvalResult, d1, d2), shared between callers (EvalResult is
     frozen); a call that raises is not stored.  The 256 most recently used
-    entries stay, about 0.16 MB; on the default verify sweep 3356 of 8253
+    entries stay, about 0.16 MB; on the default verify sweep 3350 of 8253
     calls hit.  typed=True keeps 1 and 1.0 apart.  Keys compare floats by
-    value, so +0.0 and -0.0 collide, which cannot change a bit: t0, k and x
-    are > 0 or None.  A nu of +-0.0 is added to +0.0 (0*k + nu and 2r + nu/k
-    at r = 0) or to a nonzero dh (r > 0), with the same sum either way, and
-    its two-sum error nu - v (v = +0.0 there) is added to +0.0, giving +0.0.
-    A qhi of +-0.0 ends the sum at t_0 before q is read.  A qlo of +-0.0
-    joins only e += t*qlo + tlo*qhi, where e, an error sum (a*b - p) + ...
-    with p = a*b rounded, is never -0.0, so adding either zero leaves e as
-    it is.
+    value, so +0.0 and -0.0 collide, which cannot change a bit: t0 and k
+    are > 0, x is nonzero, and c = +-0.0 both give q = (0.0, 0.0).  A nu of
+    +-0.0 is added to +0.0 (0*k + nu and 2r + nu/k at r = 0) or to a
+    nonzero dh (r > 0), with the same sum either way, and its two-sum error
+    nu - v (v = +0.0 there) is added to +0.0, giving +0.0.
     """
     rel_tol = cfg.rel_tol
     max_terms = cfg.max_terms
-    derivs = x is not None
     if derivs:
         b = nu / k
         inv_x = 1.0 / x
         inv_x2 = inv_x * inv_x
         if not math.isfinite(inv_x2):
             raise Overflow(f"1/x^2 exceeds double range at x = {x!r}")
+    if c == 0.0:
+        qhi = qlo = 0.0
+    else:
+        # s = (x/2)(x/2), exact product
+        xh = 0.5 * x
+        u = _SPLITTER * xh
+        xsh = u - (u - xh)
+        xsl = xh - xsh
+        p = xh * xh
+        e = ((xsh * xsh - p) + xsh * xsl + xsl * xsh) + xsl * xsl
+        # q = s (-c), dd times double
+        nc = -c
+        qhi = p * nc
+        u = _SPLITTER * p
+        psh = u - (u - p)
+        psl = p - psh
+        u = _SPLITTER * nc
+        csh = u - (u - nc)
+        csl = nc - csh
+        e = ((psh * csh - qhi) + psh * csl + psl * csh) + psl * csl + e * nc
+        a = qhi + e
+        qlo = e - (a - qhi)
+        qhi = a
     # Dekker splits (hi, lo) of the loop invariants q and k
     u = _SPLITTER * qhi
     qsh = u - (u - qhi)
@@ -167,7 +192,7 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             m = 2.0 * r + b
             m1 = m * inv_x
             m2 = m * (m - 1.0) * inv_x2
-            # g1 = dd_mul_d(t, m1)
+            # g1 = t m1, dd times double
             p1 = thi * m1
             u = _SPLITTER * m1
             msh = u - (u - m1)
@@ -189,7 +214,7 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             e += g
             s1h = h + e
             s1l = e - (s1h - h)
-            # g2 = dd_mul_d(t, m2)
+            # g2 = t m2, dd times double
             p2 = thi * m2
             u = _SPLITTER * m2
             msh = u - (u - m2)
@@ -217,7 +242,7 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
             est = 0.0
             break
         # next term, denominator (r+1)(r k + nu + k) built exactly in dd
-        # d = two_prod(r, k), r split as (r, 0)
+        # d = r k, exact product, r split as (r, 0)
         fr = float(r)
         dh = fr * k
         dl = (fr * ksh - dh) + fr * ksl
@@ -237,7 +262,7 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         e = e - (h - a)
         dh = h + e
         dl = e - (dh - h)
-        # d = dd_mul_d(d, r + 1), r + 1 split as (r + 1, 0)
+        # d = d (r + 1), dd times double, r + 1 split as (r + 1, 0)
         fr = float(r + 1)
         p = dh * fr
         u = _SPLITTER * dh
@@ -258,7 +283,7 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         dsh = u - (u - dh)
         dsl = dh - dsh
         q1 = nhi / dh
-        # dd_mul_d(d, q1)
+        # d q1, dd times double
         p = dh * q1
         u = _SPLITTER * q1
         msh = u - (u - q1)
@@ -281,7 +306,7 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
         rh = h + e
         rl = e - (rh - h)
         q2 = rh / dh
-        # dd_mul_d(d, q2)
+        # d q2, dd times double
         p = dh * q2
         u = _SPLITTER * q2
         msh = u - (u - q2)
@@ -339,36 +364,15 @@ def _series(t0: float, qhi: float, qlo: float, k: float, nu: float,
 
 
 def _leading_term(p: KBesselParams, x: float) -> float:
+    """t_0 = (x/2)^(nu/k) / Gamma_k(nu + k) at x > 0, or Overflow where it
+    is not a normal double."""
     if p.nu == 0.0:
         # (x/2)^0 / Gamma_k(k) is 1 for every x > 0; the log route below
         # gives 1.0 too, except where x/2 is 0 or inf and 0 * log is nan
         return 1.0
     ln_half = math.log(x / 2.0) if x / 2.0 > 0.0 else -math.inf
     ln_t0 = (p.nu / p.k) * ln_half - ln_k_gamma(p.nu + p.k, p.k)
-    t0 = _exp_guarded(ln_t0, "leading series term")
-    if t0 == 0.0:
-        raise Overflow("leading series term underflows double range")
-    return t0
-
-
-def _w_ratio(c: float, x: float) -> tuple[float, float]:
-    """-c (x/2)^2 in dd, the term ratio's numerator; exact 0 at c = 0, where
-    the dd product is nan once (x/2)^2 or its Dekker split overflows."""
-    if c == 0.0:
-        return 0.0, 0.0
-    xh = 0.5 * x
-    qhi, qlo = two_prod(xh, xh)
-    return dd_mul_d(qhi, qlo, -c)
-
-
-def _w_series(p: KBesselParams, x: float, cfg: SeriesConfig,
-              derivs: bool = False) -> tuple[EvalResult, float, float]:
-    """_series for W (and W', W'') at x > 0, refusing a subnormal t_0: it
-    has too few bits (2e-323, 11.6% off, for I_100 at x = 0.045)."""
-    t0 = _leading_term(p, x)
-    if t0 < sys.float_info.min:
-        raise Overflow(f"leading series term {t0!r} is below the normal double range")
-    return _series(t0, *_w_ratio(p.c, x), p.k, p.nu, cfg, x if derivs else None)
+    return _exp_guarded(ln_t0, "leading series term")
 
 
 def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
@@ -386,7 +390,7 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
             # limit 1/Gamma_k(k) = 1
             return EvalResult(1.0, 1, 0.0)
         return EvalResult(0.0, 1, 0.0)
-    return _w_series(p, x, cfg)[0]
+    return _series(_leading_term(p, x), p.c, x, p.k, p.nu, cfg, False)[0]
 
 
 def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
@@ -397,7 +401,7 @@ def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
         raise DomainError(f"{name} requires a real x")
     if x == 0.0:
         return EvalResult(1.0, 1, 0.0)
-    return _series(1.0, *_w_ratio(c, x), p.k, p.nu, cfg)[0]
+    return _series(1.0, c, x, p.k, p.nu, cfg, False)[0]
 
 
 def eval_normalized_i(p: KBesselParams, x: float) -> EvalResult:
@@ -424,7 +428,8 @@ def eval_w_with_derivatives(p: KBesselParams, x: float
     """
     if not x > 0.0:
         raise DomainError(f"eval_w_with_derivatives requires x > 0, got {x}")
-    res, d1, d2 = _w_series(p, x, _DEFAULT_CONFIG, derivs=True)
+    res, d1, d2 = _series(_leading_term(p, x), p.c, x, p.k, p.nu,
+                          _DEFAULT_CONFIG, True)
     if p.c != 0.0:
         # every term past r = 0 has a nonzero multiplier, at most step^j in
         # W^(j) over the R terms; a subnormal term is off by up to 2^-1074,

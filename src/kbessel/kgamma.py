@@ -34,10 +34,16 @@ _MAX_EXP_ARG = 709.782712893384
 
 
 def _exp_guarded(ln_value: float, what: str) -> float:
-    """exp(ln_value), or Overflow naming ``what`` past the double range."""
+    """exp(ln_value), or Overflow naming ``what`` past the double range or
+    below its normal part, where a subnormal keeps too few bits (2e-323 is
+    11.6% off) and 0.0 would be a silent wrong value."""
     if ln_value > _MAX_EXP_ARG:
         raise Overflow(f"{what} exceeds double range (log magnitude {ln_value:.1f})")
-    return math.exp(ln_value)
+    value = math.exp(ln_value)
+    if value < _MIN_NORMAL:
+        raise Overflow(f"{what} underflows: {value!r} is below the normal "
+                       f"double range (log magnitude {ln_value:.1f})")
+    return value
 
 
 def _finite(value: float, what: str) -> float:

@@ -151,6 +151,13 @@ def _reference_nodes(a: float, n: int) -> tuple[list, list, list]:
     return ts, weights, ln_vals
 
 
+def _node_transform(p1, extra, n):
+    """integral._node_transform through its level key, as _integrate_once
+    calls it."""
+    level = integral._Level(extra, n, legendre_nodes(n))
+    return integral._node_transform(p1, level)
+
+
 @pytest.mark.parametrize("a,n,extra", [
     (-0.9, 128, 6), (-0.45, 8, 3), (-0.3, 256, 3), (0.0, 128, 0),
     (0.25, 64, 2), (2.7, 128, 1), (3.1, 16, 0),
@@ -160,7 +167,7 @@ def test_cached_node_transform_matches_reference_loop(a, n, extra):
     assert integral._substitution_levels(p1) == extra
     ts, weights, _ = _reference_nodes(a, n)
     for _ in range(2):  # a miss, then a hit
-        got_t, got_w = integral._node_transform(p1, extra, legendre_nodes(n))
+        got_t, got_w = _node_transform(p1, extra, n)
         assert got_t.tobytes() == array("d", ts).tobytes()
         assert got_w.tobytes() == array("d", weights).tobytes()
     want = math.fsum(w * math.cos(3.0 * t) for t, w in zip(ts, weights))
@@ -208,6 +215,18 @@ def test_weighted_integral_reads_nodes_once_per_level(node_calls):
     assert node_calls == [128, 256, 128, 256]
 
 
+@pytest.mark.parametrize("h", [
+    # |cur - prev| is NaN, so node doubling would run on to 32768 nodes
+    lambda t: math.nan,
+    # fsum of +inf and -inf raises a bare ValueError
+    lambda t: math.inf if t < 0.5 else -math.inf,
+], ids=["nan", "both-infinities"])
+def test_a_level_that_sums_to_nan_ends_the_integral(node_calls, h):
+    with pytest.raises(QuadratureFailure, match="sums to nan over 128 nodes"):
+        weighted_integral(h, 0.0)
+    assert node_calls == [128]
+
+
 def test_quad_config_validation():
     with pytest.raises(InvalidParameter):
         QuadConfig(nodes=1)
@@ -218,7 +237,8 @@ def test_quad_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [("nodes", 2.5),
-                                          ("max_refinements", 1.5)])
+                                          ("max_refinements", 1.5),
+                                          ("max_refinements", True)])
 def test_quad_config_refuses_a_non_integer_count(field, value):
     # before the integral, where the count would end in a bare TypeError
     with pytest.raises(InvalidParameter, match=f"^{field} must be an integer"):
@@ -236,14 +256,31 @@ def test_integral_rep_params_refuse_a_non_finite_field_by_name(field, value):
 @pytest.mark.parametrize("call", [
     lambda: route_legs(1.0, 0.5, 1e200, 1e-200, "cos"),
     lambda: route_legs(1.0, 0.5, 1e200, 1e-200, "cosh"),
+    # before the kernel's quadrature, which would refuse c = inf as a bad
+    # argument (DomainError)
+    lambda: route_legs(1.0, 0.5, 1e200, 1e-200, "kernel"),
     lambda: sin_relation_check(1.0, 1e200, 1e-200),
     lambda: sinh_relation_check(1.0, 1e200, 1e-200),
-], ids=["cos", "cosh", "sin", "sinh"])
+], ids=["cos", "cosh", "kernel", "sin", "sinh"])
 def test_series_side_refuses_an_overflowing_alpha_squared(call):
     # alpha x is 1, but c = +-alpha^2 is infinite: an overflow of the
     # point, not an invalid parameter
     with pytest.raises(Overflow, match="alpha\\^2 exceeds double range"):
         call()
+
+
+@pytest.mark.parametrize("route, nu, c", [
+    (eval_w_cos, 500.0, 1.0),
+    (eval_w_cosh, 150.0, -1.0),
+    (lambda rep: eval_w_bessel_kernel(rep, 1.0), 500.0, 1.0),
+], ids=["cos", "cosh", "kernel"])
+def test_prefactor_below_the_normal_double_range_raises(route, nu, c):
+    # these routes returned 0.0 where the series refuses its leading term
+    rep = IntegralRepParams(1.0, nu, 1.0, 1e-3)
+    with pytest.raises(Overflow, match="integral prefactor underflows"):
+        route(rep)
+    with pytest.raises(Overflow, match="leading series term underflows"):
+        eval_w(KBesselParams(1.0, nu, c), 1e-3)
 
 
 def test_integral_rep_params_validation():
@@ -494,8 +531,7 @@ def test_node_transform_nodes_do_not_depend_on_the_weight_exponent():
         assert len(extras) == 1
         extra = extras.pop()
         for n in (128, 256):
-            nodes = [integral._node_transform(p1, extra, legendre_nodes(n))[0]
-                     for p1 in exponents]
+            nodes = [_node_transform(p1, extra, n)[0] for p1 in exponents]
             assert len({ts.tobytes() for ts in nodes}) == 1
 
 
@@ -587,7 +623,7 @@ def test_other_callables_are_evaluated_on_every_level(node_calls):
     integral._KernelIntegrand(3.0, -2.0),
 ], ids=["cos", "cosh", "kernel-j", "kernel-i"])
 def test_value_integrand_values_equal_calls_node_by_node(h):
-    ts, _ = integral._node_transform(0.2, 3, legendre_nodes(256))
+    ts, _ = _node_transform(0.2, 3, 256)
     assert h.values(ts).tobytes() == array("d", map(h, ts)).tobytes()
 
 
@@ -595,6 +631,6 @@ def test_kernel_integrands_of_either_zero_sign_share_equal_values():
     plus = integral._KernelIntegrand(0.5, 0.0)
     minus = integral._KernelIntegrand(0.5, -0.0)
     assert plus == minus and hash(plus) == hash(minus)
-    ts, _ = integral._node_transform(1.0, 0, legendre_nodes(128))
+    ts, _ = _node_transform(1.0, 0, 128)
     assert (array("d", map(plus, ts)).tobytes()
             == array("d", map(minus, ts)).tobytes())

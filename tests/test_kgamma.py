@@ -232,6 +232,17 @@ def test_values_beyond_double_range_raise_overflow(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("fn,args", [
+    (k_beta, (1000.0, 1000.0, 1.0)),  # about 1e-603, was 0.0
+    (k_gamma, (1e-3, 1e-5)),          # about 9.3e-340, was 0.0
+    (k_gamma, (9e-4, 1e-5)),          # about 1.65e-309, was a subnormal
+], ids=["beta", "gamma-zero", "gamma-subnormal"])
+def test_values_below_the_normal_double_range_raise_overflow(fn, args):
+    with pytest.raises(Overflow,
+                       match="underflows: .* below the normal double range"):
+        fn(*args)
+
+
 def test_trigamma_just_inside_double_range_is_finite():
     # psi'(z) ~ 1/z^2 = 1e308 still fits
     assert k_trigamma(1e-154, 1.0) == pytest.approx(1e308, rel=1e-15)

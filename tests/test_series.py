@@ -35,9 +35,8 @@ from kbessel import (
     multisection_lhs,
     recurrence_step_up,
 )
-from kbessel._dd import dd_mul_d, quick_two_sum, two_prod
 from kbessel.kbessel import (EvalResult, _leading_term, _series,
-                             _tail_estimate, _w_ratio)
+                             _tail_estimate)
 
 # (nu, x) -> J_nu(x), 60-term 40-digit oracle, correctly rounded doubles
 BESSEL_J_FIXTURES = [
@@ -100,6 +99,10 @@ def test_series_config_validation():
     assert SeriesConfig(max_terms=2**26).max_terms == 2**26
     with pytest.raises(InvalidParameter, match="2\\*\\*26"):
         SeriesConfig(max_terms=2**26 + 1)
+    # a non-integer count, or True, which would count as one term
+    for value in (2.5, True):
+        with pytest.raises(InvalidParameter, match="^max_terms must be an integer"):
+            SeriesConfig(max_terms=value)
 
 
 @pytest.mark.parametrize("args,expected", BESSEL_J_FIXTURES)
@@ -237,8 +240,9 @@ def test_subnormal_leading_term_is_refused(x):
     p = KBesselParams(1.0, 100.0, -1.0)
     with mp.workdps(40):
         want = (mp.mpf(x) / 2) ** 100 / mp.factorial(100)
-    assert abs(_leading_term(p, x) / want - 1) > 1e-6
-    for fn in (eval_w, eval_w_with_derivatives):
+    t0 = math.exp(100.0 * math.log(x / 2.0) - ln_k_gamma(101.0, 1.0))
+    assert abs(t0 / want - 1) > 1e-6
+    for fn in (_leading_term, eval_w, eval_w_with_derivatives):
         with pytest.raises(Overflow, match="below the normal double range"):
             fn(p, x)
     # in the normal range the same function matches I_100 again
@@ -265,8 +269,8 @@ def test_derivative_sum_of_subnormal_terms_is_refused(x):
     # b = 1, so W'' rests on t_1 ~ x^3/4, subnormal here, times 6/x^2
     k, nu, c = 0.5, 0.5, -1.0
     p = KBesselParams(k, nu, c)
-    _, _, d2 = _series(_leading_term(p, x), *_w_ratio(c, x), k, nu,
-                       SeriesConfig(), x)
+    _, _, d2 = _series(_leading_term(p, x), c, x, k, nu, SeriesConfig(),
+                       True)
     assert abs(d2 / _w2_oracle(k, nu, c, x) - 1) > SeriesConfig().rel_tol
     with pytest.raises(Overflow, match="W'' sum underflows to .* normal"):
         eval_w_with_derivatives(p, x)
@@ -319,9 +323,40 @@ def test_series_layer_bits_are_pinned():
         "a9c4898ec9180ab187170674bb287687e9a06181df163ef6dd0c1d38c99fd2bb")
 
 
-# The composed double-double operations, as the series loop ran them before
-# it was written out inline; _reference_series is that loop, the oracle for
-# kbessel._series's bits.
+# The composed double-double ("dd") operations, as the series loop ran them
+# before it was written out inline; _reference_series is that loop, the
+# oracle for kbessel._series's bits, its ratio -c (x/2)^2 included.  The
+# loop's comments call two_prod the exact product and dd_mul_d dd times
+# double.
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def quick_two_sum(a, b):
+    # requires |a| >= |b|
+    s = a + b
+    return s, b - (s - a)
+
+
+def two_prod(a, b):
+    """Dekker's error-free product (Numer. Math. 18, 1971); an operand
+    above about 2^996 overflows the split and the product is NaN."""
+    p = a * b
+    ta = _SPLITTER * a
+    ahi = ta - (ta - a)
+    alo = a - ahi
+    tb = _SPLITTER * b
+    bhi = tb - (tb - b)
+    blo = b - bhi
+    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    return p, err
+
+
+def dd_mul_d(ahi, alo, b):
+    p1, p2 = two_prod(ahi, b)
+    p2 += alo * b
+    return quick_two_sum(p1, p2)
+
 
 def _two_sum(a, b):
     s = a + b
@@ -356,16 +391,18 @@ def _dd_div(ahi, alo, bhi, blo):
     return _dd_add(q1, q2, q3, 0.0)
 
 
-def _reference_series(t0, qhi, qlo, k, nu, cfg, x=None):
+def _reference_series(t0, c, x, k, nu, cfg, derivs):
     """kbessel._series term by term through the composed dd functions."""
     rel_tol = cfg.rel_tol
-    derivs = x is not None
     if derivs:
         b = nu / k
         inv_x = 1.0 / x
         inv_x2 = inv_x * inv_x
         if not math.isfinite(inv_x2):
             raise Overflow(f"1/x^2 exceeds double range at x = {x!r}")
+    # exactly 0 at c = 0, where the product is NaN past the split's range
+    qhi, qlo = (dd_mul_d(*two_prod(0.5 * x, 0.5 * x), -c) if c != 0.0
+                else (0.0, 0.0))
     s0h = s0l = s1h = s1l = s2h = s2l = 0.0
     thi, tlo = t0, 0.0
     streak = 0
@@ -417,10 +454,12 @@ def _reference_series(t0, qhi, qlo, k, nu, cfg, x=None):
 
 
 def _series_cases(seed, count):
-    """(t0, qhi, qlo, k, nu, x) as the entry points build them, at seeded
-    log-uniform k in [1e-3, 1e3], b = nu/k in (-1, 50], |c| in [1e-3, 1e6]
-    of either sign and x in [1e-6, 1e3]; points whose leading term or
-    parameters are refused never reach the loop and are left out."""
+    """(t0, c, x, k, nu) at seeded log-uniform k in [1e-3, 1e3], b = nu/k
+    in (-1, 50], |c| in [1e-3, 1e6] of either sign and x in [1e-6, 1e3].
+    t0 = exp(ln t0) is formed as _leading_term forms it, but a subnormal
+    t0, which _leading_term refuses, is kept: the loop runs on any t0 > 0.
+    Points whose parameters are refused, or whose t0 leaves the double
+    range, are left out."""
     rng = random.Random(seed)
     ln = math.log
     cases = []
@@ -432,17 +471,18 @@ def _series_cases(seed, count):
         x = math.exp(rng.uniform(ln(1e-6), ln(1e3)))
         try:
             p = KBesselParams(k, b * k, c)
-            t0 = _leading_term(p, x)
-        except KBesselError:
+            t0 = math.exp(p.nu / k * ln(x / 2.0) - ln_k_gamma(p.nu + k, k))
+        except (KBesselError, OverflowError):
             continue
-        cases.append((t0, *_w_ratio(c, x), k, p.nu, x))
+        if t0 > 0.0:
+            cases.append((t0, c, x, k, p.nu))
     return cases
 
 
-def _outcome(series, t0, qhi, qlo, k, nu, x, cfg=SeriesConfig()):
+def _outcome(series, t0, c, x, k, nu, derivs, cfg=SeriesConfig()):
     """The bytes of series(...)'s (EvalResult, W', W''), or its error."""
     try:
-        res, d1, d2 = series(t0, qhi, qlo, k, nu, cfg, x)
+        res, d1, d2 = series(t0, c, x, k, nu, cfg, derivs)
     except KBesselError as exc:
         return type(exc).__name__, str(exc)
     return struct.pack("<dqddd", res.value, res.terms_used, res.est_error,
@@ -454,48 +494,43 @@ _series_loop = _series.__wrapped__
 
 
 def _oracle_digest(seed, count):
-    """sha256 over _series's outcomes, without and with x, at _series_cases;
-    the same number for every version of the loop that keeps its bits."""
+    """sha256 over _series's outcomes, without and with derivatives, at
+    _series_cases; the same number for every version of the loop that keeps
+    its bits."""
     digest = hashlib.sha256()
-    for t0, qhi, qlo, k, nu, x in _series_cases(seed, count):
-        for arg in (None, x):
-            digest.update(repr(_outcome(_series_loop, t0, qhi, qlo, k, nu,
-                                        arg)).encode())
+    for case in _series_cases(seed, count):
+        for derivs in (False, True):
+            digest.update(repr(_outcome(_series_loop, *case,
+                                        derivs)).encode())
     return digest.hexdigest()
 
 
 def test_inline_series_loop_matches_the_composed_dd_loop():
-    for t0, qhi, qlo, k, nu, x in _series_cases(8, 2000):
-        for arg in (None, x):
-            assert (_outcome(_series_loop, t0, qhi, qlo, k, nu, arg)
-                    == _outcome(_reference_series, t0, qhi, qlo, k, nu, arg))
+    for case in _series_cases(8, 2000):
+        for derivs in (False, True):
+            assert (_outcome(_series_loop, *case, derivs)
+                    == _outcome(_reference_series, *case, derivs))
 
 
 @given(k=st.floats(1e-3, 1e3), c=st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0]),
-       x=st.one_of(st.sampled_from([0.25, 1.0, 2.0, 3.0]),  # qlo = 0 here
-                   st.floats(1e-3, 30.0)),
-       derivs=st.booleans())
+       x=st.floats(1e-3, 30.0), derivs=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_zero_signs_merged_by_the_memo_key_give_the_same_bits(k, c, x,
                                                                derivs):
-    # the memo keys by value, so +0.0 and -0.0 in nu, qhi or qlo share an
-    # entry: the sum must not tell them apart (through the memo, every
-    # sign would get the first one's entry and this would test nothing)
-    qhi, qlo = _w_ratio(c, x)
-    his = (0.0, -0.0) if qhi == 0.0 else (qhi,)
-    los = (0.0, -0.0) if qlo == 0.0 else (qlo,)
-    arg = x if derivs else None
-    outcomes = {_outcome(_series_loop, 1.0, hi, lo, k, nu, arg)
-                for hi in his for lo in los for nu in (0.0, -0.0)}
+    # the memo keys by value, so +0.0 and -0.0 in c or nu share an entry:
+    # the sum must not tell them apart (through the memo, every sign would
+    # get the first one's entry and this would test nothing)
+    signed_c = (0.0, -0.0) if c == 0.0 else (c,)
+    outcomes = {_outcome(_series_loop, 1.0, cc, x, k, nu, derivs)
+                for cc in signed_c for nu in (0.0, -0.0)}
     assert len(outcomes) == 1
 
 
 def test_memo_keeps_int_and_float_arguments_apart():
-    qhi, qlo = _w_ratio(1.0, 2.0)
     cfg = SeriesConfig()
     _series.cache_clear()
-    as_int = _series(1, qhi, qlo, 1, 0, cfg, 2)
-    as_float = _series(1.0, qhi, qlo, 1.0, 0.0, cfg, 2.0)
+    as_int = _series(1, 1, 2, 1, 0, cfg, True)
+    as_float = _series(1.0, 1.0, 2.0, 1.0, 0.0, cfg, True)
     info = _series.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     assert repr(as_int) == repr(as_float)
@@ -517,11 +552,10 @@ def test_inline_series_loop_matches_the_composed_dd_loop_at_the_edges(
         point, max_terms, kinds):
     k, nu, c, x = point
     t0 = _leading_term(KBesselParams(k, nu, c), x)
-    qhi, qlo = _w_ratio(c, x)
     cfg = SeriesConfig(max_terms=max_terms)
-    for arg, kind in zip((None, x), kinds):
-        got = _outcome(_series_loop, t0, qhi, qlo, k, nu, arg, cfg)
-        assert got == _outcome(_reference_series, t0, qhi, qlo, k, nu, arg,
+    for derivs, kind in zip((False, True), kinds):
+        got = _outcome(_series_loop, t0, c, x, k, nu, derivs, cfg)
+        assert got == _outcome(_reference_series, t0, c, x, k, nu, derivs,
                                cfg)
         assert ("bytes" if isinstance(got, bytes) else got[0]) == kind
 

@@ -7,10 +7,12 @@ grid runner's determinism / skip / failure-isolation contracts are checked
 directly.
 """
 
+import json
 import math
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from kbessel import integral, kbessel, verify
 from kbessel import (
@@ -20,6 +22,7 @@ from kbessel import (
     KBesselParams,
     NonConvergence,
     Overflow,
+    QuadratureFailure,
     SeriesConfig,
     VerifyReport,
     check_chebyshev_products,
@@ -38,6 +41,7 @@ from kbessel import (
     eval_w,
     run_grid,
 )
+from kbessel.cli import main
 from kbessel.integral import IntegralRepParams, eval_w_bessel_kernel, eval_w_cos
 
 # Frozen from an independent high-precision route (40-digit arithmetic,
@@ -315,6 +319,23 @@ def test_chebyshev_boundary_order_margin_exactly_zero():
     assert check_chebyshev_products(1.0, 0.5, 1.0, "cos").margin == 0.0
     assert check_chebyshev_products(2.0, 1.0, 1.0, "cosh").margin == 0.0
     assert check_chebyshev_products(0.5, 0.25, 0.25, "cos").margin == 0.0
+
+
+def test_chebyshev_with_an_infinite_weight_fails_at_the_first_level(
+        monkeypatch):
+    # cosh(inf t) makes the level sum NaN; node doubling would run on to
+    # 32768 nodes before refusing
+    levels = []
+    nodes = integral.legendre_nodes
+
+    def spy(n):
+        levels.append(n)
+        return nodes(n)
+
+    monkeypatch.setattr(integral, "legendre_nodes", spy)
+    with pytest.raises(QuadratureFailure, match="over 128 nodes"):
+        check_chebyshev_products(1.0, 1.0, math.inf, "cosh")
+    assert levels == [128]
 
 
 def test_chebyshev_same_sense_regime_holds():
@@ -746,3 +767,21 @@ def test_sweep_memo_does_not_store_a_call_that_raises(monkeypatch):
     assert (capped.hits, capped.misses, capped.currsize) == (0, 2, 0)
     assert first == second
     assert (uncapped.hits, uncapped.misses, uncapped.currsize) == (1, 3, 1)
+
+
+def test_overflowing_alpha_squared_fails_every_route_with_overflow(tmp_path):
+    # the kernel route reported this point as a DomainError of its kernel
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "k_values": [1], "nu_values": [1], "alpha_values": [1e200],
+        "x_values": [1e-200]}), encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["verify", "--checks", "integral-agreement", "--grid", str(grid)])
+    assert result.exit_code == 4
+    records = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [r["grid_point"]["route"] for r in records] == [
+        "cos", "cosh", "kernel"]
+    for record in records:
+        assert not record["passed"] and not record["skipped"]
+        assert record["notes"].startswith(
+            "error: Overflow: c = +-alpha^2 exceeds double range")
