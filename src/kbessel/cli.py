@@ -155,7 +155,8 @@ def main() -> None:
               show_default=True,
               help="Derivative order m (0 evaluates the function itself).")
 @click.option("--tol", type=float, default=1e-14, show_default=True,
-              help="Relative truncation tolerance of the series.")
+              help="Relative truncation tolerance of the series, and of "
+                   "the Hankel expansion that eval_w takes at y >= 35.")
 @click.option("--max-terms", type=int, default=500, show_default=True,
               help="Series term cap.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv", "json"]),

@@ -289,13 +289,21 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     Node doubling continues until two successive levels agree to abs_tol
     relative to max(1, |value|); QuadratureFailure if the cap is hit first
     or the transformed integrand leaves the double range or a level's sum
-    is not finite (a NaN level would otherwise double on to the cap).
+    is not finite (a NaN level would otherwise double on to the cap).  A
+    cosine integrand cos(omega t) with omega above pi times the last level's
+    node count is refused before any level: there that level has fewer than
+    two nodes per period, so no level can resolve it.
     """
     if not a > -1.0:
         raise InvalidParameter(f"weight exponent must exceed -1, got {a}")
     p1 = 2.0 * a + 1.0
     if p1 == math.inf:
         raise Overflow(f"weight exponent 2a + 1 exceeds double range (a = {a!r})")
+    last = cfg.nodes * 2 ** cfg.max_refinements
+    if (type(h) is _TrigIntegrand and h.fn is math.cos
+            and h.omega > math.pi * last):
+        raise QuadratureFailure(
+            f"cos({h.omega!r} t) oscillates faster than {last} nodes resolve")
     extra = _substitution_levels(p1)
     n = cfg.nodes
     prev = None
@@ -366,10 +374,20 @@ def bessel_kernel(u: float, c: float) -> float:
     grows while the sum stays within [-1, 1]; NonConvergence is raised once
     that bound exceeds 1e-12 (about u^2 c > 83).  NonConvergence is also
     raised when, after 200 terms, the tail bound exceeds 1e-17 of the sum.
+    Overflow is raised where q = -c (u/2)^2 leaves the double range, and
+    DomainError where u or c is not finite.
     """
-    q = -c * (0.5 * u) ** 2
+    half_u = 0.5 * u
+    try:
+        q = -c * half_u ** 2
+    except OverflowError:  # (u/2)^2 past the double range, q perhaps not
+        q = -c * half_u * half_u
     if not math.isfinite(q):
-        raise DomainError(f"bessel_kernel requires finite u and c, got u={u}, c={c}")
+        if not (math.isfinite(u) and math.isfinite(c)):
+            raise DomainError(
+                f"bessel_kernel requires finite u and c, got u={u}, c={c}")
+        raise Overflow(f"bessel_kernel's -c (u/2)^2 exceeds double range at "
+                       f"u={u}, c={c}")
     if q < -_KERNEL_MAX_CANCEL_Q:
         raise NonConvergence(
             f"bessel_kernel loses accuracy to cancellation at u={u}, c={c}: "

@@ -21,6 +21,11 @@ series and is therefore NOT amplified by the massive cancellation the
 alternating series suffers at x ~ 10; a naive exp/lgamma evaluation of each
 term separately loses ~3 digits there.  Truncation stops once two
 consecutive terms fall below rel_tol times the running sum.
+
+At large effective argument y = x sqrt(|c|/k) the alternating series
+cancels past what double-double holds, so eval_w (only eval_w) takes
+W = (|c| k)^(-nu/(2k)) C_(nu/k)(y), C = J for c > 0 and I for c < 0, from
+the Hankel expansion of C there (``_hankel``).
 """
 
 from __future__ import annotations
@@ -375,8 +380,193 @@ def _leading_term(p: KBesselParams, x: float) -> float:
     return _exp_guarded(ln_t0, "leading series term")
 
 
+# eval_w takes the Hankel expansion from this effective argument y up; below
+# it the dd series is accurate to 1e-12 for both signs of c
+_HANKEL_MIN_Y = 35.0
+_U = 2.0 ** -53  # unit roundoff of a double
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+# operands of the route's Dekker products stay inside this range, where the
+# split cannot overflow and no error term falls below the normal range
+_DD_MIN, _DD_MAX = 2.0 ** -900, 2.0 ** 900
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    p = a * b
+    u = _SPLITTER * a
+    ah = u - (u - a)
+    al = a - ah
+    u = _SPLITTER * b
+    bh = u - (u - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
+    """W = (|c| k)^(-b/2) C_b(y) from the Hankel expansion of C_b, with
+    b = nu/k, y = x sqrt(|c|/k), C = J for c > 0 and I for c < 0; None
+    where the expansion does not reach cfg.rel_tol within cfg.max_terms
+    terms while its terms decrease from the first, or, for J, where the
+    phase w is not known to rel_tol.
+
+    With v_0 = 1 and v_(j+1) = v_j (4b^2 - (2j+1)^2) / (8 (j+1) y), so that
+    |v_j| = |a_j(b)| / y^j (DLMF 10.17.1):
+
+    * c < 0: I_b(y) ~ e^y / sqrt(2 pi y) s, s = sum_j (-1)^j v_j
+      (DLMF 10.40.1).  After n terms the remainder is at most
+      2 chi(n) exp(pi |b^2 - 1/4| / y) |v_n| (DLMF 10.40.11), with
+      chi(n) <= sqrt(pi (n + 1) / 2); the omitted e^-y branch adds at most
+      pi (n + 1) e^(-2y) to s.  The sum stops where this is rel_tol |s|.
+    * c > 0: J_b(y) = sqrt(2 / (pi y)) t, t = P cos w - Q sin w, w =
+      y - (b/2 + 1/4) pi, P and Q the alternating sums of the even and odd
+      v_j (DLMF 10.17.3).  Once P has at least max(|b|/2 - 1/4, 1) terms
+      and Q max(|b|/2 - 3/4, 1), each remainder is at most its first
+      omitted term, |v_n| and |v_(n+1)| (DLMF 10.17(iii); P and Q are even
+      in b).  The sum stops where their sum is rel_tol |t|, or 2^-57
+      |P| near a zero of J, below the rounding of t.
+
+    y, b and w are double-doubles, so w is right to about
+    2^-99 (y + |w - y|) and y's rounding to double costs nothing.
+    est_error adds to the truncation bound a running bound of the sums'
+    rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.3: each v_j within 10 j units of its own, each partial sum's
+    rounding counted) and the rounding of the logarithms of the prefactor
+    (|c| k)^(-b/2), which is applied in log space next to e^y.  Overflow
+    where W (for J, its envelope) leaves the normal double range.
+    """
+    k, nu, c = p.k, p.nu, p.c
+    a = abs(c)
+    r = a / k
+    if not (_DD_MIN < min(a, k, r) and max(a, k, r, x) < _DD_MAX):
+        return None
+    # y = x sqrt(r) in dd: r = |c|/k, then one Newton step of the root
+    ph, pl = _two_prod(r, k)
+    rl = ((a - ph) - pl) / k
+    sh = math.sqrt(r)
+    ph, pl = _two_prod(sh, sh)
+    sl = (((r - ph) - pl) + rl) / (2.0 * sh)
+    yh, yl = _two_prod(x, sh)
+    yl += x * sl
+    y = yh + yl
+    yl -= y - yh
+    # b = nu / k in dd; the numerator (2b - m)(2b + m) reads b's low part,
+    # so a factor that nearly cancels keeps its relative accuracy
+    b = nu / k
+    ph, pl = _two_prod(b, k)
+    bl2 = 2.0 * (((nu - ph) - pl) / k)
+    b2 = 2.0 * b
+    if 4.0 * b * b - 1.0 > 8.0 * y:  # v_1 would exceed v_0
+        return None
+    is_i = c < 0.0
+    if is_i:
+        # 2 chi(n) exp(pi |b^2 - 1/4| / y) <= grow sqrt(n + 1); the check
+        # above keeps the exponent at most 2 pi
+        grow = 2.5066282746310002 * math.exp(math.pi * abs(b * b - 0.25) / y)
+    else:
+        need_p = max(0.5 * abs(b) - 0.25, 1.0)
+        need_q = max(0.5 * abs(b) - 0.75, 1.0)
+        # w in dd, then the cos and sin of wh + wl by the addition formulas
+        th, tl = _two_sum(0.5 * b, 0.25)
+        tl += 0.25 * bl2
+        ph, pl = _two_prod(th, math.pi)
+        pl += th * _PI_LO + tl * math.pi
+        phase_err = 2.0 ** -99 * (y + abs(ph))
+        if phase_err > cfg.rel_tol:  # past y of about 6e15 at rel_tol 1e-14
+            return None
+        wh, e = _two_sum(y, -ph)
+        wl = (e - pl) + yl
+        cw, sw = math.cos(wh), math.sin(wh)
+        cwl, swl = math.cos(wl), math.sin(wl)
+        cos_w = cw * cwl - sw * swl
+        sin_w = sw * cwl + cw * swl
+    tol = cfg.rel_tol
+    eight_y = 8.0 * y
+    even = odd = 0.0  # the signed sums of the v_j of even and of odd j
+    run = 0.0  # sum of |partial sums|: the sums' rounding, in units
+    drift = 0.0  # sum of 10 j |v_j|: the terms' own rounding, in units
+    v = 1.0
+    j = 0
+    while True:
+        if j & 1:
+            odd += v
+            run += abs(odd)
+        else:
+            even += v
+            run += abs(even)
+        drift += 10.0 * j * abs(v)
+        m = 2.0 * j + 1.0
+        nxt = v * (((b2 - m) + bl2) * ((b2 + m) + bl2)) / (eight_y * (j + 1))
+        if is_i or j & 1:  # (-1)^j for I; (-1)^(j//2) for P and Q
+            nxt = -nxt
+        j += 1
+        if abs(nxt) > abs(v):
+            return None
+        if is_i:
+            trunc = grow * math.sqrt(j + 1.0) * abs(nxt)
+            if trunc <= tol * abs(even + odd):
+                break
+        elif (j + 1) // 2 >= need_p and j // 2 >= need_q:
+            m += 2.0
+            after = nxt * (((b2 - m) + bl2) * ((b2 + m) + bl2)) / (eight_y * (j + 1))
+            trunc = abs(nxt) + abs(after)
+            if trunc <= max(tol * abs(even * cos_w - odd * sin_w),
+                            2.0 ** -57 * abs(even)):
+                break
+        if j >= cfg.max_terms:
+            return None
+        v = nxt
+    # the exponent's rounding: ln|c| and ln k within 2 units each,
+    # their sum 1 unit, b/2 times it 2 more units (b's and the product's)
+    ln_a, ln_k = math.log(a), math.log(k)
+    ln_ck = ln_a + ln_k
+    half_b = 0.5 * b
+    bexp = half_b * ln_ck
+    ln_err = _U * (abs(half_b) * (2.0 * (abs(ln_a) + abs(ln_k)) + abs(ln_ck))
+                   + 2.0 * abs(bexp))
+    rounding = _U * (run + drift)
+    if is_i:
+        s = even + odd
+        if not s > 0.0:
+            return None
+        ln_rest = math.log(2.0 * math.pi * y)
+        ln_s = math.log(s)
+        lh, e = _two_sum(y, -bexp - 0.5 * ln_rest + ln_s)
+        value = _exp_guarded(lh, "W from the Hankel expansion") * (1.0 + (e + yl))
+        if math.isinf(value):
+            raise Overflow("W from the Hankel expansion exceeds double range")
+        # relative: the exponent's rounding (its logs, two sums; y to
+        # 2^-99), that of exp, 1 + e + yl, the product and s itself, and
+        # the error of s (rounding, truncation, the e^-y branch)
+        rel = (ln_err + _U * (abs(ln_rest) + 2.0 * abs(ln_s) + 2.0 * abs(lh - y) + 6.0)
+               + 2.0 ** -99 * y
+               + (rounding + trunc + math.pi * (j + 1.0) * math.exp(-2.0 * y)) / s)
+        return EvalResult(value, j, rel * value)
+    t = even * cos_w - odd * sin_w
+    ln_rest = math.log(0.5 * math.pi * y)
+    g = -bexp - 0.5 * ln_rest
+    envelope = _exp_guarded(g, "envelope of W from the Hankel expansion")
+    value = envelope * t
+    if math.isinf(value):
+        raise Overflow("W from the Hankel expansion exceeds double range")
+    # absolute error of t: the sums' rounding and truncation, the dd
+    # phase's error, and 8 units for the two cos and sin pairs, the
+    # addition formulas' products and sums, and t's products and difference
+    amp = abs(even) + abs(odd)
+    t_err = rounding + trunc + amp * (phase_err + 8.0 * _U)
+    # relative error of the envelope: its logs, a sum, exp and the product
+    rel = ln_err + _U * (abs(ln_rest) + 2.0 * abs(g) + 5.0)
+    return EvalResult(value, j, envelope * (t_err + rel * abs(t)))
+
+
 def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
-    """Evaluate W(x) by the defining power series.
+    """Evaluate W(x) by the defining power series, or at effective argument
+    y = x sqrt(|c|/k) >= 35 by the Hankel expansion where it reaches
+    cfg.rel_tol (see ``_hankel``).
 
     x = 0 is admitted for nu >= 0 (limit values 1 at nu = 0, else 0); negative
     x raises DomainError because x^(nu/k) is not real-valued there.
@@ -390,6 +580,10 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
             # limit 1/Gamma_k(k) = 1
             return EvalResult(1.0, 1, 0.0)
         return EvalResult(0.0, 1, 0.0)
+    if x * math.sqrt(abs(p.c) / p.k) >= _HANKEL_MIN_Y:
+        res = _hankel(p, x, cfg)
+        if res is not None:
+            return res
     return _series(_leading_term(p, x), p.c, x, p.k, p.nu, cfg, False)[0]
 
 

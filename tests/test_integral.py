@@ -420,6 +420,23 @@ def test_kernel_keeps_accurate_sums_at_the_bounds():
         float(mpmath.besseli(0, 200.0)), rel=1e-14)
 
 
+@pytest.mark.parametrize("u,c", [
+    (1e200, 1e200),  # (u/2)^2 overflows inside the power
+    (1e154, 1e10),   # (u/2)^2 fits, -c times it does not
+])
+def test_kernel_refuses_q_past_the_double_range(u, c):
+    with pytest.raises(Overflow, match="exceeds double range"):
+        bessel_kernel(u, c)
+
+
+def test_fast_cosine_is_refused_before_any_level(node_calls):
+    # omega = 1e300: the last level, 128 * 2^8 nodes, has fewer than two
+    # nodes per period; node doubling used to run on for minutes
+    with pytest.raises(QuadratureFailure, match="oscillates faster"):
+        route_legs(1.0, 1.0, 1e100, 1e200, "cos")
+    assert node_calls == []
+
+
 def test_kernel_route_refuses_large_argument_at_first_level(node_calls):
     # one level of 128 nodes, not minutes of node doubling
     with pytest.raises(NonConvergence):

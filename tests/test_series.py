@@ -13,7 +13,7 @@ import struct
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kbessel import (
@@ -35,8 +35,8 @@ from kbessel import (
     multisection_lhs,
     recurrence_step_up,
 )
-from kbessel.kbessel import (EvalResult, _leading_term, _series,
-                             _tail_estimate)
+from kbessel.kbessel import (_HANKEL_MIN_Y, EvalResult, _hankel,
+                             _leading_term, _series, _tail_estimate)
 
 # (nu, x) -> J_nu(x), 60-term 40-digit oracle, correctly rounded doubles
 BESSEL_J_FIXTURES = [
@@ -318,9 +318,12 @@ def _series_layer_digest(seed: int, count: int) -> str:
 
 def test_series_layer_bits_are_pinned():
     # value, terms_used, est_error, W' and W'' of 1000 points, bit for bit;
-    # a refactor of the series layer must leave this digest unchanged
+    # a refactor of the series layer must leave this digest unchanged.
+    # Since eval_w takes the Hankel expansion at y >= 35, 118 eval_w entries
+    # there differ from the series' (worst error against mpmath: c > 0 from
+    # 3.8e9 to 8.5e-15 relative, c < 0 from 9.6e-15 to 2.5e-15)
     assert _series_layer_digest(2024, 1000) == (
-        "a9c4898ec9180ab187170674bb287687e9a06181df163ef6dd0c1d38c99fd2bb")
+        "25078fda8cbe8441154d1d2cce5a235649171055aec6491aa1cf0fd96eb01233")
 
 
 # The composed double-double ("dd") operations, as the series loop ran them
@@ -565,19 +568,100 @@ def test_nonconvergence_when_capped():
         eval_w(KBesselParams(1.0, 0.0, 1.0), 10.0, SeriesConfig(max_terms=5))
 
 
+def _classical_w(k, nu, c, x):
+    """(|c| k)^(-b/2) C_b(y) in 40-digit mpmath, C = J for c > 0 and I for
+    c < 0, with b = nu/k and y = x sqrt(|c|/k)."""
+    with mp.workdps(40):
+        k_, c_ = mp.mpf(k), mp.mpf(c)
+        b = mp.mpf(nu) / k_
+        y = mp.mpf(x) * mp.sqrt(abs(c_) / k_)
+        bessel = mp.besselj if c > 0 else mp.besseli
+        return (abs(c_) * k_) ** (-b / 2) * bessel(b, y)
+
+
+def _within_est_error(res, k, nu, c, x):
+    with mp.workdps(40):
+        return abs(mp.mpf(res.value) - _classical_w(k, nu, c, x)) <= res.est_error
+
+
 def test_terms_beyond_the_dekker_split_raise_overflow():
     # W is about 2.45e307 at y = 0.14, but the leading term passes 2^996,
     # where the dd product's split overflows and the sum turns NaN
     with pytest.raises(Overflow, match="double-double range"):
         eval_w(KBesselParams(1.0, 2.0, 1e-310), 1.4e154)
+    # at y = 700 the series' terms pass it too; eval_w takes the Hankel
+    # expansion there and returns I_0(700) = 1.53e302
+    p = KBesselParams(1.0, 0.0, -1.0)
     with pytest.raises(Overflow, match="double-double range"):
-        eval_w(KBesselParams(1.0, 0.0, -1.0), 700.0)
+        _series(_leading_term(p, 700.0), -1.0, 700.0, 1.0, 0.0,
+                SeriesConfig(), False)
+    res = eval_w(p, 700.0)
+    assert res.value == pytest.approx(1.5295933476718737e302, rel=1e-14)
+    assert _within_est_error(res, 1.0, 0.0, -1.0, 700.0)
 
 
 def test_overflow_guard_on_leading_term():
-    # (nu/k) ln(x/2) dominates ln Gamma_k for large x at high order ratio
-    with pytest.raises(Overflow):
-        eval_w(KBesselParams(0.1, 10.0, 1.0), 2.0e7)
+    # (nu/k) ln(x/2) dominates ln Gamma_k for large x at high order ratio;
+    # eval_w takes the Hankel expansion at this y = 6.3e7, with the phase
+    # y - (b/2 + 1/4) pi in double-double
+    p = KBesselParams(0.1, 10.0, 1.0)
+    with pytest.raises(Overflow, match="leading series term"):
+        _leading_term(p, 2.0e7)
+    res = eval_w(p, 2.0e7)
+    assert _within_est_error(res, 0.1, 10.0, 1.0, 2.0e7)
+
+
+@pytest.mark.parametrize("x", [1e8, 1e12, 1e15])
+def test_large_argument_phase_is_kept_in_double_double(x):
+    # the low part of the phase y - pi/4 reaches 0.06 at y = 1e15, so
+    # cos and sin of it are taken whole, not to first order
+    res = eval_w(KBesselParams(1.0, 0.0, 1.0), x)
+    assert _within_est_error(res, 1.0, 0.0, 1.0, x)
+    assert res.est_error <= 1e-14 * math.sqrt(2.0 / (math.pi * x))
+
+
+@given(y=st.floats(35.0, 1e3), b=st.floats(-1.0, 10.0, exclude_min=True),
+       k=st.floats(math.log(0.1), math.log(10.0)),
+       c=st.floats(math.log(0.1), math.log(10.0)), negative=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_large_argument_values_lie_within_est_error(y, b, k, c, negative):
+    # k and |c| log-uniform in [0.1, 10]; each value eval_w takes from the
+    # Hankel expansion lands within its est_error of mpmath, or the call
+    # raises a typed error.  Where the expansion's terms grow from the
+    # first (b^2 above about 2y) eval_w sums the series, whose est_error
+    # counts truncation only, so those points are not drawn.
+    k, c = math.exp(k), math.copysign(math.exp(c), -1.0 if negative else 1.0)
+    nu, x = b * k, y / math.sqrt(abs(c) / k)
+    p = KBesselParams(k, nu, c)
+    assume(x * math.sqrt(abs(c) / k) >= _HANKEL_MIN_Y)
+    try:
+        routed = _hankel(p, x, SeriesConfig())
+        assume(routed is not None)
+        res = eval_w(p, x)
+    except KBesselError:
+        return
+    assert res == routed
+    assert _within_est_error(res, k, nu, c, x)
+
+
+def test_hankel_expansion_agrees_with_the_series_on_the_overlap():
+    # c < 0 at 25 <= y <= 35, where both routes hold
+    rng = random.Random(7)
+    cfg = SeriesConfig()
+    checked = 0
+    for _ in range(200):
+        k = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        c = -math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        b = 10.0 - 11.0 * rng.random()
+        x = rng.uniform(25.0, 35.0) / math.sqrt(-c / k)
+        p = KBesselParams(k, b * k, c)
+        res = _hankel(p, x, cfg)
+        if res is None:  # b^2 above about 2y: its terms grow from the first
+            continue
+        want = _series(_leading_term(p, x), c, x, k, b * k, cfg, False)[0]
+        assert res.value == pytest.approx(want.value, rel=1e-13)
+        checked += 1
+    assert checked >= 100
 
 
 def test_terms_used_reported_and_bounded():
