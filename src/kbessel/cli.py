@@ -89,13 +89,9 @@ def _json_value(value) -> str:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt17(value)
-    if isinstance(value, dict):
-        return _json_value(value)
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return _json_value(value)
 
 
 def _emit(lines: list[str], out: str | None) -> None:

@@ -93,6 +93,26 @@ def _tail_estimate(first_omitted: float, next_ratio: float, alternating: bool) -
     return math.inf
 
 
+def _split(a: float) -> tuple[float, float]:
+    """Dekker's split of a into halves of 26 bits each, a = hi + lo exactly."""
+    u = _SPLITTER * a
+    hi = u - (u - a)
+    return hi, a - hi
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 @functools.lru_cache(maxsize=256, typed=True)
 def _series(t0: float, c: float, x: float, k: float, nu: float,
             cfg: SeriesConfig, derivs: bool
@@ -103,7 +123,8 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     With derivs, also sums the term-wise derivatives t_r (2r+b)/x and
     t_r (2r+b)(2r+b-1)/x^2 with b = nu/k, and truncation waits for all three
     sums (Overflow if one leaves double range); without, both are returned
-    as 0.0.  q = 0 (c = 0, or underflow) ends the sum at t_0, est_error 0.0.
+    as 0.0.  q = 0 (c = 0, or underflow) ends the sum at t_0, est_error 0.0;
+    a truncation estimate that is not finite raises Overflow.
 
     q is Dekker's exact product (x/2)(x/2) (Numer. Math. 18, 1971) times -c
     as a dd times a double, and exactly 0 at c = 0, where that product is
@@ -111,7 +132,7 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     operations named in its comments (two-sum based dd_add, Dekker's exact
     product, dd_mul, dd times double, three-digit dd_div) in the same
     order, so the bits are those of the composed functions without the
-    calls; x/2, q, k and each term are split once.  Work on exact zeros is
+    calls; q, k and each term are split once.  Work on exact zeros is
     left out: nu, k and q3 have low part 0, two_sum(lo, 0.0) is
     (lo + 0.0, +0.0), and an integer r <= 2^26 (max_terms bounds it) splits
     as (r, 0).  Each dropped zero would join a two-sum error or a sum
@@ -141,33 +162,17 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     if c == 0.0:
         qhi = qlo = 0.0
     else:
-        # s = (x/2)(x/2), exact product
+        # q = (x/2)(x/2) (-c): an exact product, then dd times double
         xh = 0.5 * x
-        u = _SPLITTER * xh
-        xsh = u - (u - xh)
-        xsl = xh - xsh
-        p = xh * xh
-        e = ((xsh * xsh - p) + xsh * xsl + xsl * xsh) + xsl * xsl
-        # q = s (-c), dd times double
-        nc = -c
-        qhi = p * nc
-        u = _SPLITTER * p
-        psh = u - (u - p)
-        psl = p - psh
-        u = _SPLITTER * nc
-        csh = u - (u - nc)
-        csl = nc - csh
-        e = ((psh * csh - qhi) + psh * csl + psl * csh) + psl * csl + e * nc
+        p, e = _two_prod(xh, xh)
+        qhi, f = _two_prod(p, -c)
+        e = f + e * -c
         a = qhi + e
         qlo = e - (a - qhi)
         qhi = a
-    # Dekker splits (hi, lo) of the loop invariants q and k
-    u = _SPLITTER * qhi
-    qsh = u - (u - qhi)
-    qsl = qhi - qsh
-    u = _SPLITTER * k
-    ksh = u - (u - k)
-    ksl = k - ksh
+    # Dekker splits of the loop invariants q and k
+    qsh, qsl = _split(qhi)
+    ksh, ksl = _split(k)
     s0h = s0l = s1h = s1l = s2h = s2l = 0.0
     thi, tlo = t0, 0.0
     streak = 0
@@ -362,6 +367,9 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
                 f"rel_tol={cfg.rel_tol} within max_terms={cfg.max_terms}"
             )
         thi, tlo = nhi, nlo
+    if not math.isfinite(est):
+        raise Overflow(f"series truncation estimate {est!r} is not finite "
+                       f"at x = {x!r}")
     d1, d2 = s1h + s1l, s2h + s2l
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise Overflow(f"W' or W'' sums overflow in dd at x = {x!r}")
@@ -388,23 +396,6 @@ _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 # operands of the route's Dekker products stay inside this range, where the
 # split cannot overflow and no error term falls below the normal range
 _DD_MIN, _DD_MAX = 2.0 ** -900, 2.0 ** 900
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    u = _SPLITTER * a
-    ah = u - (u - a)
-    al = a - ah
-    u = _SPLITTER * b
-    bh = u - (u - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
@@ -645,7 +636,7 @@ def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:
     order_n = nu + (2n - m)k and weight_n = (-1)^n C(m,n) c^n k^n / (2k)^m.
     Every order must itself satisfy order > -k, i.e. nu - m k > -k.
     """
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise InvalidParameter(f"derivative order m must be an integer >= 1, got {m!r}")
     if not p.nu - m * p.k > -p.k:
         raise InvalidParameter(
@@ -705,7 +696,7 @@ def multisection_lhs(p: KBesselParams, x: float, terms: int) -> EvalResult:
     magnitude of the first omitted term; if the omitted term has not started
     decreasing by the cap, NonConvergence is raised.
     """
-    if not isinstance(terms, int) or terms < 1:
+    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
         raise InvalidParameter(f"terms must be an integer >= 1, got {terms!r}")
     if not x > 0.0:
         raise DomainError(f"multisection_lhs requires x > 0, got {x}")

@@ -69,7 +69,7 @@ def _require_k(k: float) -> None:
 def k_pochhammer(x: float, n: int, k: float) -> float:
     """(x)_{n,k} = x (x+k) (x+2k) ... (x+(n-1)k); empty product for n = 0."""
     _require_k(k)
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidParameter(f"n must be a non-negative integer, got {n!r}")
     if math.isnan(x):
         raise DomainError("k_pochhammer requires a real x, got nan")

@@ -600,13 +600,6 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
 # grid expansion
 
 
-def _pairs(values):
-    ordered = sorted(values)
-    for i, mu in enumerate(ordered):
-        for nu in ordered[i:]:
-            yield mu, nu
-
-
 class _Check(NamedTuple):
     """How ``run_grid`` expands one check.
 
@@ -684,7 +677,8 @@ def _expand(name: str, spec: GridSpec):
     for axis in check.axes:
         if isinstance(axis, tuple):
             keys.extend(axis)
-            axes.append(list(_pairs(spec.nu_values)))
+            axes.append(list(itertools.combinations_with_replacement(
+                sorted(spec.nu_values), 2)))
         else:
             keys.append(axis)
             axes.append([(v,) for v in sorted(_AXIS_VALUES[axis](spec))])

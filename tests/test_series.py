@@ -10,6 +10,7 @@ import hashlib
 import math
 import random
 import struct
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -31,12 +32,14 @@ from kbessel import (
     eval_w,
     eval_w_with_derivatives,
     k_gamma,
+    k_pochhammer,
     ln_k_gamma,
     multisection_lhs,
     recurrence_step_up,
 )
 from kbessel.kbessel import (_HANKEL_MIN_Y, EvalResult, _hankel,
-                             _leading_term, _series, _tail_estimate)
+                             _leading_term, _series, _split, _tail_estimate,
+                             _two_prod, _two_sum)
 
 # (nu, x) -> J_nu(x), 60-term 40-digit oracle, correctly rounded doubles
 BESSEL_J_FIXTURES = [
@@ -450,6 +453,9 @@ def _reference_series(t0, c, x, k, nu, cfg, derivs):
                 f"rel_tol={cfg.rel_tol} within max_terms={cfg.max_terms}"
             )
         thi, tlo = nhi, nlo
+    if not math.isfinite(est):
+        raise Overflow(f"series truncation estimate {est!r} is not finite "
+                       f"at x = {x!r}")
     d1, d2 = s1h + s1l, s2h + s2l
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise Overflow(f"W' or W'' sums overflow in dd at x = {x!r}")
@@ -529,6 +535,28 @@ def test_zero_signs_merged_by_the_memo_key_give_the_same_bits(k, c, x,
     assert len(outcomes) == 1
 
 
+_dd_operands = st.tuples(st.floats(2.0 ** -450, 2.0 ** 450),
+                         st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@given(a=_dd_operands, b=_dd_operands)
+@settings(max_examples=500, deadline=None)
+def test_dd_helpers_are_exact(a, b):
+    # in this range no half, product of halves or error term leaves the
+    # normal doubles, so each identity holds exactly in rationals
+    halves = _split(a) + _split(b)
+    for v in (a, b):
+        hi, lo = _split(v)
+        assert Fraction(hi) + Fraction(lo) == Fraction(v)
+    for u in halves:
+        for w in halves:
+            assert Fraction(u * w) == Fraction(u) * Fraction(w)
+    s, e = _two_sum(a, b)
+    assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
+    p, e = _two_prod(a, b)
+    assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+
 def test_memo_keeps_int_and_float_arguments_apart():
     cfg = SeriesConfig()
     _series.cache_clear()
@@ -566,6 +594,23 @@ def test_inline_series_loop_matches_the_composed_dd_loop_at_the_edges(
 def test_nonconvergence_when_capped():
     with pytest.raises(NonConvergence):
         eval_w(KBesselParams(1.0, 0.0, 1.0), 10.0, SeriesConfig(max_terms=5))
+
+
+@pytest.mark.parametrize("point", [
+    # the tail ratio passes 1, so the geometric tail bound was inf
+    (4.026635228128277e-272, -3.0101399046596114e-272,
+     -3.027328357047112e-104, 2.447096922888813e-44),
+    # the denominators pass 2^996, where their Dekker split overflows: the
+    # next term, and with it the bound, was NaN
+    (3.189084879067676e+299, 0.0, -1.1138020969990753e+83,
+     9.92117819730378e-82),
+    (2.8674823095059733e+299, 8.481517599465234e+298,
+     7.059819053185098e-96, 8.972596527035867),
+])
+def test_a_non_finite_truncation_estimate_raises_overflow(point):
+    k, nu, c, x = point
+    with pytest.raises(Overflow, match="truncation estimate"):
+        eval_w(KBesselParams(k, nu, c), x)
 
 
 def _classical_w(k, nu, c, x):
@@ -662,6 +707,44 @@ def test_hankel_expansion_agrees_with_the_series_on_the_overlap():
         assert res.value == pytest.approx(want.value, rel=1e-13)
         checked += 1
     assert checked >= 100
+
+
+def _hankel_digest(seed, count):
+    """sha256 over _hankel's (value, terms_used, est_error), or its error,
+    at count seeded points that eval_w routes to it: k and |c| log-uniform
+    in [0.1, 10] of either sign, b = nu/k in (-1, 10] and y in [35, 1e3].
+    Points where it returns None (the series serves them) are drawn again."""
+    rng = random.Random(seed)
+    ln = math.log
+    cfg = SeriesConfig()
+    digest = hashlib.sha256()
+    routed = 0
+    while routed < count:
+        k = math.exp(rng.uniform(ln(0.1), ln(10.0)))
+        c = math.copysign(math.exp(rng.uniform(ln(0.1), ln(10.0))),
+                          rng.random() - 0.5)
+        b = 10.0 - 11.0 * rng.random()
+        x = rng.uniform(35.0, 1e3) / math.sqrt(abs(c) / k)
+        if x * math.sqrt(abs(c) / k) < _HANKEL_MIN_Y:
+            continue
+        try:
+            res = _hankel(KBesselParams(k, b * k, c), x, cfg)
+        except KBesselError as exc:
+            outcome = f"{type(exc).__name__}: {exc}".encode()
+        else:
+            if res is None:
+                continue
+            outcome = struct.pack("<dqd", res.value, res.terms_used,
+                                  res.est_error)
+        digest.update(outcome)
+        routed += 1
+    return digest.hexdigest()
+
+
+def test_hankel_route_bits_are_pinned():
+    # CI pins the same draw at 200k points
+    assert _hankel_digest(9, 2000) == (
+        "34eec0253a078843e655b709ed997719ee6430528288c701dad45c0990d677cd")
 
 
 def test_terms_used_reported_and_bounded():
@@ -855,3 +938,16 @@ def test_multisection_preconditions():
         multisection_lhs(p, 1.0, 0)
     with pytest.raises(DomainError):
         multisection_lhs(p, 0.0, 5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: multisection_lhs(KBesselParams(1.0, 2.0, 1.0), 0.5, True),
+     "^terms must be an integer"),
+    (lambda: deriv_w_terms(KBesselParams(1.0, 2.0, 1.0), True),
+     "^derivative order m must be an integer"),
+    (lambda: k_pochhammer(2.0, True, 1.0), "^n must be a non-negative integer"),
+], ids=["multisection_lhs", "deriv_w_terms", "k_pochhammer"])
+def test_counts_refuse_a_bool(call, message):
+    # True would count as 1
+    with pytest.raises(InvalidParameter, match=message):
+        call()
