@@ -1,116 +1,17 @@
-"""Generalized k-Bessel functions: series/quadrature evaluation and checks."""
+"""Generalized k-Bessel functions: series/quadrature evaluation and checks.
 
-from .errors import (
-    DomainError,
-    InvalidParameter,
-    KBesselError,
-    NonConvergence,
-    Overflow,
-    QuadratureFailure,
-)
-from .kbessel import (
-    EvalResult,
-    KBesselParams,
-    SeriesConfig,
-    deriv_w,
-    deriv_w_terms,
-    eval_normalized_i,
-    eval_normalized_j,
-    eval_w,
-    eval_w_with_derivatives,
-    multisection_lhs,
-    recurrence_step_up,
-)
-from .integral import (
-    IntegralRepParams,
-    QuadConfig,
-    bessel_kernel,
-    eval_w_bessel_kernel,
-    eval_w_cos,
-    eval_w_cosh,
-    sin_relation_check,
-    sinh_relation_check,
-    weighted_integral,
-)
-from .kgamma import (
-    k_beta,
-    k_digamma,
-    k_gamma,
-    k_pochhammer,
-    k_trigamma,
-    ln_k_gamma,
-)
-from .verify import (
-    CHECK_NAMES,
-    GridSpec,
-    VerifyReport,
-    check_chebyshev_products,
-    check_coefficient_facts,
-    check_integral_agreement,
-    check_multisection,
-    check_nu_decreasing_logconvex,
-    check_ode,
-    check_order_ratio_monotone,
-    check_ratio_x_monotone,
-    check_recurrences,
-    check_sin_relation,
-    check_sinh_relation,
-    check_turan,
-    default_grid,
-    run_grid,
-)
+Each module declares its public names in its own ``__all__``; the package
+exports their union.
+"""
+
+from . import errors, kbessel, integral, kgamma, verify
+from .errors import *  # noqa: F401,F403
+from .kbessel import *  # noqa: F401,F403
+from .integral import *  # noqa: F401,F403
+from .kgamma import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHECK_NAMES",
-    "DomainError",
-    "GridSpec",
-    "VerifyReport",
-    "EvalResult",
-    "IntegralRepParams",
-    "InvalidParameter",
-    "KBesselError",
-    "KBesselParams",
-    "NonConvergence",
-    "Overflow",
-    "QuadConfig",
-    "QuadratureFailure",
-    "SeriesConfig",
-    "bessel_kernel",
-    "check_chebyshev_products",
-    "check_coefficient_facts",
-    "check_integral_agreement",
-    "check_multisection",
-    "check_nu_decreasing_logconvex",
-    "check_ode",
-    "check_order_ratio_monotone",
-    "check_ratio_x_monotone",
-    "check_recurrences",
-    "check_sin_relation",
-    "check_sinh_relation",
-    "check_turan",
-    "default_grid",
-    "deriv_w",
-    "deriv_w_terms",
-    "eval_normalized_i",
-    "eval_normalized_j",
-    "eval_w",
-    "eval_w_bessel_kernel",
-    "eval_w_cos",
-    "eval_w_cosh",
-    "eval_w_with_derivatives",
-    "k_beta",
-    "k_digamma",
-    "k_gamma",
-    "k_pochhammer",
-    "k_trigamma",
-    "ln_k_gamma",
-    "multisection_lhs",
-    "recurrence_step_up",
-    "run_grid",
-    "sin_relation_check",
-    "sinh_relation_check",
-    "weighted_integral",
-    "__version__",
-]
+__all__ = [name for module in (errors, kbessel, integral, kgamma, verify)
+           for name in module.__all__] + ["__version__"]

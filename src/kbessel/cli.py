@@ -149,7 +149,8 @@ def main() -> None:
               help="Argument: a number or a comma-separated list.")
 @click.option("--deriv", type=click.IntRange(min=0), default=0,
               show_default=True,
-              help="Derivative order m (0 evaluates the function itself).")
+              help="Derivative order m (0 evaluates the function itself); "
+                   "the order ladder needs nu - m*k > -k.")
 @click.option("--tol", type=float, default=1e-14, show_default=True,
               help="Relative truncation tolerance of the series, and of "
                    "the Hankel expansion that eval_w takes at y >= 35.")
@@ -230,6 +231,12 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
     with leading term 1, i.e. (2/x)^(nu/k) Gamma_k(nu+k) W), and the
     function value's truncation-error estimate.  The header appears
     exactly once and the row count equals --x-steps.
+
+    The normalized column runs the series at every x.  For c > 0 the
+    series cancels past y = x sqrt(c/k) of about 35, where the value column
+    takes the Hankel expansion instead, so the normalized column can miss
+    from there on: at k = 1, nu = 0.5, c = 1, x = 100 it is 2.3e7 where
+    the true value is -0.0051.
     """
     if x_steps < 1:
         _fail(2, f"--x-steps must be at least 1, got {x_steps}")
@@ -253,18 +260,23 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
 _GRID_FIELDS = tuple(field.name for field in dataclasses.fields(GridSpec))
 
 
-def _load_grid_file(path: str) -> dict:
-    """The grid file's arrays by field name; exits 2 unless every key is a
-    ``_GRID_FIELDS`` name holding an array of finite numbers."""
+def _grid_spec(grid: str, required: tuple[str, ...] = ()) -> GridSpec:
+    """``default_grid()``, or it with the arrays of the JSON file ``grid``
+    in place of its own.  Exits 2 unless every key of the file is a
+    ``_GRID_FIELDS`` name holding an array of finite numbers, every
+    ``required`` key is there, and ``GridSpec`` takes the arrays."""
+    spec = default_grid()
+    if grid == "default":
+        return spec
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(grid, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except OSError as exc:
-        _fail(2, f"cannot read grid file {path!r}: {exc}")
+        _fail(2, f"cannot read grid file {grid!r}: {exc}")
     except json.JSONDecodeError as exc:
-        _fail(2, f"grid file {path!r} is not valid JSON: {exc}")
+        _fail(2, f"grid file {grid!r} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
-        _fail(2, f"grid file {path!r} must hold a JSON object of arrays")
+        _fail(2, f"grid file {grid!r} must hold a JSON object of arrays")
     for key, values in payload.items():
         if key not in _GRID_FIELDS:
             _fail(2, f"unknown grid field {key!r}; known fields: "
@@ -275,7 +287,11 @@ def _load_grid_file(path: str) -> dict:
                            not isinstance(v, bool) and
                            abs(v) <= sys.float_info.max for v in values)):
             _fail(2, f"grid field {key!r} must be an array of numbers")
-    return payload
+    for key in required:
+        if key not in payload:
+            _fail(2, f"grid file must define {key!r}")
+    with _exit_codes():
+        return dataclasses.replace(spec, **payload)
 
 
 _COMPARE_BETAS = (-0.4, 0.0, 0.5, 1.0, 2.5)
@@ -294,27 +310,16 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
     Emits one row per admissible (k, nu, alpha, x, route) combination with
     both values and their difference; inadmissible routes are omitted.
     """
-    if grid == "default":
-        spec = default_grid()
-        k_values, alpha_values, x_values = (spec.k_values, spec.alpha_values,
-                                            spec.x_values)
-        nu_by_k = {k: tuple(beta * k for beta in _COMPARE_BETAS)
-                   for k in k_values}
-    else:
-        payload = _load_grid_file(grid)
-        keys = ("k_values", "nu_values", "alpha_values", "x_values")
-        for key in keys:
-            if key not in payload:
-                _fail(2, f"grid file must define {key!r}")
-        k_values, nu_values, alpha_values, x_values = (
-            tuple(sorted({float(v) for v in payload[key]})) for key in keys)
-        nu_by_k = {k: nu_values for k in k_values}
-
+    spec = _grid_spec(grid, ("k_values", "nu_values", "alpha_values",
+                             "x_values"))
     rows = []
     with _exit_codes():
-        for k in k_values:
+        for k in sorted(spec.k_values):
+            nu_values = ([beta * k for beta in _COMPARE_BETAS]
+                         if grid == "default" else spec.nu_values)
             for nu, alpha, x, route in itertools.product(
-                    sorted(nu_by_k[k]), alpha_values, x_values, ROUTES):
+                    sorted(nu_values), sorted(spec.alpha_values),
+                    sorted(spec.x_values), ROUTES):
                 for c, quad, series in route_legs(k, nu, alpha, x, route)[1]:
                     rows.append([k, nu, alpha, x, route, c, series, quad,
                                  quad - series])
@@ -343,11 +348,8 @@ def cmd_verify(checks: str, grid: str, fmt: str, out: str | None) -> None:
         names = [piece.strip() for piece in checks.split(",") if piece.strip()]
         if not names:
             _fail(2, "--checks must name at least one check")
+    spec = _grid_spec(grid)  # unnamed fields keep their default values
     with _exit_codes():
-        spec = default_grid()
-        if grid != "default":
-            # unnamed fields keep their default values
-            spec = dataclasses.replace(spec, **_load_grid_file(grid))
         reports = run_grid(spec, names)
     header = ["check_name", "grid_point", "margin", "passed", "skipped",
               "notes"]

@@ -4,6 +4,15 @@ All error signaling is by raised exceptions; no routine returns NaN or a
 silently saturated value.
 """
 
+__all__ = [
+    "DomainError",
+    "InvalidParameter",
+    "KBesselError",
+    "NonConvergence",
+    "Overflow",
+    "QuadratureFailure",
+]
+
 
 class KBesselError(Exception):
     """Base class for all errors raised by this package."""

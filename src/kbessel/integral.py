@@ -33,6 +33,18 @@ from .errors import (DomainError, InvalidParameter, NonConvergence,
 from .kbessel import KBesselParams, eval_w
 from .kgamma import _MAX_EXP_ARG, _exp_guarded, ln_k_gamma
 
+__all__ = [
+    "IntegralRepParams",
+    "QuadConfig",
+    "bessel_kernel",
+    "eval_w_bessel_kernel",
+    "eval_w_cos",
+    "eval_w_cosh",
+    "sin_relation_check",
+    "sinh_relation_check",
+    "weighted_integral",
+]
+
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _LN_HALF_PI = math.log(0.5 * math.pi)
@@ -204,11 +216,8 @@ class _TrigIntegrand:
     fn: Callable[[float], float]
     omega: float
 
-    def __call__(self, t: float) -> float:
-        return self.fn(self.omega * t)
-
     def values(self, ts: array) -> array:
-        """h at every t in ``ts``; the same bits as ``map(self, ts)``."""
+        """h at every t in ``ts``."""
         fn, omega = self.fn, self.omega
         return array("d", [fn(omega * t) for t in ts])
 
@@ -221,11 +230,8 @@ class _KernelIntegrand:
     scale: float
     c: float
 
-    def __call__(self, t: float) -> float:
-        return t * bessel_kernel(self.scale * t, self.c)
-
     def values(self, ts: array) -> array:
-        """h at every t in ``ts``; the same bits as ``map(self, ts)``."""
+        """h at every t in ``ts``."""
         scale, c = self.scale, self.c
         return array("d", [t * bessel_kernel(scale * t, c) for t in ts])
 
@@ -255,12 +261,13 @@ def _integrate_once(h, p1: float, extra: int, n: int) -> float:
     """One level: fsum of w_i h(t_i) over the level's n nodes, or
     QuadratureFailure where that sum is not finite.
 
-    Where h is a ``_VALUE_INTEGRANDS`` value, h(t_i) comes from the
-    ``_level_values`` memo, so integrals of one h at weight exponents that
-    share (extra, n) evaluate h once per level between them.  Any other
-    callable is evaluated on every level and never stored: it may hold
-    state.  Either way the sum is the same fsum of the same products, and
-    the weights are built, or refused, before h is evaluated.
+    Where h is a ``_VALUE_INTEGRANDS`` value, which has no ``__call__``,
+    h(t_i) comes from its ``values`` through the ``_level_values`` memo, so
+    integrals of one h at weight exponents that share (extra, n) evaluate h
+    once per level between them.  Any other h is a callable, evaluated on
+    every level and never stored: it may hold state.  Either way the sum
+    is the same fsum of the same products, and the weights are built, or
+    refused, before h is evaluated.
     """
     # legendre_nodes is called on every level, cached or not:
     # perfbench/tracer.py counts quadrature nodes from these calls

@@ -38,6 +38,20 @@ from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow)
 from .kgamma import _exp_guarded, ln_k_gamma
 
+__all__ = [
+    "EvalResult",
+    "KBesselParams",
+    "SeriesConfig",
+    "deriv_w",
+    "deriv_w_terms",
+    "eval_normalized_i",
+    "eval_normalized_j",
+    "eval_w",
+    "eval_w_with_derivatives",
+    "multisection_lhs",
+    "recurrence_step_up",
+]
+
 
 @dataclass(frozen=True)
 class KBesselParams:
@@ -560,10 +574,11 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
     cfg.rel_tol (see ``_hankel``).
 
     x = 0 is admitted for nu >= 0 (limit values 1 at nu = 0, else 0); negative
-    x raises DomainError because x^(nu/k) is not real-valued there.
+    x raises DomainError because x^(nu/k) is not real-valued there, and so
+    does a NaN or infinite x.
     """
-    if math.isnan(x) or x < 0.0:
-        raise DomainError(f"eval_w requires x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"eval_w requires a finite x >= 0, got {x}")
     if x == 0.0:
         if p.nu < 0.0:
             raise DomainError("eval_w at x = 0 requires nu >= 0")
@@ -582,8 +597,8 @@ def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
                      cfg: SeriesConfig) -> EvalResult:
     """(2/x)^(nu/k) Gamma_k(nu+k) W(x) at parameter c (p.c is not read):
     the series with leading term 1."""
-    if math.isnan(x):
-        raise DomainError(f"{name} requires a real x")
+    if not math.isfinite(x):
+        raise DomainError(f"{name} requires a finite real x, got {x}")
     if x == 0.0:
         return EvalResult(1.0, 1, 0.0)
     return _series(1.0, c, x, p.k, p.nu, cfg, False)[0]
@@ -611,8 +626,9 @@ def eval_w_with_derivatives(p: KBesselParams, x: float
     multipliers (2r+b)/x and (2r+b)(2r+b-1)/x^2 with b = nu/k, so the three
     sums share one term recurrence; no finite differencing is involved.
     """
-    if not x > 0.0:
-        raise DomainError(f"eval_w_with_derivatives requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"eval_w_with_derivatives requires a finite x > 0, "
+                          f"got {x}")
     res, d1, d2 = _series(_leading_term(p, x), p.c, x, p.k, p.nu,
                           _DEFAULT_CONFIG, True)
     if p.c != 0.0:
@@ -656,7 +672,8 @@ def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:
 
 def deriv_w(p: KBesselParams, x: float, m: int,
             cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
-    """m-th derivative of W at x via the order ladder (m >= 1)."""
+    """m-th derivative of W at x via the order ladder (m >= 1); x is
+    refused where ``eval_w`` refuses it."""
     parts = deriv_w_terms(p, m)
     est = 0.0
     terms_used = 0
@@ -674,14 +691,15 @@ def recurrence_step_up(p: KBesselParams, x: float, w_nu: float,
                        w_nu_minus_k: float) -> float:
     """Solve the three-term order recurrence upward:
 
-    W_(nu+k) = (2 nu W_nu / x - W_(nu-k)) / (c k);  needs nu > 0, c != 0, x > 0.
+    W_(nu+k) = (2 nu W_nu / x - W_(nu-k)) / (c k);  needs nu > 0, c != 0 and
+    a finite x > 0.
     """
     if p.c == 0.0:
         raise InvalidParameter("recurrence_step_up requires c != 0")
     if not p.nu > 0.0:
         raise InvalidParameter(f"recurrence_step_up requires nu > 0, got {p.nu}")
-    if not x > 0.0:
-        raise DomainError(f"recurrence_step_up requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"recurrence_step_up requires a finite x > 0, got {x}")
     return (2.0 * p.nu * w_nu / x - w_nu_minus_k) / (p.c * p.k)
 
 
@@ -698,8 +716,8 @@ def multisection_lhs(p: KBesselParams, x: float, terms: int) -> EvalResult:
     """
     if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
         raise InvalidParameter(f"terms must be an integer >= 1, got {terms!r}")
-    if not x > 0.0:
-        raise DomainError(f"multisection_lhs requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"multisection_lhs requires a finite x > 0, got {x}")
     two_over_x = 2.0 / x
     step = -p.c * p.k
     factor = 1.0

@@ -24,6 +24,15 @@ import sys
 from .classical import digamma, ln_gamma, trigamma
 from .errors import DomainError, InvalidParameter, Overflow
 
+__all__ = [
+    "k_beta",
+    "k_digamma",
+    "k_gamma",
+    "k_pochhammer",
+    "k_trigamma",
+    "ln_k_gamma",
+]
+
 _MIN_NORMAL = sys.float_info.min
 
 # k_digamma sums log(t) and psi(t/k) - log(t/k) from here up

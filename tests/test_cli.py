@@ -220,6 +220,13 @@ class TestEval:
         assert result.exit_code == 2
         assert f"{option[2:]} must be finite, got {value}" in result.stderr
 
+    @pytest.mark.parametrize("x", ["inf", "-inf"])
+    def test_non_finite_x_exits_2(self, runner, x):
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "0", "--c", "-1", "--x", x])
+        assert result.exit_code == 2
+        assert f"requires a finite x >= 0, got {x}" in result.stderr
+
     def test_missing_required_option_exits_2(self, runner):
         result = runner.invoke(main, ["eval", "--k", "1", "--nu", "0"])
         assert result.exit_code == 2
@@ -521,6 +528,23 @@ class TestCompareIntegral:
             main, ["compare-integral", "--grid", str(grid)])
         assert result.exit_code == 2
         assert "must define" in result.stderr
+
+    @pytest.mark.parametrize("k_values, message", [
+        ([], "k_values must be non-empty"),
+        ([0], "k_values must be positive"),
+    ], ids=["empty", "zero"])
+    def test_grid_spec_refusal_exits_2_as_verify_does(self, runner, tmp_path,
+                                                      k_values, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": k_values, "nu_values": [0.5], "alpha_values": [1.0],
+            "x_values": [1.0]}), encoding="utf-8")
+        results = [runner.invoke(main, [command, "--grid", str(grid)])
+                   for command in ("compare-integral", "verify")]
+        for result in results:
+            assert result.exit_code == 2
+            assert result.stdout == ""
+        assert results[0].stderr == results[1].stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("payload,message", [
         ({"k_values": ["a"]}, "array of numbers"),

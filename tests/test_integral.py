@@ -633,15 +633,17 @@ def test_other_callables_are_evaluated_on_every_level(node_calls):
     assert integral._level_values.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("h", [
-    integral._TrigIntegrand(math.cos, 3.0),
-    integral._TrigIntegrand(math.cosh, 7.0),
-    integral._KernelIntegrand(2.0, 1.5),
-    integral._KernelIntegrand(3.0, -2.0),
+@pytest.mark.parametrize("h, oracle", [
+    (integral._TrigIntegrand(math.cos, 3.0), lambda t: math.cos(3.0 * t)),
+    (integral._TrigIntegrand(math.cosh, 7.0), lambda t: math.cosh(7.0 * t)),
+    (integral._KernelIntegrand(2.0, 1.5),
+     lambda t: t * bessel_kernel(2.0 * t, 1.5)),
+    (integral._KernelIntegrand(3.0, -2.0),
+     lambda t: t * bessel_kernel(3.0 * t, -2.0)),
 ], ids=["cos", "cosh", "kernel-j", "kernel-i"])
-def test_value_integrand_values_equal_calls_node_by_node(h):
+def test_value_integrand_values_equal_calls_node_by_node(h, oracle):
     ts, _ = _node_transform(0.2, 3, 256)
-    assert h.values(ts).tobytes() == array("d", map(h, ts)).tobytes()
+    assert h.values(ts).tobytes() == array("d", [oracle(t) for t in ts]).tobytes()
 
 
 def test_kernel_integrands_of_either_zero_sign_share_equal_values():
@@ -649,5 +651,6 @@ def test_kernel_integrands_of_either_zero_sign_share_equal_values():
     minus = integral._KernelIntegrand(0.5, -0.0)
     assert plus == minus and hash(plus) == hash(minus)
     ts, _ = _node_transform(1.0, 0, 128)
-    assert (array("d", map(plus, ts)).tobytes()
-            == array("d", map(minus, ts)).tobytes())
+    assert (array("d", [t * bessel_kernel(0.5 * t, 0.0) for t in ts]).tobytes()
+            == array("d", [t * bessel_kernel(0.5 * t, -0.0) for t in ts]).tobytes())
+    assert plus.values(ts).tobytes() == minus.values(ts).tobytes()

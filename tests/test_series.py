@@ -37,6 +37,7 @@ from kbessel import (
     multisection_lhs,
     recurrence_step_up,
 )
+from kbessel import kbessel as kbessel_module
 from kbessel.kbessel import (_HANKEL_MIN_Y, EvalResult, _hankel,
                              _leading_term, _series, _split, _tail_estimate,
                              _two_prod, _two_sum)
@@ -163,6 +164,30 @@ def test_negative_and_nan_x_rejected():
         eval_w(p, -1.0)
     with pytest.raises(DomainError):
         eval_w(p, math.nan)
+
+
+_P = KBesselParams(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda x: eval_w(_P, x),
+    lambda x: eval_w_with_derivatives(_P, x),
+    lambda x: deriv_w(_P, x, 1),
+    lambda x: multisection_lhs(_P, x, 5),
+    lambda x: eval_normalized_i(_P, x),
+    lambda x: eval_normalized_j(_P, x),
+    lambda x: recurrence_step_up(_P, x, 0.4, 0.7),
+], ids=["eval_w", "eval_w_with_derivatives", "deriv_w", "multisection_lhs",
+        "eval_normalized_i", "eval_normalized_j", "recurrence_step_up"])
+def test_non_finite_x_is_a_domain_error_before_any_term(monkeypatch, call, x):
+    def no_terms(*args):
+        raise AssertionError("a series term was evaluated")
+
+    monkeypatch.setattr(kbessel_module, "_series", no_terms)
+    monkeypatch.setattr(kbessel_module, "_hankel", no_terms)
+    with pytest.raises(DomainError, match="finite"):
+        call(x)
 
 
 def test_c_zero_single_term():
