@@ -153,7 +153,7 @@ def main() -> None:
                    "the order ladder needs nu - m*k > -k.")
 @click.option("--tol", type=float, default=1e-14, show_default=True,
               help="Relative truncation tolerance of the series, and of "
-                   "the Hankel expansion that eval_w takes at y >= 35.")
+                   "the Hankel expansion that eval_w takes at y >= 17.")
 @click.option("--max-terms", type=int, default=500, show_default=True,
               help="Series term cap.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv", "json"]),
@@ -227,16 +227,14 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
               out: str | None) -> None:
     """Tabulate the function and its normalized form over an x grid.
 
-    Columns: x, the function value, the normalized value (the same series
-    with leading term 1, i.e. (2/x)^(nu/k) Gamma_k(nu+k) W), and the
-    function value's truncation-error estimate.  The header appears
-    exactly once and the row count equals --x-steps.
+    Columns: x, the function value, the normalized value
+    (2/x)^(nu/k) Gamma_k(nu+k) W, and the function value's error estimate.
+    The header appears exactly once and the row count equals --x-steps.
 
-    The normalized column runs the series at every x.  For c > 0 the
-    series cancels past y = x sqrt(c/k) of about 35, where the value column
-    takes the Hankel expansion instead, so the normalized column can miss
-    from there on: at k = 1, nu = 0.5, c = 1, x = 100 it is 2.3e7 where
-    the true value is -0.0051.
+    Below y = x sqrt(|c|/k) = 17, and where the Hankel expansion declines,
+    the normalized column is the series with leading term 1; elsewhere it
+    is W from the expansion over the leading term (x/2)^(nu/k) /
+    Gamma_k(nu+k), so it does not cancel at large y for c > 0.
     """
     if x_steps < 1:
         _fail(2, f"--x-steps must be at least 1, got {x_steps}")

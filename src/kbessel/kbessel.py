@@ -23,9 +23,12 @@ term separately loses ~3 digits there.  Truncation stops once two
 consecutive terms fall below rel_tol times the running sum.
 
 At large effective argument y = x sqrt(|c|/k) the alternating series
-cancels past what double-double holds, so eval_w (only eval_w) takes
-W = (|c| k)^(-nu/(2k)) C_(nu/k)(y), C = J for c > 0 and I for c < 0, from
-the Hankel expansion of C there (``_hankel``).
+cancels past what double-double holds, so from y = 17 on every series entry
+point takes W = (|c| k)^(-nu/(2k)) C_(nu/k)(y), C = J for c > 0 and I for
+c < 0, from the Hankel expansion of C where it serves (``_hankel_route``):
+eval_w returns it, the normalized functions divide it by the leading term,
+and eval_w_with_derivatives forms W' and W'' from it and from W at the
+raised orders nu + k and nu + 2k.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow)
-from .kgamma import _exp_guarded, ln_k_gamma
+from .kgamma import _MIN_NORMAL, _exp_guarded, ln_k_gamma
 
 __all__ = [
     "EvalResult",
@@ -402,9 +405,10 @@ def _leading_term(p: KBesselParams, x: float) -> float:
     return _exp_guarded(ln_t0, "leading series term")
 
 
-# eval_w takes the Hankel expansion from this effective argument y up; below
-# it the dd series is accurate to 1e-12 for both signs of c
-_HANKEL_MIN_Y = 35.0
+# the series entry points take the Hankel expansion from this effective
+# argument y up, where at rel_tol 1e-14 it serves b in {0, 1/4, 1/2, 1} for
+# both signs of c; below it the dd series is accurate to 1e-12 for both
+_HANKEL_MIN_Y = 17.0
 _U = 2.0 ** -53  # unit roundoff of a double
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 # operands of the route's Dekker products stay inside this range, where the
@@ -568,9 +572,18 @@ def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
     return EvalResult(value, j, envelope * (t_err + rel * abs(t)))
 
 
+def _hankel_route(p: KBesselParams, x: float,
+                  cfg: SeriesConfig) -> EvalResult | None:
+    """W at x > 0 from ``_hankel`` where y = x sqrt(|c|/k) >= _HANKEL_MIN_Y
+    and the expansion serves it; None where the series must."""
+    if x * math.sqrt(abs(p.c) / p.k) >= _HANKEL_MIN_Y:
+        return _hankel(p, x, cfg)
+    return None
+
+
 def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
     """Evaluate W(x) by the defining power series, or at effective argument
-    y = x sqrt(|c|/k) >= 35 by the Hankel expansion where it reaches
+    y = x sqrt(|c|/k) >= 17 by the Hankel expansion where it reaches
     cfg.rel_tol (see ``_hankel``).
 
     x = 0 is admitted for nu >= 0 (limit values 1 at nu = 0, else 0); negative
@@ -586,22 +599,56 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
             # limit 1/Gamma_k(k) = 1
             return EvalResult(1.0, 1, 0.0)
         return EvalResult(0.0, 1, 0.0)
-    if x * math.sqrt(abs(p.c) / p.k) >= _HANKEL_MIN_Y:
-        res = _hankel(p, x, cfg)
-        if res is not None:
-            return res
+    res = _hankel_route(p, x, cfg)
+    if res is not None:
+        return res
     return _series(_leading_term(p, x), p.c, x, p.k, p.nu, cfg, False)[0]
+
+
+def _leading_term_error(p: KBesselParams, x: float, t0: float) -> float:
+    """A first-order bound of the relative error of t0 = _leading_term(p, x),
+    in its roundings: t_0 = exp(L), L = b ln(x/2) - (u - 1) ln k - ln Gamma(u)
+    with b = nu/k and u = (nu + k)/k.  b ln(x/2) within 3 units (b, the
+    log, the product); u within 3 units of itself (nu + k, the quotient,
+    and the 1 beside it), which moves (u - 1) ln k by 3 u |ln k| and
+    ln Gamma(u) by 3 u |psi(u)| <= 3 (u |ln u| + 1), as
+    ln u - 1/u < psi(u) < ln u; ln Gamma within 4 units of itself, as the
+    classical routine states; the two sums and exp within 3 units of |L|."""
+    if p.nu == 0.0:
+        return 0.0  # _leading_term returns 1.0 exactly
+    b = p.nu / p.k
+    u = b + 1.0
+    ln_t0 = math.log(t0)
+    b_ln_half = b * math.log(x / 2.0)
+    ln_k = math.log(p.k)
+    ln_gamma_u = (b_ln_half - ln_t0) - b * ln_k
+    return _U * (3.0 * abs(b_ln_half) + 3.0 * u * abs(ln_k)
+                 + 3.0 * (u * abs(math.log(u)) + 1.0) + 4.0 * abs(ln_gamma_u)
+                 + 3.0 * abs(ln_t0))
 
 
 def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
                      cfg: SeriesConfig) -> EvalResult:
     """(2/x)^(nu/k) Gamma_k(nu+k) W(x) at parameter c (p.c is not read):
-    the series with leading term 1."""
+    the series with leading term 1, or W / t_0 with W from the Hankel
+    route and t_0 = (x/2)^(nu/k) / Gamma_k(nu+k) from its logarithm."""
     if not math.isfinite(x):
         raise DomainError(f"{name} requires a finite real x, got {x}")
     if x == 0.0:
         return EvalResult(1.0, 1, 0.0)
-    return _series(1.0, c, x, p.k, p.nu, cfg, False)[0]
+    q = KBesselParams(p.k, p.nu, c)
+    ax = abs(x)  # the function is even in x
+    w = _hankel_route(q, ax, cfg)
+    if w is None:
+        return _series(1.0, c, x, p.k, p.nu, cfg, False)[0]
+    t0 = _leading_term(q, ax)
+    value = w.value / t0
+    if not _MIN_NORMAL <= abs(value) < math.inf:
+        raise Overflow(f"{name} from the Hankel expansion leaves the normal "
+                       f"double range: W / t_0 = {w.value!r} / {t0!r}")
+    # W's bound, t_0's rounding and the quotient's
+    rel = _leading_term_error(q, ax, t0) + _U
+    return EvalResult(value, w.terms_used, w.est_error / t0 + rel * abs(value))
 
 
 def eval_normalized_i(p: KBesselParams, x: float) -> EvalResult:
@@ -620,15 +667,42 @@ def eval_normalized_j(p: KBesselParams, x: float) -> EvalResult:
 
 def eval_w_with_derivatives(p: KBesselParams, x: float
                             ) -> tuple[EvalResult, float, float]:
-    """(W, W', W'') at x > 0 with the derivatives taken term-by-term.
+    """(W, W', W'') at x > 0; the EvalResult is W's.
 
-    Each series term (x/2)^(2r+nu/k)-proportional piece differentiates to
-    multipliers (2r+b)/x and (2r+b)(2r+b-1)/x^2 with b = nu/k, so the three
-    sums share one term recurrence; no finite differencing is involved.
+    At y = x sqrt(|c|/k) >= 17, where the term-wise derivatives of the
+    alternating series cancel, W' and W'' follow from the paper's
+    derivative relation x W' = b W - x c W_(nu+k) and its three-term order
+    recurrence,
+
+        W'  = -c W_(nu+k) + (b/x) W,
+        W'' = c^2 W_(nu+2k) - c (2b+1)/x W_(nu+k) + b (b-1)/x^2 W,
+
+    with b = nu/k and W, W_(nu+k), W_(nu+2k) from eval_w (the Hankel
+    expansion where it serves): upward orders only, so the route never
+    leaves the domain.  Below y = 17 the series is differentiated term by
+    term: each (x/2)^(2r+b)-proportional term takes the multipliers
+    (2r+b)/x and (2r+b)(2r+b-1)/x^2, so the three sums share one term
+    recurrence.  No finite differencing is involved.  A W' or W'' outside
+    the normal double range raises Overflow.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"eval_w_with_derivatives requires a finite x > 0, "
                           f"got {x}")
+    if x * math.sqrt(abs(p.c) / p.k) >= _HANKEL_MIN_Y:
+        # W from _hankel_route or, where it declines, the series, which is
+        # accurate to y = 35 where the term-wise derivatives are not
+        res = eval_w(p, x)
+        c, w = p.c, res.value
+        b_x = p.nu / p.k / x
+        c_w1 = c * eval_w(KBesselParams(p.k, p.nu + p.k, p.c), x).value
+        c_w2 = c * eval_w(KBesselParams(p.k, p.nu + 2.0 * p.k, p.c), x).value
+        d1 = b_x * w - c_w1
+        d2 = c * c_w2 - (2.0 * b_x + 1.0 / x) * c_w1 + b_x * (b_x - 1.0 / x) * w
+        for name, d in (("W'", d1), ("W''", d2)):
+            if not _MIN_NORMAL <= abs(d) < math.inf:
+                raise Overflow(f"{name} from the raised orders is {d!r} at "
+                               f"x = {x!r}: outside the normal double range")
+        return res, d1, d2
     res, d1, d2 = _series(_leading_term(p, x), p.c, x, p.k, p.nu,
                           _DEFAULT_CONFIG, True)
     if p.c != 0.0:

@@ -172,9 +172,12 @@ def _normalized(k: float, order: float, x: float) -> float:
 def check_ode(p: KBesselParams, x: float) -> VerifyReport:
     """Residual of y'' + y'/x + (ck - nu^2/x^2) y / k^2 = 0.
 
-    Derivatives come from term-by-term differentiation of the series, never
-    finite differences, so the residual isolates algebraic consistency of
-    the three sums.  margin = -abs(residual), tol = 1e-8 * scale with
+    Derivatives come from ``eval_w_with_derivatives``, never finite
+    differences: below y = x sqrt(|c|/k) = 17 term-by-term differentiation
+    of the series, so the residual isolates algebraic consistency of the
+    three sums; from y = 17 on the raised-order relations, so it tests W at
+    nu, nu + k and nu + 2k against the order recurrence.  The default grid
+    stays below y = 8.5.  margin = -abs(residual), tol = 1e-8 * scale with
     scale = max(|y''|, |y'/x|, |y|/x^2, 1).
     """
     _require_positive_x(x)
@@ -203,6 +206,11 @@ def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
       finite differences;
     * the general ladder d^m W/dx^m for m in {1, 2} against finite
       differences.
+
+    At y = x sqrt(|c|/k) >= 17, W' comes from the first of these
+    relations (``eval_w_with_derivatives``), so that identity holds there
+    by construction and only the others test it; the default grid stays
+    below y = 8.5.
 
     Exact residuals are measured against 1e-10 * scale with
     scale = max over the three orders of |W| and 1; finite-difference

@@ -385,6 +385,17 @@ class TestTable:
             want = eval_w(KBesselParams(1.5, 0.7, 1.0), float(line[0]))
             assert line[1] == repr(want.value)
 
+    def test_normalized_column_at_large_argument(self, runner):
+        # Gamma(3/2) (2/100)^(1/2) J_(1/2)(100) from mpmath; the series with
+        # leading term 1 gave 23481945.088310633 here
+        result = runner.invoke(
+            main, ["table", "--k", "1", "--nu", "0.5", "--c", "1",
+                   "--x-start", "100", "--x-stop", "100", "--x-steps", "1"])
+        assert result.exit_code == 0
+        normalized = float(rows_of(result.stdout)[1][2])
+        want = -0.0050636564110975879
+        assert abs(normalized - want) <= 1e-12 * abs(want)
+
     def test_normalized_column_is_one_at_zero_argument(self, runner):
         result = runner.invoke(
             main, ["table", "--k", "1", "--nu", "1", "--c", "1",
@@ -628,15 +639,16 @@ class TestVerify:
         assert "at least one check" in result.stderr
 
     def test_failing_grid_exits_4(self, runner, tmp_path):
+        # I_100(6.3e7) leaves the double range
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
-            "k_values": [0.1], "nu_values": [10.0],
+            "k_values": [0.1], "nu_values": [10.0], "c_values": [-1],
             "x_values": [2e7]}), encoding="utf-8")
         result = runner.invoke(
             main, ["verify", "--checks", "ode", "--grid", str(grid)])
         assert result.exit_code == 4
         assert "0 passed" in result.stderr
-        assert "3 failed" in result.stderr
+        assert "1 failed" in result.stderr
         for line in result.stdout.splitlines():
             record = json.loads(line)
             assert record["passed"] is False

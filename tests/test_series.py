@@ -349,9 +349,18 @@ def test_series_layer_bits_are_pinned():
     # a refactor of the series layer must leave this digest unchanged.
     # Since eval_w takes the Hankel expansion at y >= 35, 118 eval_w entries
     # there differ from the series' (worst error against mpmath: c > 0 from
-    # 3.8e9 to 8.5e-15 relative, c < 0 from 9.6e-15 to 2.5e-15)
+    # 3.8e9 to 8.5e-15 relative, c < 0 from 9.6e-15 to 2.5e-15).  Since the
+    # route starts at y >= 17 and serves the normalized functions and the
+    # derivatives too, the entries that differ (worst relative error
+    # against mpmath over them, before -> after) are 59 eval_w (c > 0
+    # 6.3e-15 -> 5.7e-15, c < 0 8.0e-15 -> 2.5e-15), 168 eval_normalized_i
+    # (2.5e-15 -> 1.0e-14, within est_error), 171 eval_normalized_j
+    # (6.8e96 -> 1.5e-14) and 199 eval_w_with_derivatives: c > 0 W 3.8e9 ->
+    # 1.1e-14, W' 9.3e26 -> 2.9e-14, W'' 2.3e25 -> 5.3e-6 (W at nu + 2k
+    # still from the series past y = 35 where (b + 2)^2 > 2y); c < 0 W
+    # 9.8e-15 -> 5.9e-15, W' 1.0e-14 -> 7.2e-15, W'' 9.8e-15 -> 5.9e-15
     assert _series_layer_digest(2024, 1000) == (
-        "25078fda8cbe8441154d1d2cce5a235649171055aec6491aa1cf0fd96eb01233")
+        "26bbca33f18c13eec3bee2d92be48c459f4f503a8dd5f02f0f03d56a955c0436")
 
 
 # The composed double-double ("dd") operations, as the series loop ran them
@@ -690,7 +699,7 @@ def test_large_argument_phase_is_kept_in_double_double(x):
     assert res.est_error <= 1e-14 * math.sqrt(2.0 / (math.pi * x))
 
 
-@given(y=st.floats(35.0, 1e3), b=st.floats(-1.0, 10.0, exclude_min=True),
+@given(y=st.floats(_HANKEL_MIN_Y, 1e3), b=st.floats(-1.0, 10.0, exclude_min=True),
        k=st.floats(math.log(0.1), math.log(10.0)),
        c=st.floats(math.log(0.1), math.log(10.0)), negative=st.booleans())
 @settings(max_examples=300, deadline=None)
@@ -732,6 +741,107 @@ def test_hankel_expansion_agrees_with_the_series_on_the_overlap():
         assert res.value == pytest.approx(want.value, rel=1e-13)
         checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("b", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_hankel_serves_from_the_crossover_on(b, c):
+    # the expansion certifies rel_tol 1e-14 at y = 17 for these orders, so
+    # the series is never asked past it for them
+    p = KBesselParams(1.0, b, c)
+    res = _hankel(p, _HANKEL_MIN_Y, SeriesConfig())
+    assert res is not None
+    assert _within_est_error(res, 1.0, b, c, _HANKEL_MIN_Y)
+
+
+def _classical_derivatives(k, nu, c, x):
+    """(W, W', W'') and the envelope of each in 40-digit mpmath: C_b(y),
+    C = J for c > 0 and I for c < 0, and its derivatives, with one chain
+    factor sqrt(|c|/k) per order; the envelope is that of J, or the value
+    itself for I."""
+    with mp.workdps(40):
+        k_, c_, x_ = mp.mpf(k), mp.mpf(c), mp.mpf(x)
+        b = mp.mpf(nu) / k_
+        chain = mp.sqrt(abs(c_) / k_)
+        y = x_ * chain
+        scale = (abs(c_) * k_) ** (-b / 2)
+        bessel = mp.besselj if c > 0 else mp.besseli
+        want = [scale * chain ** j * bessel(b, y, derivative=j)
+                for j in range(3)]
+        if c > 0:
+            envelope = [scale * chain ** j * mp.sqrt(2 / (mp.pi * y))
+                        for j in range(3)]
+        else:
+            envelope = [abs(w) for w in want]
+        return want, envelope
+
+
+def test_derivatives_at_large_argument_match_mpmath():
+    # W, W' and W'' from eval_w at nu, nu + k and nu + 2k, at y in [17, 100]
+    # where the Hankel expansion serves all three orders ((b + 2)^2 <= 2y);
+    # a component within 1% of its envelope from a zero is not compared
+    rng = random.Random(18)
+    ln = math.log
+    compared = 0
+    for _ in range(300):
+        k = math.exp(rng.uniform(ln(0.1), ln(10.0)))
+        c = math.copysign(math.exp(rng.uniform(ln(0.1), ln(10.0))),
+                          rng.random() - 0.5)
+        b = 10.0 - 11.0 * rng.random()
+        y = math.exp(rng.uniform(ln(_HANKEL_MIN_Y), ln(100.0)))
+        if (b + 2.0) ** 2 > 2.0 * y:
+            continue
+        x = y / math.sqrt(abs(c) / k)
+        res, d1, d2 = eval_w_with_derivatives(KBesselParams(k, b * k, c), x)
+        want, envelope = _classical_derivatives(k, b * k, c, x)
+        for got, w, env in zip((res.value, d1, d2), want, envelope):
+            if abs(w) < 0.01 * env:
+                continue
+            assert abs(got - w) <= 1e-12 * abs(w), (k, b * k, c, x)
+            compared += 1
+    assert compared >= 300
+
+
+@pytest.mark.parametrize("k, nu, c, x", [
+    # huge |c|: I_0(700) = 1.5e302 is a double, and so is W, but
+    # W' = -c W_(nu+k) = 1e200 I_1(700) / 1e100 is not
+    (1.0, 0.0, -1e200, 7e-98),
+    # tiny x: W = I_(1/2)(700) is a double, (b/x) W = 7e131 W is not
+    (1e-135, 0.5e-135, -1e135, 7e-133),
+])
+def test_raised_order_derivatives_outside_double_range_raise(k, nu, c, x):
+    p = KBesselParams(k, nu, c)
+    assert math.isfinite(eval_w(p, x).value)
+    with pytest.raises(Overflow, match="W' from the raised orders"):
+        eval_w_with_derivatives(p, x)
+
+
+@pytest.mark.parametrize("fn, c", [(eval_normalized_i, -1.0),
+                                   (eval_normalized_j, 1.0)])
+def test_normalized_values_at_large_argument_lie_within_est_error(fn, c):
+    # W / t_0 where the Hankel expansion serves W; at y = x / sqrt(k) in
+    # [17, 600] (I_b(y) is a double there) each lands within its est_error
+    # of mpmath
+    rng = random.Random(19)
+    ln = math.log
+    served = 0
+    for _ in range(200):
+        k = math.exp(rng.uniform(ln(0.1), ln(10.0)))
+        b = 10.0 - 11.0 * rng.random()
+        x = math.exp(rng.uniform(ln(_HANKEL_MIN_Y), ln(600.0))) * math.sqrt(k)
+        p = KBesselParams(k, b * k, c)
+        if _hankel(p, x, SeriesConfig()) is None:
+            continue
+        res = fn(p, x)
+        with mp.workdps(40):
+            # t_0 = (x/2)^b / Gamma_k(nu + k), Gamma_k(nu + k) = k^b Gamma(b + 1)
+            b_ = mp.mpf(b * k) / k
+            t0 = (mp.mpf(x) / 2) ** b_ / (mp.mpf(k) ** b_ * mp.gamma(b_ + 1))
+            want = _classical_w(k, b * k, c, x) / t0
+            assert abs(mp.mpf(res.value) - want) <= res.est_error
+        assert fn(p, -x) == res  # even in x
+        served += 1
+    assert served >= 100
 
 
 def _hankel_digest(seed, count):

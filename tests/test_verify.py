@@ -570,7 +570,9 @@ def test_run_grid_orders_reports_lexicographically():
 
 
 def test_run_grid_converts_point_errors_to_failed_reports():
-    spec = small_grid(k_values=(0.1,), nu_values=(10.0,), x_values=(2e7,))
+    # I_100(6.3e7) leaves the double range
+    spec = small_grid(k_values=(0.1,), nu_values=(10.0,), c_values=(-1.0,),
+                      x_values=(2e7,))
     reports = run_grid(spec, ["ode"])
     assert len(reports) == 1
     report = reports[0]
