@@ -5,7 +5,8 @@ recurrence, then apply the Stirling/asymptotic series with Bernoulli-number
 coefficients through B14.  At the threshold the first dropped term is below
 1e-16 of the result, so each routine is accurate to a few ulp over (0, inf)
 — verified in the tests against defining-integral quadrature and
-direct-summation oracles.  Keeping these in-repo leaves the runtime library
+direct-summation oracles.  A value past the double range raises Overflow
+(``errors._finite``).  Keeping these in-repo leaves the runtime library
 free of third-party math dependencies.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import _MIN_NORMAL, DomainError, _finite
 
 # Euler-Mascheroni constant, 21 significant digits (rounds to the nearest
 # double on assignment; the full literal is kept for documentation and for
@@ -59,7 +60,7 @@ _TRIGAMMA_COEFFS = (
 
 
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for finite x > 0."""
+    """log Gamma(x) for finite x > 0; Overflow past x of about 2.56e305."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"ln_gamma requires a finite x > 0, got {x}")
     if x == 1.0 or x == 2.0:
@@ -80,11 +81,12 @@ def ln_gamma(x: float) -> float:
     value = (z - 0.5) * math.log(z) - z + _LN_SQRT_TWO_PI + s / z
     if shift != 1.0:
         value -= math.log(shift)
-    return value
+    return _finite(value, "ln_gamma({}) exceeds double range", x)
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x) for finite x > 0."""
+    """psi(x) = d/dx log Gamma(x) for finite x > 0; Overflow where 1/x
+    overflows."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"digamma requires a finite x > 0, got {x}")
     if x == 1.0:
@@ -100,13 +102,23 @@ def digamma(x: float) -> float:
     s = _DIGAMMA_COEFFS[-1]
     for c in reversed(_DIGAMMA_COEFFS[:-1]):
         s = s * z2 + c
-    return math.log(z) - 0.5 / z - s * z2 + acc
+    return _finite(math.log(z) - 0.5 / z - s * z2 + acc,
+                   "digamma({}) exceeds double range", x)
 
 
 def trigamma(x: float) -> float:
-    """psi'(x), the derivative of digamma, for finite x > 0."""
+    """psi'(x), the derivative of digamma, for finite x > 0.
+
+    Where x^2 is below the normal double range, the pole is split off:
+    psi'(x) = psi'(1 + x) + 1/x^2, with 1/x squared; Overflow where that
+    passes the double range (x below 2^-512).
+    """
     if not 0.0 < x < math.inf:
         raise DomainError(f"trigamma requires a finite x > 0, got {x}")
+    if x * x < _MIN_NORMAL:
+        inv_x = 1.0 / x
+        return _finite(trigamma(1.0 + x) + inv_x * inv_x,
+                       "trigamma({}) exceeds double range", x)
     acc = 0.0
     z = x
     while z < _SHIFT_THRESHOLD:

@@ -1,8 +1,18 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the range guards.
 
 All error signaling is by raised exceptions; no routine returns NaN or a
-silently saturated value.
+silently saturated value.  The rule for floats is decided here, once: a
+result or required intermediate that is infinite or NaN raises Overflow
+(``_finite``), and so does one below the normal double range where that
+range is required (``_normal``, ``_exp_guarded``), since a subnormal keeps
+too few bits (2e-323 is 11.6% off) and 0.0 would be a silent wrong value.
+The package applies the rule through these three guards, apart from a few
+refusals that are rules of their own; each guard formats its message from
+a template and arguments only when it raises.
 """
+
+import math
+import sys
 
 __all__ = [
     "DomainError",
@@ -48,3 +58,39 @@ class Overflow(KBesselError, OverflowError):
 class QuadratureFailure(KBesselError, ArithmeticError):
     """Node-doubling refinement exhausted without meeting the tolerance, or
     the transformed integrand left the double range."""
+
+
+_MIN_NORMAL = sys.float_info.min
+
+# exp() overflows past this; used to report Overflow instead of raising OverflowError
+_MAX_EXP_ARG = 709.782712893384
+
+
+def _finite(value: float, message: str, *args) -> float:
+    """value, or Overflow with ``message.format(*args)`` where it is
+    infinite or NaN."""
+    if not math.isfinite(value):
+        raise Overflow(message.format(*args))
+    return value
+
+
+def _normal(value: float, message: str, *args) -> float:
+    """value, or Overflow with ``message.format(*args)`` where |value| is
+    not a normal double: infinite, NaN, or below the normal range."""
+    if not _MIN_NORMAL <= abs(value) < math.inf:
+        raise Overflow(message.format(*args))
+    return value
+
+
+def _exp_guarded(ln_value: float, what: str, *args) -> float:
+    """exp(ln_value), or Overflow naming ``what.format(*args)`` where
+    ln_value is NaN or past the double range, or exp falls below its
+    normal part."""
+    if not ln_value <= _MAX_EXP_ARG:
+        raise Overflow(f"{what.format(*args)} exceeds double range "
+                       f"(log magnitude {ln_value:.1f})")
+    value = math.exp(ln_value)
+    if value < _MIN_NORMAL:
+        raise Overflow(f"{what.format(*args)} underflows: {value!r} is below "
+                       f"the normal double range (log magnitude {ln_value:.1f})")
+    return value

@@ -28,10 +28,11 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable
 
-from .errors import (DomainError, InvalidParameter, NonConvergence,
-                     OutsideDomain, Overflow, QuadratureFailure)
+from .errors import (_MAX_EXP_ARG, DomainError, InvalidParameter,
+                     NonConvergence, OutsideDomain, Overflow,
+                     QuadratureFailure, _exp_guarded, _finite)
 from .kbessel import KBesselParams, eval_w
-from .kgamma import _MAX_EXP_ARG, _exp_guarded, ln_k_gamma
+from .kgamma import ln_k_gamma
 
 __all__ = [
     "IntegralRepParams",
@@ -303,9 +304,8 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     """
     if not a > -1.0:
         raise InvalidParameter(f"weight exponent must exceed -1, got {a}")
-    p1 = 2.0 * a + 1.0
-    if p1 == math.inf:
-        raise Overflow(f"weight exponent 2a + 1 exceeds double range (a = {a!r})")
+    p1 = _finite(2.0 * a + 1.0,
+                 "weight exponent 2a + 1 exceeds double range (a = {!r})", a)
     last = cfg.nodes * 2 ** cfg.max_refinements
     if (type(h) is _TrigIntegrand and h.fn is math.cos
             and h.omega > math.pi * last):
@@ -329,23 +329,21 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
 def _argument(name: str, alpha: float, x: float, k: float) -> float:
     """alpha x / sqrt(k), where ``name`` (cos, cosh, sin or sinh) is taken;
     Overflow where it leaves the double range."""
-    arg = alpha * x / math.sqrt(k)
-    if math.isinf(arg):
-        raise Overflow(f"{name} argument alpha x / sqrt(k) exceeds double "
-                       f"range (alpha = {alpha!r}, x = {x!r}, k = {k!r})")
-    return arg
+    return _finite(alpha * x / math.sqrt(k), "{} argument alpha x / sqrt(k) "
+                   "exceeds double range (alpha = {!r}, x = {!r}, k = {!r})",
+                   name, alpha, x, k)
 
 
 def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
     if not p.nu / p.k > -0.5:
         raise OutsideDomain("cosine/cosh representation requires nu/k > -1/2",
                             f"nu/k={p.nu / p.k}")
-    ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
-               - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
-               + (p.nu / p.k) * math.log(0.5 * p.x))
     omega = _argument(weight.__name__, p.alpha, p.x, p.k)
     integral = weighted_integral(_TrigIntegrand(weight, omega),
                                  p.nu / p.k - 0.5, cfg)
+    ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
+               - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
+               + (p.nu / p.k) * math.log(0.5 * p.x))
     return _exp_guarded(ln_pref, "integral prefactor") * integral
 
 
@@ -431,11 +429,11 @@ def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
                             f"nu={p.nu}")
     if math.isnan(c):
         raise InvalidParameter("c must be a real number, got nan")
-    ln_pref = (_LN2 - math.log(p.k) - ln_k_gamma(p.nu, p.k)
-               + (p.nu / p.k) * math.log(0.5 * p.x))
     scale = p.x / math.sqrt(p.k)
     integral = weighted_integral(_KernelIntegrand(scale, c),
                                  p.nu / p.k - 1.0, cfg)
+    ln_pref = (_LN2 - math.log(p.k) - ln_k_gamma(p.nu, p.k)
+               + (p.nu / p.k) * math.log(0.5 * p.x))
     return _exp_guarded(ln_pref, "integral prefactor") * integral
 
 
@@ -462,7 +460,7 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
     try:
         if route == "kernel":  # the kernel reads c, never alpha
             quads = [(c, eval_w_bessel_kernel(rep, c, cfg))
-                     for c in (_finite_c(c_sq), -c_sq)]
+                     for c in (_finite(c_sq, _C_OVERFLOW, c_sq), -c_sq)]
         elif route == "cos":
             quads = [(c_sq, eval_w_cos(rep, cfg))]
         else:
@@ -472,20 +470,17 @@ def route_legs(k: float, nu: float, alpha: float, x: float, route: str,
     return None, [(c, quad, _series_w(k, nu, c, x)) for c, quad in quads]
 
 
-def _finite_c(c: float) -> float:
-    """c = +-alpha^2, or Overflow where alpha^2 has left the double range;
-    it is checked before the first leg that reads c (the kernel's
-    quadrature, or the series after a cos or cosh quadrature), since
-    KBesselParams refuses an infinite c as invalid and bessel_kernel as a
-    bad argument."""
-    if math.isinf(c):
-        raise Overflow(f"c = +-alpha^2 exceeds double range, got {c!r}")
-    return c
+# c = +-alpha^2 is checked before the first leg that reads it (the kernel's
+# quadrature, or the series after a cos or cosh quadrature), since
+# KBesselParams refuses an infinite c as invalid and bessel_kernel as a bad
+# argument
+_C_OVERFLOW = "c = +-alpha^2 exceeds double range, got {!r}"
 
 
 def _series_w(k: float, nu: float, c: float, x: float) -> float:
-    """eval_w's value at c = +-alpha^2."""
-    return eval_w(KBesselParams(k, nu, _finite_c(c)), x).value
+    """eval_w's value at c = +-alpha^2, or Overflow where alpha^2 has left
+    the double range."""
+    return eval_w(KBesselParams(k, nu, _finite(c, _C_OVERFLOW, c)), x).value
 
 
 def _relation_sides(name: str, k: float, alpha: float, x: float

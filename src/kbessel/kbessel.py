@@ -38,8 +38,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DomainError, InvalidParameter, NonConvergence,
-                     OutsideDomain, Overflow)
-from .kgamma import _MIN_NORMAL, _exp_guarded, ln_k_gamma
+                     OutsideDomain, Overflow, _exp_guarded, _finite, _normal)
+from .kgamma import ln_k_gamma
 
 __all__ = [
     "EvalResult",
@@ -173,9 +173,7 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     if derivs:
         b = nu / k
         inv_x = 1.0 / x
-        inv_x2 = inv_x * inv_x
-        if not math.isfinite(inv_x2):
-            raise Overflow(f"1/x^2 exceeds double range at x = {x!r}")
+        inv_x2 = _finite(inv_x * inv_x, "1/x^2 exceeds double range at x = {!r}", x)
     if c == 0.0:
         qhi = qlo = 0.0
     else:
@@ -384,12 +382,10 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
                 f"rel_tol={cfg.rel_tol} within max_terms={cfg.max_terms}"
             )
         thi, tlo = nhi, nlo
-    if not math.isfinite(est):
-        raise Overflow(f"series truncation estimate {est!r} is not finite "
-                       f"at x = {x!r}")
-    d1, d2 = s1h + s1l, s2h + s2l
-    if not (math.isfinite(d1) and math.isfinite(d2)):
-        raise Overflow(f"W' or W'' sums overflow in dd at x = {x!r}")
+    _finite(est, "series truncation estimate {!r} is not finite at x = {!r}",
+            est, x)
+    d1, d2 = (_finite(d, "W' or W'' sums overflow in dd at x = {!r}", x)
+              for d in (s1h + s1l, s2h + s2l))
     return EvalResult(s0h + s0l, r + 1, est), d1, d2
 
 
@@ -545,9 +541,9 @@ def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
         ln_rest = math.log(2.0 * math.pi * y)
         ln_s = math.log(s)
         lh, e = _two_sum(y, -bexp - 0.5 * ln_rest + ln_s)
-        value = _exp_guarded(lh, "W from the Hankel expansion") * (1.0 + (e + yl))
-        if math.isinf(value):
-            raise Overflow("W from the Hankel expansion exceeds double range")
+        value = _finite(
+            _exp_guarded(lh, "W from the Hankel expansion") * (1.0 + (e + yl)),
+            "W from the Hankel expansion exceeds double range")
         # relative: the exponent's rounding (its logs, two sums; y to
         # 2^-99), that of exp, 1 + e + yl, the product and s itself, and
         # the error of s (rounding, truncation, the e^-y branch)
@@ -559,9 +555,8 @@ def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
     ln_rest = math.log(0.5 * math.pi * y)
     g = -bexp - 0.5 * ln_rest
     envelope = _exp_guarded(g, "envelope of W from the Hankel expansion")
-    value = envelope * t
-    if math.isinf(value):
-        raise Overflow("W from the Hankel expansion exceeds double range")
+    value = _finite(envelope * t,
+                    "W from the Hankel expansion exceeds double range")
     # absolute error of t: the sums' rounding and truncation, the dd
     # phase's error, and 8 units for the two cos and sin pairs, the
     # addition formulas' products and sums, and t's products and difference
@@ -642,10 +637,8 @@ def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
     if w is None:
         return _series(1.0, c, x, p.k, p.nu, cfg, False)[0]
     t0 = _leading_term(q, ax)
-    value = w.value / t0
-    if not _MIN_NORMAL <= abs(value) < math.inf:
-        raise Overflow(f"{name} from the Hankel expansion leaves the normal "
-                       f"double range: W / t_0 = {w.value!r} / {t0!r}")
+    value = _normal(w.value / t0, "{} from the Hankel expansion leaves the "
+                    "normal double range: W / t_0 = {!r} / {!r}", name, w.value, t0)
     # W's bound, t_0's rounding and the quotient's
     rel = _leading_term_error(q, ax, t0) + _U
     return EvalResult(value, w.terms_used, w.est_error / t0 + rel * abs(value))
@@ -699,9 +692,8 @@ def eval_w_with_derivatives(p: KBesselParams, x: float
         d1 = b_x * w - c_w1
         d2 = c * c_w2 - (2.0 * b_x + 1.0 / x) * c_w1 + b_x * (b_x - 1.0 / x) * w
         for name, d in (("W'", d1), ("W''", d2)):
-            if not _MIN_NORMAL <= abs(d) < math.inf:
-                raise Overflow(f"{name} from the raised orders is {d!r} at "
-                               f"x = {x!r}: outside the normal double range")
+            _normal(d, "{} from the raised orders is {!r} at x = {!r}: outside "
+                    "the normal double range", name, d, x)
         return res, d1, d2
     res, d1, d2 = _series(_leading_term(p, x), p.c, x, p.k, p.nu,
                           _DEFAULT_CONFIG, True)
@@ -765,8 +757,9 @@ def recurrence_step_up(p: KBesselParams, x: float, w_nu: float,
                        w_nu_minus_k: float) -> float:
     """Solve the three-term order recurrence upward:
 
-    W_(nu+k) = (2 nu W_nu / x - W_(nu-k)) / (c k);  needs nu > 0, c != 0 and
-    a finite x > 0.
+    W_(nu+k) = (2 nu W_nu / x - W_(nu-k)) / (c k);  needs nu > 0, c != 0,
+    a finite x > 0 and finite W values.  A result past the double range
+    raises Overflow.
     """
     if p.c == 0.0:
         raise InvalidParameter("recurrence_step_up requires c != 0")
@@ -774,7 +767,12 @@ def recurrence_step_up(p: KBesselParams, x: float, w_nu: float,
         raise InvalidParameter(f"recurrence_step_up requires nu > 0, got {p.nu}")
     if not 0.0 < x < math.inf:
         raise DomainError(f"recurrence_step_up requires a finite x > 0, got {x}")
-    return (2.0 * p.nu * w_nu / x - w_nu_minus_k) / (p.c * p.k)
+    if not (math.isfinite(w_nu) and math.isfinite(w_nu_minus_k)):
+        raise DomainError(f"recurrence_step_up requires finite W values, got "
+                          f"w_nu={w_nu}, w_nu_minus_k={w_nu_minus_k}")
+    return _finite((2.0 * p.nu * w_nu / x - w_nu_minus_k) / (p.c * p.k),
+                   "recurrence_step_up's W_(nu+k) exceeds double range at "
+                   "x = {!r}", x)
 
 
 def multisection_lhs(p: KBesselParams, x: float, terms: int) -> EvalResult:

@@ -13,7 +13,8 @@ so log-space evaluation is exact wherever ``classical.ln_gamma`` is, and
 which the tests confirm against direct summation of the defining series.
 Parameters named ``k`` must be positive and finite everywhere;
 ``InvalidParameter`` is raised otherwise, while out-of-domain evaluation
-points raise ``DomainError``.
+points raise ``DomainError``.  A value or intermediate past the double
+range raises ``Overflow`` through the guards of ``errors``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import math
 import sys
 
 from .classical import digamma, ln_gamma, trigamma
-from .errors import DomainError, InvalidParameter, Overflow
+from .errors import (_MIN_NORMAL, DomainError, InvalidParameter, Overflow,
+                     _exp_guarded, _finite)
 
 __all__ = [
     "k_beta",
@@ -33,33 +35,8 @@ __all__ = [
     "ln_k_gamma",
 ]
 
-_MIN_NORMAL = sys.float_info.min
-
 # k_digamma sums log(t) and psi(t/k) - log(t/k) from here up
 _LARGE_U = 2.0 ** 17
-
-# exp() overflows past this; used to report Overflow instead of raising OverflowError
-_MAX_EXP_ARG = 709.782712893384
-
-
-def _exp_guarded(ln_value: float, what: str) -> float:
-    """exp(ln_value), or Overflow naming ``what`` past the double range or
-    below its normal part, where a subnormal keeps too few bits (2e-323 is
-    11.6% off) and 0.0 would be a silent wrong value."""
-    if ln_value > _MAX_EXP_ARG:
-        raise Overflow(f"{what} exceeds double range (log magnitude {ln_value:.1f})")
-    value = math.exp(ln_value)
-    if value < _MIN_NORMAL:
-        raise Overflow(f"{what} underflows: {value!r} is below the normal "
-                       f"double range (log magnitude {ln_value:.1f})")
-    return value
-
-
-def _finite(value: float, what: str) -> float:
-    """value, or Overflow naming ``what`` where it came out infinite."""
-    if math.isinf(value):
-        raise Overflow(f"{what} exceeds double range")
-    return value
 
 
 def _over_k_squared(value: float, k: float) -> float:
@@ -85,26 +62,37 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
     result = 1.0
     for j in range(n):
         result *= x + j * k
-    return _finite(result, f"k_pochhammer({x}, {n}, {k})")
+    return _finite(result, "k_pochhammer({}, {}, {}) exceeds double range",
+                   x, n, k)
 
 
 def ln_k_gamma(t: float, k: float) -> float:
-    """log Gamma_k(t) for t > 0."""
+    """log Gamma_k(t) for t > 0.
+
+    Overflow where t/k, ln Gamma(t/k) or the sum passes the double range,
+    also where the two terms would cancel to a finite value: at
+    (t, k) = (e, 1e-307) they are -inf and +inf in double.
+    """
     _require_k(k)
     if not t > 0.0:
         raise DomainError(f"ln_k_gamma requires t > 0, got {t}")
-    return (t / k - 1.0) * math.log(k) + ln_gamma(t / k)
+    # t = inf is left to ln_gamma's DomainError
+    u = t if t == math.inf else _finite(
+        t / k, "ln_k_gamma's t/k exceeds double range at t={}, k={}", t, k)
+    return _finite((u - 1.0) * math.log(k) + ln_gamma(u),
+                   "log Gamma_k({}, {}) exceeds double range", t, k)
 
 
 def k_gamma(t: float, k: float) -> float:
     """Gamma_k(t) for t > -k, t != 0 (one functional-equation step below 0)."""
     _require_k(k)
     if t > 0.0:
-        return _exp_guarded(ln_k_gamma(t, k), f"Gamma_k({t}, {k})")
+        return _exp_guarded(ln_k_gamma(t, k), "Gamma_k({}, {})", t, k)
     if t == 0.0 or not t > -k:
         raise DomainError(f"k_gamma requires t > -k and t != 0, got t={t}, k={k}")
     # -k < t < 0: Gamma_k(t) = Gamma_k(t + k) / t
-    return _finite(k_gamma(t + k, k) / t, f"Gamma_k({t}, {k})")
+    return _finite(k_gamma(t + k, k) / t, "Gamma_k({}, {}) exceeds double range",
+                   t, k)
 
 
 def k_digamma(t: float, k: float) -> float:
@@ -126,15 +114,15 @@ def k_digamma(t: float, k: float) -> float:
         raise DomainError(f"k_digamma requires t > 0, got {t}")
     u = t / k
     if u == math.inf:
-        return _finite(math.log(t) / k - 0.5 / t, f"psi_k({t}, {k})")
-    if u >= _LARGE_U:
+        value = math.log(t) / k - 0.5 / t
+    elif u >= _LARGE_U:
         inv_u = 1.0 / u
-        return _finite((math.log(t) - inv_u * (0.5 + inv_u / 12.0)) / k,
-                       f"psi_k({t}, {k})")
-    if u < _MIN_NORMAL:
-        return _finite((math.log(k) + digamma(1.0 + u)) / k - 1.0 / t,
-                       f"psi_k({t}, {k})")
-    return _finite((math.log(k) + digamma(u)) / k, f"psi_k({t}, {k})")
+        value = (math.log(t) - inv_u * (0.5 + inv_u / 12.0)) / k
+    elif u < _MIN_NORMAL:
+        value = (math.log(k) + digamma(1.0 + u)) / k - 1.0 / t
+    else:
+        value = (math.log(k) + digamma(u)) / k
+    return _finite(value, "psi_k({}, {}) exceeds double range", t, k)
 
 
 def k_trigamma(t: float, k: float) -> float:
@@ -152,13 +140,13 @@ def k_trigamma(t: float, k: float) -> float:
     u = t / k
     if u == math.inf:
         tk = t * k  # below the normal range t k has lost bits: divide twice
-        return _finite(1.0 / tk if tk >= _MIN_NORMAL else 1.0 / t / k,
-                       f"psi_k'({t}, {k})")
-    if u * u < _MIN_NORMAL:
+        value = 1.0 / tk if tk >= _MIN_NORMAL else 1.0 / t / k
+    elif u * u < _MIN_NORMAL:
         inv_t = 1.0 / t
-        return _finite(_over_k_squared(trigamma(1.0 + u), k) + inv_t * inv_t,
-                       f"psi_k'({t}, {k})")
-    return _finite(_over_k_squared(trigamma(u), k), f"psi_k'({t}, {k})")
+        value = _over_k_squared(trigamma(1.0 + u), k) + inv_t * inv_t
+    else:
+        value = _over_k_squared(trigamma(u), k)
+    return _finite(value, "psi_k'({}, {}) exceeds double range", t, k)
 
 
 def k_beta(x: float, y: float, k: float) -> float:
@@ -167,4 +155,4 @@ def k_beta(x: float, y: float, k: float) -> float:
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"k_beta requires x > 0 and y > 0, got x={x}, y={y}")
     return _exp_guarded(ln_k_gamma(x, k) + ln_k_gamma(y, k) - ln_k_gamma(x + y, k),
-                        f"B_k({x}, {y}, {k})")
+                        "B_k({}, {}, {})", x, y, k)

@@ -1,0 +1,223 @@
+"""The range rule of ``kbessel.errors``: no routine returns an infinite or
+NaN float.
+
+Each public routine either returns finite floats (value, est_error, W' and
+W'') or raises a ``KBesselError``.  The property test draws arguments
+log-uniform far out of the usual range; the regression tests pin the
+points where a value used to leak.
+"""
+
+import functools
+import math
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbessel import (
+    DomainError,
+    EvalResult,
+    KBesselError,
+    KBesselParams,
+    Overflow,
+    deriv_w,
+    eval_normalized_i,
+    eval_normalized_j,
+    eval_w,
+    eval_w_with_derivatives,
+    k_beta,
+    k_digamma,
+    k_gamma,
+    k_pochhammer,
+    k_trigamma,
+    ln_k_gamma,
+    multisection_lhs,
+    recurrence_step_up,
+)
+from kbessel import classical, cli, errors, integral, kbessel, kgamma, verify
+from kbessel.classical import digamma, ln_gamma, trigamma
+
+_GUARDS = ("_MIN_NORMAL", "_MAX_EXP_ARG", "_exp_guarded", "_finite", "_normal")
+
+
+def _floats(out) -> list[float]:
+    """Every float a routine hands back."""
+    if isinstance(out, EvalResult):
+        return [out.value, out.est_error]
+    if isinstance(out, tuple):
+        return [v for part in out for v in _floats(part)]
+    return [out]
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(
+        lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+_WIDE = _log_uniform(1e-300, 1e300)
+_SERIES = _log_uniform(1e-6, 1e6)
+
+
+@st.composite
+def _params(draw, positive_nu: bool = False) -> KBesselParams:
+    k = draw(_SERIES)
+    b = draw(_SERIES if positive_nu
+             else st.one_of(st.floats(-0.99, 0.0), _SERIES))
+    return KBesselParams(k, b * k, draw(_signed(_SERIES)))
+
+
+def _call(fn, *args):
+    return st.builds(functools.partial, st.just(fn), *args)
+
+
+_CALLS = st.one_of(
+    _call(ln_gamma, _WIDE),
+    _call(digamma, _WIDE),
+    _call(trigamma, _WIDE),
+    _call(ln_k_gamma, _WIDE, _WIDE),
+    _call(k_gamma, _signed(_WIDE), _WIDE),
+    _call(k_digamma, _WIDE, _WIDE),
+    _call(k_trigamma, _WIDE, _WIDE),
+    _call(k_beta, _WIDE, _WIDE, _WIDE),
+    _call(k_pochhammer, _signed(_WIDE), st.integers(0, 40), _WIDE),
+    _call(recurrence_step_up, _params(positive_nu=True), _SERIES,
+          _signed(_WIDE), _signed(_WIDE)),
+    _call(deriv_w, _params(), _SERIES, st.integers(1, 3)),
+    _call(multisection_lhs, _params(), _SERIES, st.integers(1, 4)),
+    _call(eval_w, _params(), _SERIES),
+    _call(eval_w_with_derivatives, _params(), _SERIES),
+    _call(eval_normalized_i, _params(), _signed(_SERIES)),
+    _call(eval_normalized_j, _params(), _signed(_SERIES)),
+)
+
+
+@given(call=_CALLS)
+@settings(max_examples=4000, deadline=None, derandomize=True)
+def test_every_float_returned_is_finite_or_the_call_raises(call):
+    # the gamma family over t, k in [1e-300, 1e300] and the series layer
+    # over k, |c|, x in [1e-6, 1e6], log-uniform; quadrature routes are left
+    # out for their cost
+    try:
+        out = call()
+    except KBesselError:
+        return
+    assert all(math.isfinite(v) for v in _floats(out)), (call, out)
+
+
+def test_range_guards_are_defined_once_in_errors():
+    for module in (classical, cli, integral, kbessel, kgamma, verify):
+        for name in _GUARDS:
+            if hasattr(module, name):
+                assert getattr(module, name) is getattr(errors, name), (
+                    module.__name__, name)
+
+
+@pytest.mark.parametrize("name", ["_finite", "_normal"])
+def test_guards_refuse_nan_and_infinities(name):
+    guard = getattr(errors, name)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(Overflow, match=r"^w = \d exceeds$"):
+            guard(value, "w = {} exceeds", 3)
+    assert guard(-2.5, "{} {}") == -2.5  # formatted only when raising
+
+
+def test_normal_guard_refuses_subnormals_and_zero():
+    for value in (0.0, -5e-324, 2.0 ** -1023):
+        with pytest.raises(Overflow):
+            errors._normal(value, "subnormal")
+    assert errors._normal(-errors._MIN_NORMAL, "") == -errors._MIN_NORMAL
+
+
+def test_exp_guard_refuses_a_nan_logarithm():
+    with pytest.raises(Overflow, match=r"^B_k\(1, 2\) exceeds double range "
+                                       r"\(log magnitude nan\)$"):
+        errors._exp_guarded(math.nan, "B_k({}, {})", 1, 2)
+    assert errors._exp_guarded(0.0, "{}") == 1.0
+
+
+def test_ln_k_gamma_refuses_opposite_infinities():
+    # (t/k - 1) ln k -> -inf and ln Gamma(t/k) -> +inf summed to nan;
+    # mpmath gives ln Gamma_k(e, 1e-307) = -1.4456e291
+    with pytest.raises(Overflow, match="exceeds double range"):
+        ln_k_gamma(math.e, 1e-307)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: k_gamma(math.e, 1e-307),
+    lambda: k_beta(math.e, math.e, 1e-307),
+], ids=["k_gamma", "k_beta"])
+def test_gamma_and_beta_refuse_a_nan_logarithm(call):
+    with pytest.raises(Overflow, match="exceeds double range"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ln_gamma(1e307),
+    lambda: ln_k_gamma(1e307, 1.0),
+], ids=["ln_gamma", "ln_k_gamma"])
+def test_log_gamma_past_the_double_range_raises(call):
+    with pytest.raises(Overflow, match=r"ln_gamma\(1e\+307\) exceeds double "
+                                       r"range"):
+        call()
+
+
+def test_ln_k_gamma_with_t_over_k_past_the_double_range_raises_overflow():
+    # a valid input whose t/k overflows: Overflow, not ln_gamma's DomainError
+    with pytest.raises(Overflow, match="t/k exceeds double range"):
+        ln_k_gamma(3.0, 1e-308)
+    with pytest.raises(DomainError, match="finite x > 0, got inf"):
+        ln_k_gamma(math.inf, 1.0)  # an infinite t stays a domain error
+
+
+def test_series_leading_term_with_a_nan_logarithm_raises_at_once():
+    # the leading term was NaN and 500 NaN terms later the series blamed
+    # the double-double range
+    with pytest.raises(Overflow, match=r"ln_gamma\(.*\) exceeds double range"):
+        eval_w(KBesselParams(1e-307, math.e - 1e-307, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trigamma(1e-300),  # x^2 underflowed to 0: ZeroDivisionError
+    lambda: trigamma(1e-160),  # x^2 subnormal, 1/x^2 inf
+    lambda: digamma(5e-324),  # 1/x inf, returned -inf
+], ids=["trigamma-zero-square", "trigamma-subnormal-square", "digamma"])
+def test_classical_polygamma_near_the_pole_raises_overflow(call):
+    with pytest.raises(Overflow, match="exceeds double range"):
+        call()
+
+
+def test_trigamma_splits_off_the_pole_below_the_normal_square():
+    # psi'(x) = 1/x^2 + psi'(1 + x) where x^2 is subnormal: 1/x squared
+    # keeps the bits that the subnormal x^2 loses
+    x = 2.0 ** -511.5
+    assert trigamma(x) == (1.0 / x) * (1.0 / x)
+
+
+def test_recurrence_step_up_past_the_double_range_raises_overflow():
+    with pytest.raises(Overflow, match="exceeds double range"):
+        recurrence_step_up(KBesselParams(1.0, 1.0, 1e-300), 1.0, 1e10, 0.0)
+
+
+@pytest.mark.parametrize("w_nu, w_nu_minus_k", [
+    (math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf), (1.0, math.nan),
+])
+def test_recurrence_step_up_refuses_non_finite_w(w_nu, w_nu_minus_k):
+    with pytest.raises(DomainError, match="finite W values"):
+        recurrence_step_up(KBesselParams(1.0, 1.0, 1.0), 1.0, w_nu,
+                           w_nu_minus_k)
+
+
+@pytest.mark.parametrize("args", [
+    ["--fn", "lngamma", "--t", "1e307", "--k", "1"],
+    ["--fn", "gamma", "--t", "2.718281828459045", "--k", "1e-307"],
+], ids=["lngamma", "gamma"])
+def test_cli_gamma_past_the_double_range_exits_3(args):
+    result = CliRunner().invoke(cli.main, ["gamma", *args])
+    assert result.exit_code == 3
+    assert "exceeds double range" in result.stderr
+    assert result.stdout == ""
