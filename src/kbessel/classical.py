@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import _MIN_NORMAL, DomainError, _finite
+from .errors import _MIN_NORMAL, _finite, _positive_x
 
 # Euler-Mascheroni constant, 21 significant digits (rounds to the nearest
 # double on assignment; the full literal is kept for documentation and for
@@ -61,8 +61,7 @@ _TRIGAMMA_COEFFS = (
 
 def ln_gamma(x: float) -> float:
     """log Gamma(x) for finite x > 0; Overflow past x of about 2.56e305."""
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"ln_gamma requires a finite x > 0, got {x}")
+    _positive_x("ln_gamma", x)
     if x == 1.0 or x == 2.0:
         # Gamma is exactly 1 at both points; the shifted Stirling sum would
         # return ~4e-16 noise here, which matters because these exact zeros
@@ -87,8 +86,7 @@ def ln_gamma(x: float) -> float:
 def digamma(x: float) -> float:
     """psi(x) = d/dx log Gamma(x) for finite x > 0; Overflow where 1/x
     overflows."""
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"digamma requires a finite x > 0, got {x}")
+    _positive_x("digamma", x)
     if x == 1.0:
         # psi(1) is exactly minus the Euler-Mascheroni constant; returning
         # the stored constant beats the shifted asymptotic sum by a few ulp.
@@ -113,8 +111,7 @@ def trigamma(x: float) -> float:
     psi'(x) = psi'(1 + x) + 1/x^2, with 1/x squared; Overflow where that
     passes the double range (x below 2^-512).
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"trigamma requires a finite x > 0, got {x}")
+    _positive_x("trigamma", x)
     if x * x < _MIN_NORMAL:
         inv_x = 1.0 / x
         return _finite(trigamma(1.0 + x) + inv_x * inv_x,

@@ -9,6 +9,12 @@ too few bits (2e-323 is 11.6% off) and 0.0 would be a silent wrong value.
 The package applies the rule through these three guards, apart from a few
 refusals that are rules of their own; each guard formats its message from
 a template and arguments only when it raises.
+
+The argument rules are decided here too, by three more guards that format
+their message only when they raise: ``_positive`` (InvalidParameter unless
+a value is > 0, so NaN is refused and inf passes), ``_positive_x``
+(DomainError unless x is finite and > 0) and ``_count`` (InvalidParameter
+unless a count is an int, not a bool, from its lower bound up).
 """
 
 import math
@@ -94,3 +100,22 @@ def _exp_guarded(ln_value: float, what: str, *args) -> float:
         raise Overflow(f"{what.format(*args)} underflows: {value!r} is below "
                        f"the normal double range (log magnitude {ln_value:.1f})")
     return value
+
+
+def _positive(name: str, value: float) -> None:
+    """InvalidParameter unless value > 0; NaN is refused, inf passes."""
+    if not value > 0.0:
+        raise InvalidParameter(f"{name} must be positive, got {value}")
+
+
+def _positive_x(fn: str, x: float) -> None:
+    """DomainError naming ``fn`` unless x is finite and > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{fn} requires a finite x > 0, got {x}")
+
+
+def _count(name: str, value: int, low: int) -> None:
+    """InvalidParameter unless value is an int (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InvalidParameter(
+            f"{name} must be an integer >= {low}, got {value!r}")

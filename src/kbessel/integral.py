@@ -30,8 +30,9 @@ from typing import Callable
 
 from .errors import (_MAX_EXP_ARG, DomainError, InvalidParameter,
                      NonConvergence, OutsideDomain, Overflow,
-                     QuadratureFailure, _exp_guarded, _finite)
-from .kbessel import KBesselParams, eval_w
+                     QuadratureFailure, _count, _exp_guarded, _finite,
+                     _positive)
+from .kbessel import KBesselParams, _ln_half_x_power, eval_w
 from .kgamma import ln_k_gamma
 
 __all__ = [
@@ -58,18 +59,9 @@ class QuadConfig:
     max_refinements: int = 8
 
     def __post_init__(self):
-        for name in ("nodes", "max_refinements"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-        if self.nodes < 2:
-            raise InvalidParameter(f"nodes must be >= 2, got {self.nodes}")
-        if not self.abs_tol > 0.0:
-            raise InvalidParameter(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_refinements < 1:
-            raise InvalidParameter(
-                f"max_refinements must be >= 1, got {self.max_refinements}"
-            )
+        _count("nodes", self.nodes, 2)
+        _positive("abs_tol", self.abs_tol)
+        _count("max_refinements", self.max_refinements, 1)
 
 
 @dataclass(frozen=True)
@@ -86,12 +78,8 @@ class IntegralRepParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidParameter(f"{name} must be finite, got {value}")
-        if not self.k > 0.0:
-            raise InvalidParameter(f"k must be positive, got {self.k}")
-        if not self.alpha > 0.0:
-            raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
-        if not self.x > 0.0:
-            raise InvalidParameter(f"x must be positive, got {self.x}")
+        for name in ("k", "alpha", "x"):
+            _positive(name, getattr(self, name))
         if math.isinf(self.alpha) or math.isinf(self.x):
             raise InvalidParameter(
                 f"alpha and x must be finite, got alpha={self.alpha}, x={self.x}")
@@ -343,7 +331,7 @@ def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
                                  p.nu / p.k - 0.5, cfg)
     ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
                - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
-               + (p.nu / p.k) * math.log(0.5 * p.x))
+               + _ln_half_x_power(p.nu / p.k, p.x))
     return _exp_guarded(ln_pref, "integral prefactor") * integral
 
 
@@ -433,7 +421,7 @@ def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
     integral = weighted_integral(_KernelIntegrand(scale, c),
                                  p.nu / p.k - 1.0, cfg)
     ln_pref = (_LN2 - math.log(p.k) - ln_k_gamma(p.nu, p.k)
-               + (p.nu / p.k) * math.log(0.5 * p.x))
+               + _ln_half_x_power(p.nu / p.k, p.x))
     return _exp_guarded(ln_pref, "integral prefactor") * integral
 
 
@@ -485,7 +473,9 @@ def _series_w(k: float, nu: float, c: float, x: float) -> float:
 
 def _relation_sides(name: str, k: float, alpha: float, x: float
                     ) -> tuple[float, float]:
-    """Both sides of the 'sin' (c = alpha^2) or 'sinh' (c = -alpha^2) relation."""
+    """Both sides of the 'sin' (c = alpha^2) or 'sinh' (c = -alpha^2)
+    relation; Overflow where the right side is not finite (alpha/k past
+    the double range, say)."""
     fn, sign = (math.sin, 1.0) if name == "sin" else (math.sinh, -1.0)
     IntegralRepParams(k, 0.5 * k, alpha, x)  # validates k, alpha and x
     arg = _argument(name, alpha, x, k)
@@ -494,7 +484,9 @@ def _relation_sides(name: str, k: float, alpha: float, x: float
     except OverflowError:
         raise Overflow(f"{name}({arg!r}) exceeds double range") from None
     w = _series_w(k, 0.5 * k, sign * (alpha * alpha), x)
-    return lhs, (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
+    rhs = (alpha / k) * math.sqrt(0.5 * math.pi * x) * w
+    return lhs, _finite(rhs, "{} relation's right side (alpha/k) sqrt(pi x / 2)"
+                        " W is {!r} at alpha/k = {!r}", name, rhs, alpha / k)
 
 
 def sin_relation_check(k: float, alpha: float, x: float) -> float:

@@ -38,7 +38,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DomainError, InvalidParameter, NonConvergence,
-                     OutsideDomain, Overflow, _exp_guarded, _finite, _normal)
+                     OutsideDomain, Overflow, _count, _exp_guarded, _finite,
+                     _normal, _positive, _positive_x)
 from .kgamma import ln_k_gamma
 
 __all__ = [
@@ -69,8 +70,7 @@ class KBesselParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidParameter(f"{name} must be finite, got {value}")
-        if not self.k > 0.0:
-            raise InvalidParameter(f"k must be positive, got {self.k}")
+        _positive("k", self.k)
         if not self.nu > -self.k:
             raise OutsideDomain("nu must exceed -k", f"nu={self.nu}, k={self.k}")
 
@@ -389,15 +389,25 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     return EvalResult(s0h + s0l, r + 1, est), d1, d2
 
 
+def _ln_half_x_power(b: float, x: float) -> float:
+    """b ln(x/2) at x > 0, the log of (x/2)^b.
+
+    0.0 at b = 0, since (x/2)^0 is 1 for every x (0 * ln(x/2) is nan where
+    x/2 is 0 or inf); -inf times the sign of b where x/2 underflows to 0,
+    where math.log would raise.  Elsewhere the bits of b * log(x / 2.0).
+    """
+    if b == 0.0:
+        return 0.0
+    half = x / 2.0
+    return b * (math.log(half) if half > 0.0 else -math.inf)
+
+
 def _leading_term(p: KBesselParams, x: float) -> float:
     """t_0 = (x/2)^(nu/k) / Gamma_k(nu + k) at x > 0, or Overflow where it
     is not a normal double."""
     if p.nu == 0.0:
-        # (x/2)^0 / Gamma_k(k) is 1 for every x > 0; the log route below
-        # gives 1.0 too, except where x/2 is 0 or inf and 0 * log is nan
-        return 1.0
-    ln_half = math.log(x / 2.0) if x / 2.0 > 0.0 else -math.inf
-    ln_t0 = (p.nu / p.k) * ln_half - ln_k_gamma(p.nu + p.k, p.k)
+        return 1.0  # (x/2)^0 / Gamma_k(k), Gamma_k(k) = 1
+    ln_t0 = _ln_half_x_power(p.nu / p.k, x) - ln_k_gamma(p.nu + p.k, p.k)
     return _exp_guarded(ln_t0, "leading series term")
 
 
@@ -678,9 +688,7 @@ def eval_w_with_derivatives(p: KBesselParams, x: float
     recurrence.  No finite differencing is involved.  A W' or W'' outside
     the normal double range raises Overflow.
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"eval_w_with_derivatives requires a finite x > 0, "
-                          f"got {x}")
+    _positive_x("eval_w_with_derivatives", x)
     if x * math.sqrt(abs(p.c) / p.k) >= _HANKEL_MIN_Y:
         # W from _hankel_route or, where it declines, the series, which is
         # accurate to y = 35 where the term-wise derivatives are not
@@ -718,8 +726,7 @@ def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:
     order_n = nu + (2n - m)k and weight_n = (-1)^n C(m,n) c^n k^n / (2k)^m.
     Every order must itself satisfy order > -k, i.e. nu - m k > -k.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise InvalidParameter(f"derivative order m must be an integer >= 1, got {m!r}")
+    _count("derivative order m", m, 1)
     if not p.nu - m * p.k > -p.k:
         raise InvalidParameter(
             f"derivative ladder needs nu - m*k > -k; got nu={p.nu}, m={m}, k={p.k}"
@@ -765,8 +772,7 @@ def recurrence_step_up(p: KBesselParams, x: float, w_nu: float,
         raise InvalidParameter("recurrence_step_up requires c != 0")
     if not p.nu > 0.0:
         raise InvalidParameter(f"recurrence_step_up requires nu > 0, got {p.nu}")
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"recurrence_step_up requires a finite x > 0, got {x}")
+    _positive_x("recurrence_step_up", x)
     if not (math.isfinite(w_nu) and math.isfinite(w_nu_minus_k)):
         raise DomainError(f"recurrence_step_up requires finite W values, got "
                           f"w_nu={w_nu}, w_nu_minus_k={w_nu_minus_k}")
@@ -786,11 +792,10 @@ def multisection_lhs(p: KBesselParams, x: float, terms: int) -> EvalResult:
     magnitude of the first omitted term; if the omitted term has not started
     decreasing by the cap, NonConvergence is raised.
     """
-    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
-        raise InvalidParameter(f"terms must be an integer >= 1, got {terms!r}")
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"multisection_lhs requires a finite x > 0, got {x}")
-    two_over_x = 2.0 / x
+    _count("terms", terms, 1)
+    _positive_x("multisection_lhs", x)
+    two_over_x = _finite(2.0 / x, "multisection_lhs's 2/x exceeds double "
+                         "range at x = {!r}", x)
     step = -p.c * p.k
     factor = 1.0
     pieces = []

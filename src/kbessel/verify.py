@@ -9,7 +9,8 @@ convention:
 * for an identity, ``margin`` is ``-abs(residual)`` (or minus the worst
   residual measured in units of its tolerance when a check bundles several
   identities, in which case the tolerance is 1);
-* a skipped point carries ``margin = None`` and the reason in ``notes``.
+* a skipped point carries ``margin = None`` and the reason in ``notes``;
+* a margin or tolerance that is infinite or NaN raises Overflow instead.
 
 A check passes exactly when ``margin >= -tol`` for its tolerance, so
 reports can be filtered and aggregated without knowing which inequality
@@ -27,7 +28,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .errors import InvalidParameter, KBesselError, OutsideDomain, Overflow
+from .errors import (InvalidParameter, KBesselError, OutsideDomain, Overflow,
+                     _finite, _normal, _positive)
 from .integral import (
     ROUTES,
     QuadConfig,
@@ -98,12 +100,9 @@ class GridSpec:
             if any(math.isnan(v) or math.isinf(v) for v in values):
                 raise InvalidParameter(f"{field.name} must be finite")
             object.__setattr__(self, field.name, values)
-        if any(k <= 0.0 for k in self.k_values):
-            raise InvalidParameter("k_values must be positive")
-        if any(x <= 0.0 for x in self.x_values):
-            raise InvalidParameter("x_values must be positive")
-        if any(a <= 0.0 for a in self.alpha_values):
-            raise InvalidParameter("alpha_values must be positive")
+        for name in ("k_values", "x_values", "alpha_values"):
+            if any(v <= 0.0 for v in getattr(self, name)):
+                raise InvalidParameter(f"{name} must be positive")
         if any(not 0.0 <= w <= 1.0 for w in self.cvx_weights):
             raise InvalidParameter("cvx_weights must lie in [0, 1]")
 
@@ -133,8 +132,16 @@ class VerifyReport:
     notes: str = ""
 
 
+def _require_finite(name: str, margin: float, tol: float, notes: str) -> None:
+    """Overflow where the margin or its tolerance is infinite or NaN, which
+    no report may carry; the message ends with the check's notes."""
+    for what, value in (("margin", margin), ("tolerance", tol)):
+        _finite(value, "{} {} is {!r}: {}", name, what, value, notes)
+
+
 def _report(name: str, point: dict, margin: float, tol: float,
             notes: str) -> VerifyReport:
+    _require_finite(name, margin, tol, notes)
     return VerifyReport(name, point, margin, margin >= -tol, False, notes)
 
 
@@ -147,14 +154,8 @@ def _failure(name: str, point: dict, exc: KBesselError) -> VerifyReport:
                         f"error: {type(exc).__name__}: {exc}")
 
 
-def _require_positive_x(x: float) -> None:
-    if not x > 0.0:
-        raise InvalidParameter(f"x must be positive, got {x}")
-
-
 def _require_order_pair(k: float, mu: float, nu: float) -> None:
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
+    _positive("k", k)
     if not nu >= mu:
         raise InvalidParameter(f"orders must satisfy nu >= mu, got mu={mu}, nu={nu}")
     if not mu > -k:
@@ -178,14 +179,19 @@ def check_ode(p: KBesselParams, x: float) -> VerifyReport:
     three sums; from y = 17 on the raised-order relations, so it tests W at
     nu, nu + k and nu + 2k against the order recurrence.  The default grid
     stays below y = 8.5.  margin = -abs(residual), tol = 1e-8 * scale with
-    scale = max(|y''|, |y'/x|, |y|/x^2, 1).
+    scale = max(|y''|, |y'/x|, |y|/x^2, 1); Overflow where k^2 or x^2 is
+    not a normal double.
     """
-    _require_positive_x(x)
+    _positive("x", x)
     point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x}
     res, d1, d2 = eval_w_with_derivatives(p, x)
     y = res.value
-    residual = d2 + d1 / x + (p.c * p.k - (p.nu * p.nu) / (x * x)) * y / (p.k * p.k)
-    scale = max(abs(d2), abs(d1 / x), abs(y) / (x * x), 1.0)
+    k2, x2 = p.k * p.k, x * x
+    for name, square in (("k^2", k2), ("x^2", x2)):
+        _normal(square, "the ode residual's {} = {!r} is not a normal double",
+                name, square)
+    residual = d2 + d1 / x + (p.c * p.k - (p.nu * p.nu) / x2) * y / k2
+    scale = max(abs(d2), abs(d1 / x), abs(y) / x2, 1.0)
     notes = f"residual={residual:.6e} scale={scale:.6e}"
     return _report("ode", point, -abs(residual), 1e-8 * scale, notes)
 
@@ -218,7 +224,7 @@ def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
     1e-5 (ladder).  margin = -(worst residual / its tolerance), so the
     check passes when margin >= -1.
     """
-    _require_positive_x(x)
+    _positive("x", x)
     point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x}
     res, d1, _ = eval_w_with_derivatives(p, x)
     w = res.value
@@ -286,7 +292,7 @@ def check_multisection(p: KBesselParams, x: float) -> VerifyReport:
     lowered-order function, certified on x <= 1 where the truncation bound
     is effective.  margin = -abs(difference), tol = 1e-8 absolute.
     """
-    _require_positive_x(x)
+    _positive("x", x)
     if not p.nu > 0.0:
         raise OutsideDomain("lowered order requires nu > 0", f"nu={p.nu}")
     point = {"k": p.k, "nu": p.nu, "c": p.c, "x": x, "terms": _MULTISECTION_TERMS}
@@ -338,7 +344,7 @@ def check_order_ratio_monotone(k: float, mu: float, nu: float,
     tol = 1e-12 * scale.
     """
     _require_order_pair(k, mu, nu)
-    _require_positive_x(x)
+    _positive("x", x)
     lhs = _normalized(k, nu + k, x) * _normalized(k, mu, x)
     rhs = _normalized(k, nu, x) * _normalized(k, mu + k, x)
     margin = lhs - rhs
@@ -360,13 +366,12 @@ def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
     the two and the notes carry both.
     """
     nu1, nu2 = (float(nu_pair[0]), float(nu_pair[1]))
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
+    _positive("k", k)
     if not (nu1 > -k and nu2 > -k):
         raise OutsideDomain("orders must exceed -k", f"nu1={nu1}, nu2={nu2}, k={k}")
     if not 0.0 <= alpha_cvx <= 1.0:
         raise InvalidParameter(f"weight must lie in [0, 1], got {alpha_cvx}")
-    _require_positive_x(x)
+    _positive("x", x)
     v1 = _normalized(k, nu1, x)
     v2 = _normalized(k, nu2, x)
     v_small, v_large = (v1, v2) if nu1 <= nu2 else (v2, v1)
@@ -384,6 +389,8 @@ def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
     point = {"k": k, "nu1": nu1, "nu2": nu2, "weight": alpha_cvx, "x": x}
     notes = (f"decreasing margin={margin_dec:.6e} (scale {scale_dec:.3e}); "
              f"log-convexity margin={margin_cvx:.6e} (scale {scale_cvx:.3e})")
+    for margin, scale in ((margin_dec, scale_dec), (margin_cvx, scale_cvx)):
+        _require_finite("nu-decreasing-logconvex", margin, 1e-12 * scale, notes)
     return VerifyReport("nu-decreasing-logconvex", point,
                         min(margin_dec, margin_cvx), passed, False, notes)
 
@@ -395,12 +402,11 @@ def check_turan(k: float, nu: float, a: float, x: float) -> VerifyReport:
     I_{nu-a} I_{nu+a} >= I_nu^2; margin = product - square,
     tol = 1e-12 * scale.
     """
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
+    _positive("k", k)
     if not nu >= abs(a) - k + 1e-9:
         raise OutsideDomain("order too small for the shift (needs nu >= |a| - k)",
                             f"nu={nu}, a={a}, k={k}")
-    _require_positive_x(x)
+    _positive("x", x)
     v_lo = _normalized(k, nu - a, x)
     v_hi = _normalized(k, nu + a, x)
     v_mid = _normalized(k, nu, x)
@@ -428,14 +434,14 @@ def check_chebyshev_products(k: float, nu: float, x: float,
     leaves the double range, both sides are first scaled by one power of
     two, which the notes give.  The notes log how the plain weight integral
     compares with two candidate closed forms (argument x/sqrt(k) vs
-    argument x/k), or that those probes are out of double range; only the
-    inequality itself is asserted.
+    argument x/k), or that those probes are out of double range, or not
+    evaluable where x/sqrt(k) underflows to 0; only the inequality itself
+    is asserted.
     """
     if variant not in ("cos", "cosh"):
         raise InvalidParameter(f"variant must be 'cos' or 'cosh', got {variant!r}")
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
-    _require_positive_x(x)
+    _positive("k", k)
+    _positive("x", x)
     if not nu > -0.75 * k:
         raise OutsideDomain("requires nu > -3k/4", f"nu={nu}, k={k}")
     point = {"k": k, "nu": nu, "x": x, "variant": variant}
@@ -465,6 +471,9 @@ def check_chebyshev_products(k: float, nu: float, x: float,
         probes = (f"closed-form probes out of range: "
                   f"{antiderivative.__name__} exceeds double range at "
                   f"x/sqrt(k) = {omega!r} or x/k = {x / k!r}")
+    except ZeroDivisionError:  # the integrals fit where omega is 0.0
+        probes = (f"closed-form probes not evaluable: x/sqrt(k) underflows "
+                  f"to {omega!r}")
     separate = int_qf * int_qg
     joint = int_q * int_qfg
     scaled = ""

@@ -807,3 +807,101 @@ class TestVerify:
         assert len(lines) == 2178
         names = {json.loads(line)["check_name"] for line in lines}
         assert len(names) == 12
+
+
+# ---------------------------------------------------------------------------
+# sweeps on valid grids: a typed refusal per point, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _strict_json(line: str) -> dict:
+    """json.loads that refuses NaN and Infinity, which JSON excludes."""
+    def refuse(constant):
+        raise ValueError(f"not a JSON number: {constant}")
+    return json.loads(line, parse_constant=refuse)
+
+
+class TestSweepsOnValidGrids:
+    def _run(self, runner, tmp_path, payload, *args):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(payload), encoding="utf-8")
+        return runner.invoke(main, [*args, "--grid", str(grid)])
+
+    def test_chebyshev_where_x_over_sqrt_k_underflows_passes(self, runner,
+                                                             tmp_path):
+        # x/sqrt(k) = 0.0 made the closed-form probes a ZeroDivisionError
+        result = self._run(runner, tmp_path, {
+            "k_values": [1e300], "nu_values": [0.5], "x_values": [1e-300]},
+            "verify", "--checks", "chebyshev")
+        assert result.exit_code == 0
+        assert "2 reports: 2 passed, 0 skipped, 0 failed" in result.stderr
+        for line in result.stdout.splitlines():
+            record = _strict_json(line)
+            assert record["margin"] == 0.2337005501361693
+            assert "x/sqrt(k) underflows to 0.0" in record["notes"]
+
+    def test_compare_integral_at_a_subnormal_x_exits_3(self, runner,
+                                                      tmp_path):
+        # log(x/2) of x/2 = 0.0 in the prefactor was a bare ValueError
+        payload = {"k_values": [1], "nu_values": [0.5], "alpha_values": [1],
+                   "x_values": [5e-324]}
+        result = self._run(runner, tmp_path, payload, "compare-integral")
+        assert result.exit_code == 3
+        assert result.stderr == ("error: integral prefactor underflows: 0.0 "
+                                 "is below the normal double range (log "
+                                 "magnitude -inf)\n")
+        result = self._run(runner, tmp_path, payload, "verify", "--checks",
+                           "integral-agreement")
+        assert result.exit_code == 4
+        assert "3 reports: 0 passed, 0 skipped, 3 failed" in result.stderr
+        for line in result.stdout.splitlines():
+            assert _strict_json(line)["notes"].startswith(
+                "error: Overflow: integral prefactor underflows")
+
+    @pytest.mark.parametrize("checks, payload", [
+        # both sides overflow, so the margin was nan
+        ("turan,order-ratio-monotone",
+         {"k_values": [0.006822937175492212],
+          "nu_values": [-1.3192400672141166e-84], "a_values": [1e-320],
+          "x_values": [44.75602803982543]}),
+        # alpha/k overflows, so the margin was -inf
+        ("sin-relation",
+         {"k_values": [1e-320], "alpha_values": [1.0],
+          "x_values": [1e-320]}),
+    ], ids=["nan-margin", "infinite-margin"])
+    def test_a_non_finite_margin_is_a_failed_report(self, runner, tmp_path,
+                                                     checks, payload):
+        result = self._run(runner, tmp_path, payload, "verify", "--checks",
+                           checks)
+        assert result.exit_code == 4
+        lines = result.stdout.splitlines()
+        assert f"{len(lines)} reports: 0 passed, 0 skipped" in result.stderr
+        for line in lines:
+            record = _strict_json(line)
+            assert record["margin"] is None and record["passed"] is False
+            assert record["notes"].startswith("error: Overflow: ")
+
+    def test_csv_skipped_report_has_an_empty_margin_cell(self, runner,
+                                                         tmp_path):
+        result = self._run(runner, tmp_path, {
+            "k_values": [1], "nu_values": [0.5], "c_values": [1],
+            "x_values": [3]}, "verify", "--checks", "multisection",
+            "--format", "csv")
+        assert result.exit_code == 0
+        [record] = csv.DictReader(io.StringIO(result.stdout))
+        assert record["margin"] == "" and record["skipped"] == "true"
+
+    @pytest.mark.parametrize("command", ["verify", "compare-integral"])
+    def test_unreadable_grid_file_exits_2(self, runner, tmp_path, command):
+        missing = tmp_path / "absent.json"
+        result = runner.invoke(main, [command, "--grid", str(missing)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            f"error: cannot read grid file {str(missing)!r}: ")
+
+    @pytest.mark.parametrize("command", ["verify", "compare-integral"])
+    def test_grid_file_holding_an_array_exits_2(self, runner, tmp_path,
+                                                command):
+        result = self._run(runner, tmp_path, [1.0], command)
+        assert result.exit_code == 2
+        assert "must hold a JSON object of arrays" in result.stderr

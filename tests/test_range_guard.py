@@ -221,3 +221,88 @@ def test_cli_gamma_past_the_double_range_exits_3(args):
     assert result.exit_code == 3
     assert "exceeds double range" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("p, x, message", [
+    # k^2 underflows to 0: a bare ZeroDivisionError
+    (KBesselParams(1e-300, 1e-300, -1e-300), 0.0409295880533249,
+     r"k\^2 = 0\.0"),
+    # k^2 overflows: the residual was inf / inf and the margin nan
+    (KBesselParams(7.293210868056852e+304, -1.547191252834306e+276, -5e-324),
+     0.05282864099006772, r"k\^2 = inf"),
+], ids=["k-squared-zero", "k-squared-inf"])
+def test_ode_residual_refuses_a_square_outside_the_normal_range(p, x,
+                                                                message):
+    with pytest.raises(Overflow, match=rf"{message} is not a normal double"):
+        verify.check_ode(p, x)
+
+
+@pytest.mark.parametrize("check", [
+    lambda k, nu, a, x: verify.check_turan(k, nu, a, x),
+    lambda k, nu, a, x: verify.check_order_ratio_monotone(k, nu, nu, x),
+], ids=["turan", "order-ratio-monotone"])
+def test_a_margin_of_infinite_sides_raises_instead_of_nan(check):
+    # both sides overflow to inf, so their difference, the margin, was nan
+    with pytest.raises(Overflow, match=r"margin is nan: .*=inf .*=inf$"):
+        check(0.006822937175492212, -1.3192400672141166e-84, 1e-320,
+              44.75602803982543)
+
+
+def test_logconvexity_report_refuses_a_non_finite_margin(monkeypatch):
+    # the report this check builds itself follows _report's rule; min()
+    # of its two margins would hide a nan in the first
+    monkeypatch.setattr(verify, "_normalized", lambda k, order, x: math.inf)
+    with pytest.raises(Overflow, match="^nu-decreasing-logconvex margin is "
+                                       "nan"):
+        verify.check_nu_decreasing_logconvex(1.0, (0.0, 1.0), 0.5, 1.0)
+
+
+@pytest.mark.parametrize("fn", [integral.sin_relation_check,
+                                integral.sinh_relation_check])
+def test_relation_right_side_past_the_double_range_raises(fn):
+    # alpha/k = 1e320 overflows, and the residual was -inf
+    with pytest.raises(Overflow, match=r"right side .* is inf at alpha/k = "
+                                       r"inf$"):
+        fn(1e-320, 1.0, 1e-320)
+
+
+def test_multisection_refuses_an_overflowing_two_over_x():
+    # 2/x = inf made every piece nan: EvalResult(nan, 40, nan)
+    with pytest.raises(Overflow, match=r"2/x exceeds double range"):
+        multisection_lhs(KBesselParams(5e-324, 5e-324, -5e131), 1e-320, 40)
+
+
+@pytest.mark.parametrize("route", ["cos", "cosh", "kernel"])
+def test_integral_prefactor_at_a_subnormal_x_raises_overflow(route):
+    # log(x/2) of x/2 = 0.0 was a bare ValueError (math domain error)
+    p = integral.IntegralRepParams(1.0, 0.5, 1.0, 5e-324)
+    call = {"cos": lambda: integral.eval_w_cos(p),
+            "cosh": lambda: integral.eval_w_cosh(p),
+            "kernel": lambda: integral.eval_w_bessel_kernel(p, 1.0)}[route]
+    with pytest.raises(Overflow, match="^integral prefactor underflows"):
+        call()
+
+
+def test_ln_half_x_power_keeps_the_bits_of_b_log_of_half_x():
+    # the integral prefactors took (nu/k) log(0.5 x); x / 2 rounds as
+    # 0.5 x does, so every finite value keeps its bits
+    for b in (0.5, -0.3, 3.0, 1e-300, -0.0, 0.0):
+        for x in (5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 3.0, 1e308):
+            half = 0.5 * x
+            got = kbessel._ln_half_x_power(b, x)
+            if b == 0.0:
+                assert got == 0.0
+            elif half == 0.0:
+                assert got == (-math.inf if b > 0.0 else math.inf)
+            else:
+                assert got.hex() == (b * math.log(half)).hex()
+
+
+@pytest.mark.parametrize("variant", ["cos", "cosh"])
+def test_chebyshev_probes_where_x_over_sqrt_k_is_zero(variant):
+    # x/sqrt(k) = 0.0 made the closed-form probes divide by zero; the
+    # inequality itself holds there
+    report = verify.check_chebyshev_products(math.inf, 0.5, 1.0, variant)
+    assert report.passed and report.margin == 0.2337005501361693
+    assert report.notes.endswith("closed-form probes not evaluable: "
+                                 "x/sqrt(k) underflows to 0.0")

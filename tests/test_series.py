@@ -1086,3 +1086,13 @@ def test_counts_refuse_a_bool(call, message):
     # True would count as 1
     with pytest.raises(InvalidParameter, match=message):
         call()
+
+
+def test_hankel_declines_where_its_phase_passes_rel_tol():
+    # the dd phase w is right to 2^-99 (y + |w - y|), which passes 1e-14
+    # between y = 5e15 and 7e15; the series cannot serve there either
+    p = KBesselParams(1.0, 0.0, 1.0)
+    assert _hankel(p, 5e15, SeriesConfig()) is not None
+    assert _hankel(p, 7e15, SeriesConfig()) is None
+    with pytest.raises(KBesselError):
+        eval_w(p, 7e15)

@@ -787,3 +787,12 @@ def test_overflowing_alpha_squared_fails_every_route_with_overflow(tmp_path):
         assert not record["passed"] and not record["skipped"]
         assert record["notes"].startswith(
             "error: Overflow: c = +-alpha^2 exceeds double range")
+
+
+def test_relation_note_where_both_sides_vanish():
+    # sin(1e-30) and its right side are below 1e-13, so no multiplier is
+    # fitted
+    report = check_sin_relation(1.0, 1.0, 1e-30)
+    assert report.passed
+    assert "fitted constant multiplier=indeterminate (both sides vanish)" in (
+        report.notes)
