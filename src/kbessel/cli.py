@@ -249,7 +249,7 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
         rows = []
         for x in xs:
             result = eval_w(params, x, cfg)
-            normalized = _eval_normalized("table", c, params, x, cfg).value
+            normalized = _eval_normalized("table", params, x, cfg).value
             rows.append([x, result.value, normalized, result.est_error])
     header = ["x", "value", "normalized", "est_error"]
     _emit(_table_lines(fmt, header, rows), out)

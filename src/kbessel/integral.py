@@ -5,8 +5,11 @@ Three independent quadrature routes, all of the shape
     W(x) = prefactor(k, nu, x) * int_0^1 (1 - t^2)^a h(t) dt,
 
 with h a cosine, hyperbolic cosine, or an inner power-series kernel.  The
-prefactor is formed in log space and exponentiated after the integral, so
-the integral's own refusals (an overflowing weight exponent) come first.  They
+prefactor 2 / (sqrt(k pi) Gamma_k(nu + k/2)) (x/2)^(nu/k), or
+2 / (k Gamma_k(nu)) (x/2)^(nu/k), is formed in log space by
+``kbessel._prefactor``, as the series forms its leading term, and only after
+the integral, so the integral's own refusals (an overflowing weight
+exponent) come first.  They
 share one weighted-integral engine: Gauss-Legendre with node doubling, after
 the substitution t = cos(delta) (one power of the endpoint weight moves into
 the Jacobian) iterated with further sine maps until the transformed endpoint
@@ -30,10 +33,8 @@ from typing import Callable
 
 from .errors import (_MAX_EXP_ARG, DomainError, InvalidParameter,
                      NonConvergence, OutsideDomain, Overflow,
-                     QuadratureFailure, _count, _exp_guarded, _finite,
-                     _positive)
-from .kbessel import KBesselParams, _ln_half_x_power, eval_w
-from .kgamma import ln_k_gamma
+                     QuadratureFailure, _count, _finite, _positive)
+from .kbessel import KBesselParams, _prefactor, eval_w
 
 __all__ = [
     "IntegralRepParams",
@@ -329,10 +330,9 @@ def _eval_w_trig(p: IntegralRepParams, cfg: QuadConfig, weight) -> float:
     omega = _argument(weight.__name__, p.alpha, p.x, p.k)
     integral = weighted_integral(_TrigIntegrand(weight, omega),
                                  p.nu / p.k - 0.5, cfg)
-    ln_pref = (_LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
-               - ln_k_gamma(p.nu + 0.5 * p.k, p.k)
-               + _ln_half_x_power(p.nu / p.k, p.x))
-    return _exp_guarded(ln_pref, "integral prefactor") * integral
+    ln_const = _LN2 - 0.5 * math.log(p.k) - 0.5 * _LN_PI
+    return _prefactor(ln_const, p.nu + 0.5 * p.k, p.k, p.nu / p.k, p.x,
+                      "integral prefactor") * integral
 
 
 def eval_w_cos(p: IntegralRepParams, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
@@ -420,9 +420,8 @@ def eval_w_bessel_kernel(p: IntegralRepParams, c: float,
     scale = p.x / math.sqrt(p.k)
     integral = weighted_integral(_KernelIntegrand(scale, c),
                                  p.nu / p.k - 1.0, cfg)
-    ln_pref = (_LN2 - math.log(p.k) - ln_k_gamma(p.nu, p.k)
-               + _ln_half_x_power(p.nu / p.k, p.x))
-    return _exp_guarded(ln_pref, "integral prefactor") * integral
+    return _prefactor(_LN2 - math.log(p.k), p.nu, p.k, p.nu / p.k, p.x,
+                      "integral prefactor") * integral
 
 
 ROUTES = ("cos", "cosh", "kernel")

@@ -25,7 +25,8 @@ consecutive terms fall below rel_tol times the running sum.
 At large effective argument y = x sqrt(|c|/k) the alternating series
 cancels past what double-double holds, so from y = 17 on every series entry
 point takes W = (|c| k)^(-nu/(2k)) C_(nu/k)(y), C = J for c > 0 and I for
-c < 0, from the Hankel expansion of C where it serves (``_hankel_route``):
+c < 0, from the Hankel expansion of C where it serves (``_hankel``, which
+declines below y = 17 and wherever the expansion does not reach rel_tol):
 eval_w returns it, the normalized functions divide it by the leading term,
 and eval_w_with_derivatives forms W' and W'' from it and from W at the
 raised orders nu + k and nu + 2k.
@@ -402,13 +403,23 @@ def _ln_half_x_power(b: float, x: float) -> float:
     return b * (math.log(half) if half > 0.0 else -math.inf)
 
 
+def _prefactor(ln_const: float, t: float, k: float, b: float, x: float,
+               what: str) -> float:
+    """exp(ln_const - ln Gamma_k(t) + b ln(x/2)) at x > 0, summed in that
+    order, or Overflow, naming ``what``, where it is not a normal double:
+    the factor (x/2)^b / Gamma_k(t) of the series and of each integral
+    representation, formed in log space so that neither part overflows
+    alone."""
+    return _exp_guarded(ln_const - ln_k_gamma(t, k) + _ln_half_x_power(b, x),
+                        what)
+
+
 def _leading_term(p: KBesselParams, x: float) -> float:
     """t_0 = (x/2)^(nu/k) / Gamma_k(nu + k) at x > 0, or Overflow where it
     is not a normal double."""
     if p.nu == 0.0:
         return 1.0  # (x/2)^0 / Gamma_k(k), Gamma_k(k) = 1
-    ln_t0 = _ln_half_x_power(p.nu / p.k, x) - ln_k_gamma(p.nu + p.k, p.k)
-    return _exp_guarded(ln_t0, "leading series term")
+    return _prefactor(0.0, p.nu + p.k, p.k, p.nu / p.k, x, "leading series term")
 
 
 # the series entry points take the Hankel expansion from this effective
@@ -426,8 +437,9 @@ def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
     """W = (|c| k)^(-b/2) C_b(y) from the Hankel expansion of C_b, with
     b = nu/k, y = x sqrt(|c|/k), C = J for c > 0 and I for c < 0; None
     where the expansion does not reach cfg.rel_tol within cfg.max_terms
-    terms while its terms decrease from the first, or, for J, where the
-    phase w is not known to rel_tol.
+    terms while its terms decrease from the first, for J where the phase
+    w is not known to rel_tol, and below y = _HANKEL_MIN_Y, where the
+    series serves instead.
 
     With v_0 = 1 and v_(j+1) = v_j (4b^2 - (2j+1)^2) / (8 (j+1) y), so that
     |v_j| = |a_j(b)| / y^j (DLMF 10.17.1):
@@ -457,6 +469,8 @@ def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
     k, nu, c = p.k, p.nu, p.c
     a = abs(c)
     r = a / k
+    if x * math.sqrt(r) < _HANKEL_MIN_Y:
+        return None
     if not (_DD_MIN < min(a, k, r) and max(a, k, r, x) < _DD_MAX):
         return None
     # y = x sqrt(r) in dd: r = |c|/k, then one Newton step of the root
@@ -577,15 +591,6 @@ def _hankel(p: KBesselParams, x: float, cfg: SeriesConfig) -> EvalResult | None:
     return EvalResult(value, j, envelope * (t_err + rel * abs(t)))
 
 
-def _hankel_route(p: KBesselParams, x: float,
-                  cfg: SeriesConfig) -> EvalResult | None:
-    """W at x > 0 from ``_hankel`` where y = x sqrt(|c|/k) >= _HANKEL_MIN_Y
-    and the expansion serves it; None where the series must."""
-    if x * math.sqrt(abs(p.c) / p.k) >= _HANKEL_MIN_Y:
-        return _hankel(p, x, cfg)
-    return None
-
-
 def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
     """Evaluate W(x) by the defining power series, or at effective argument
     y = x sqrt(|c|/k) >= 17 by the Hankel expansion where it reaches
@@ -604,7 +609,7 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
             # limit 1/Gamma_k(k) = 1
             return EvalResult(1.0, 1, 0.0)
         return EvalResult(0.0, 1, 0.0)
-    res = _hankel_route(p, x, cfg)
+    res = _hankel(p, x, cfg)
     if res is not None:
         return res
     return _series(_leading_term(p, x), p.c, x, p.k, p.nu, cfg, False)[0]
@@ -632,25 +637,24 @@ def _leading_term_error(p: KBesselParams, x: float, t0: float) -> float:
                  + 3.0 * abs(ln_t0))
 
 
-def _eval_normalized(name: str, c: float, p: KBesselParams, x: float,
-                     cfg: SeriesConfig) -> EvalResult:
-    """(2/x)^(nu/k) Gamma_k(nu+k) W(x) at parameter c (p.c is not read):
-    the series with leading term 1, or W / t_0 with W from the Hankel
-    route and t_0 = (x/2)^(nu/k) / Gamma_k(nu+k) from its logarithm."""
+def _eval_normalized(name: str, p: KBesselParams, x: float,
+                     cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
+    """(2/x)^(nu/k) Gamma_k(nu+k) W(x): the series with leading term 1, or
+    W / t_0 with W from the Hankel expansion and t_0 = (x/2)^(nu/k) /
+    Gamma_k(nu+k) from its logarithm."""
     if not math.isfinite(x):
         raise DomainError(f"{name} requires a finite real x, got {x}")
     if x == 0.0:
         return EvalResult(1.0, 1, 0.0)
-    q = KBesselParams(p.k, p.nu, c)
     ax = abs(x)  # the function is even in x
-    w = _hankel_route(q, ax, cfg)
+    w = _hankel(p, ax, cfg)
     if w is None:
-        return _series(1.0, c, x, p.k, p.nu, cfg, False)[0]
-    t0 = _leading_term(q, ax)
+        return _series(1.0, p.c, x, p.k, p.nu, cfg, False)[0]
+    t0 = _leading_term(p, ax)
     value = _normal(w.value / t0, "{} from the Hankel expansion leaves the "
                     "normal double range: W / t_0 = {!r} / {!r}", name, w.value, t0)
     # W's bound, t_0's rounding and the quotient's
-    rel = _leading_term_error(q, ax, t0) + _U
+    rel = _leading_term_error(p, ax, t0) + _U
     return EvalResult(value, w.terms_used, w.est_error / t0 + rel * abs(value))
 
 
@@ -660,12 +664,12 @@ def eval_normalized_i(p: KBesselParams, x: float) -> EvalResult:
     Equals (2/x)^(nu/k) Gamma_k(nu+k) W(x) for c = -1; the c field of ``p``
     is ignored.
     """
-    return _eval_normalized("eval_normalized_i", -1.0, p, x, _DEFAULT_CONFIG)
+    return _eval_normalized("eval_normalized_i", KBesselParams(p.k, p.nu, -1.0), x)
 
 
 def eval_normalized_j(p: KBesselParams, x: float) -> EvalResult:
     """Normalized alternating series (c = +1 flavor): value 1 at x = 0, even."""
-    return _eval_normalized("eval_normalized_j", 1.0, p, x, _DEFAULT_CONFIG)
+    return _eval_normalized("eval_normalized_j", KBesselParams(p.k, p.nu, 1.0), x)
 
 
 def eval_w_with_derivatives(p: KBesselParams, x: float
@@ -690,8 +694,10 @@ def eval_w_with_derivatives(p: KBesselParams, x: float
     """
     _positive_x("eval_w_with_derivatives", x)
     if x * math.sqrt(abs(p.c) / p.k) >= _HANKEL_MIN_Y:
-        # W from _hankel_route or, where it declines, the series, which is
-        # accurate to y = 35 where the term-wise derivatives are not
+        # this test picks the derivative route, not the Hankel attempt: the
+        # raised orders serve also where _hankel declines and W comes from
+        # the series, which is accurate to y = 35 where the term-wise
+        # derivatives are not
         res = eval_w(p, x)
         c, w = p.c, res.value
         b_x = p.nu / p.k / x

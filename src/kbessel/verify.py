@@ -435,8 +435,9 @@ def check_chebyshev_products(k: float, nu: float, x: float,
     two, which the notes give.  The notes log how the plain weight integral
     compares with two candidate closed forms (argument x/sqrt(k) vs
     argument x/k), or that those probes are out of double range, or not
-    evaluable where x/sqrt(k) underflows to 0; only the inequality itself
-    is asserted.
+    evaluable where x/sqrt(k) underflows to 0; the x/k probe alone is not
+    evaluable where x/k underflows to 0 or sqrt(k)/x overflows.
+    Only the inequality itself is asserted.
     """
     if variant not in ("cos", "cosh"):
         raise InvalidParameter(f"variant must be 'cos' or 'cosh', got {variant!r}")
@@ -462,18 +463,28 @@ def check_chebyshev_products(k: float, nu: float, x: float,
     int_qf = weighted_integral(q, beta - 0.5, _QUAD)
     int_qg = weighted_integral(q, beta + 0.5, _QUAD)
     int_qfg = weighted_integral(q, 2.0 * beta, _QUAD)
+    x_k = x / k
     try:
-        probes = (f"|vs closed form with argument x/sqrt(k)|="
-                  f"{abs(int_q - antiderivative(omega) / omega):.3e}, "
-                  f"|vs closed form with argument x/k|="
-                  f"{abs(int_q - (math.sqrt(k) / x) * antiderivative(x / k)):.3e}")
+        probe_sqrt_k = abs(int_q - antiderivative(omega) / omega)
+        probe_k = abs(int_q - (math.sqrt(k) / x) * antiderivative(x_k))
     except OverflowError:  # the integrals fit where sinh(x/k) need not
         probes = (f"closed-form probes out of range: "
                   f"{antiderivative.__name__} exceeds double range at "
-                  f"x/sqrt(k) = {omega!r} or x/k = {x / k!r}")
+                  f"x/sqrt(k) = {omega!r} or x/k = {x_k!r}")
     except ZeroDivisionError:  # the integrals fit where omega is 0.0
         probes = (f"closed-form probes not evaluable: x/sqrt(k) underflows "
                   f"to {omega!r}")
+    else:
+        probes = f"|vs closed form with argument x/sqrt(k)|={probe_sqrt_k:.3e}, "
+        if x_k == 0.0:  # the probe would read int_q, or nan
+            probes += (f"closed form with argument x/k not evaluable: "
+                       f"x/k underflows to {x_k!r}")
+        elif not math.isfinite(probe_k):  # sqrt(k)/x overflows
+            probes += (f"closed form with argument x/k not evaluable: "
+                       f"(sqrt(k)/x) {antiderivative.__name__}(x/k) exceeds "
+                       f"double range at x/k = {x_k!r}")
+        else:
+            probes += f"|vs closed form with argument x/k|={probe_k:.3e}"
     separate = int_qf * int_qg
     joint = int_q * int_qfg
     scaled = ""
@@ -522,12 +533,12 @@ def check_coefficient_facts(k: float, mu: float, nu: float) -> VerifyReport:
     worst_rel = 0.0
     dig_base = k_digamma(nu + k, k)
     tri_base = k_trigamma(nu + k, k)
+    # ln Gamma_k(r k + order + k) for r <= _COEFFICIENT_R_MAX + 1, each once
+    ln_nu, ln_mu = ([ln_k_gamma(r * k + order + k, k)
+                     for r in range(_COEFFICIENT_R_MAX + 2)] for order in (nu, mu))
     for r in range(_COEFFICIENT_R_MAX + 1):
         direct = (r * k + mu + k) / (r * k + nu + k)
-        ln_route = (ln_k_gamma(r * k + nu + k, k)
-                    - ln_k_gamma((r + 1) * k + nu + k, k)
-                    + ln_k_gamma((r + 1) * k + mu + k, k)
-                    - ln_k_gamma(r * k + mu + k, k))
+        ln_route = ln_nu[r] - ln_nu[r + 1] + ln_mu[r + 1] - ln_mu[r]
         rel = abs(math.exp(ln_route) - direct) / direct
         worst_rel = max(worst_rel, rel)
         slack_ratio = 1.0 - direct

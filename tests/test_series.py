@@ -1096,3 +1096,22 @@ def test_hankel_declines_where_its_phase_passes_rel_tol():
     assert _hankel(p, 7e15, SeriesConfig()) is None
     with pytest.raises(KBesselError):
         eval_w(p, 7e15)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_hankel_declines_below_the_crossover(c):
+    # the crossover is _hankel's own test, so no caller can ask the
+    # expansion for a point the series serves
+    p = KBesselParams(1.0, 0.0, c)
+    assert _hankel(p, 16.9, SeriesConfig()) is None
+    assert _hankel(p, _HANKEL_MIN_Y, SeriesConfig()) is not None
+
+
+@pytest.mark.parametrize("fn,c", [(eval_normalized_i, -1.0),
+                                  (eval_normalized_j, 1.0)])
+def test_normalized_functions_ignore_c_on_the_hankel_route(fn, c):
+    # at y = 40 the expansion serves c = -+1; a c of 2.0 would move y to
+    # 40 sqrt(2) and change the value
+    x = 40.0
+    assert _hankel(KBesselParams(1.0, 0.5, c), x, SeriesConfig()) is not None
+    assert fn(KBesselParams(1.0, 0.5, 2.0), x) == fn(KBesselParams(1.0, 0.5, c), x)

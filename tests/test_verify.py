@@ -796,3 +796,32 @@ def test_relation_note_where_both_sides_vanish():
     assert report.passed
     assert "fitted constant multiplier=indeterminate (both sides vanish)" in (
         report.notes)
+
+
+def test_coefficient_facts_take_each_log_gamma_once(monkeypatch):
+    # 2 orders times r = 0..31, where the ratio route would take each
+    # inner ln Gamma_k twice (124 calls)
+    calls = []
+    ln_k_gamma = verify.ln_k_gamma
+
+    def counting(t, k):
+        calls.append(t)
+        return ln_k_gamma(t, k)
+
+    monkeypatch.setattr(verify, "ln_k_gamma", counting)
+    report = check_coefficient_facts(1.0, 0.5, 1.5)
+    assert report.passed
+    assert len(calls) == 64
+
+
+@pytest.mark.parametrize("x", [1e-160, 1e-30])
+def test_chebyshev_notes_where_x_over_k_underflows(x):
+    # x/k = 0.0: the x/k probe read nan (sqrt(k)/x overflows at 1e-160) or
+    # a value from sin(0.0); the inequality is unaffected
+    report = check_chebyshev_products(1e300, 0.5, x, "cos")
+    assert report.passed
+    assert report.margin == 0.2337005501361693
+    assert "nan" not in report.notes
+    assert ("closed form with argument x/k not evaluable: x/k underflows "
+            "to 0.0") in report.notes
+    assert "|vs closed form with argument x/sqrt(k)|=" in report.notes
