@@ -75,15 +75,12 @@ class IntegralRepParams:
     x: float
 
     def __post_init__(self):
-        for name in ("k", "nu"):
+        for name in ("k", "nu", "alpha", "x"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidParameter(f"{name} must be finite, got {value}")
         for name in ("k", "alpha", "x"):
             _positive(name, getattr(self, name))
-        if math.isinf(self.alpha) or math.isinf(self.x):
-            raise InvalidParameter(
-                f"alpha and x must be finite, got alpha={self.alpha}, x={self.x}")
 
 
 _DEFAULT_QUAD = QuadConfig()

@@ -741,7 +741,9 @@ def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:
         scale = (2.0 * p.k) ** m
         weights = [((-1.0) ** n) * math.comb(m, n) * (p.c ** n) * (p.k ** n)
                    / scale for n in range(m + 1)]
-    except OverflowError:  # a power of c, k or 2k past the double range
+    except (OverflowError, ZeroDivisionError):
+        # a power of c, k or 2k past the double range, or (2k)^m underflowed
+        # to 0, so that the first weight 1/(2k)^m is past it
         weights = [math.inf]
     if not all(map(math.isfinite, weights)):
         raise Overflow(f"derivative ladder weights exceed double range at "
@@ -771,8 +773,8 @@ def recurrence_step_up(p: KBesselParams, x: float, w_nu: float,
     """Solve the three-term order recurrence upward:
 
     W_(nu+k) = (2 nu W_nu / x - W_(nu-k)) / (c k);  needs nu > 0, c != 0,
-    a finite x > 0 and finite W values.  A result past the double range
-    raises Overflow.
+    a finite x > 0 and finite W values.  A c k that is not a normal double,
+    or a result past the double range, raises Overflow.
     """
     if p.c == 0.0:
         raise InvalidParameter("recurrence_step_up requires c != 0")
@@ -782,7 +784,9 @@ def recurrence_step_up(p: KBesselParams, x: float, w_nu: float,
     if not (math.isfinite(w_nu) and math.isfinite(w_nu_minus_k)):
         raise DomainError(f"recurrence_step_up requires finite W values, got "
                           f"w_nu={w_nu}, w_nu_minus_k={w_nu_minus_k}")
-    return _finite((2.0 * p.nu * w_nu / x - w_nu_minus_k) / (p.c * p.k),
+    ck = _normal(p.c * p.k, "recurrence_step_up's c*k = {!r} is not a normal "
+                 "double", p.c * p.k)
+    return _finite((2.0 * p.nu * w_nu / x - w_nu_minus_k) / ck,
                    "recurrence_step_up's W_(nu+k) exceeds double range at "
                    "x = {!r}", x)
 

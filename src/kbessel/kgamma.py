@@ -24,7 +24,7 @@ import sys
 
 from .classical import digamma, ln_gamma, trigamma
 from .errors import (_MIN_NORMAL, DomainError, InvalidParameter, Overflow,
-                     _exp_guarded, _finite)
+                     _exp_guarded, _finite, _normal)
 
 __all__ = [
     "k_beta",
@@ -53,17 +53,30 @@ def _require_k(k: float) -> None:
 
 
 def k_pochhammer(x: float, n: int, k: float) -> float:
-    """(x)_{n,k} = x (x+k) (x+2k) ... (x+(n-1)k); empty product for n = 0."""
+    """(x)_{n,k} = x (x+k) (x+2k) ... (x+(n-1)k); empty product for n = 0.
+
+    Overflow at the first partial product past the double range, and where
+    the product falls below the normal double range, unless a factor is
+    exactly 0, which makes the product an exact zero.
+    """
     _require_k(k)
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidParameter(f"n must be a non-negative integer, got {n!r}")
     if math.isnan(x):
         raise DomainError("k_pochhammer requires a real x, got nan")
     result = 1.0
+    exact_zero = False
     for j in range(n):
-        result *= x + j * k
-    return _finite(result, "k_pochhammer({}, {}, {}) exceeds double range",
-                   x, n, k)
+        factor = x + j * k
+        exact_zero = exact_zero or factor == 0.0
+        result *= factor
+        if not math.isfinite(result):  # no later factor makes it finite
+            break
+    _finite(result, "k_pochhammer({}, {}, {}) exceeds double range", x, n, k)
+    if exact_zero:
+        return result
+    return _normal(result, "k_pochhammer({}, {}, {}) underflows: {!r} is below "
+                   "the normal double range", x, n, k, result)
 
 
 def ln_k_gamma(t: float, k: float) -> float:

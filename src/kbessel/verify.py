@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Callable, NamedTuple
 
 from .errors import (InvalidParameter, KBesselError, OutsideDomain, Overflow,
-                     _finite, _normal, _positive)
+                     _exp_guarded, _finite, _normal, _positive)
 from .integral import (
     ROUTES,
     QuadConfig,
@@ -48,7 +51,7 @@ from .kbessel import (
 )
 from .kgamma import k_digamma, k_trigamma, ln_k_gamma
 
-_QUAD = QuadConfig(nodes=128, abs_tol=1e-13, max_refinements=8)
+_QUAD = QuadConfig(abs_tol=1e-13)
 _MULTISECTION_TERMS = 40
 _COEFFICIENT_R_MAX = 30
 
@@ -81,7 +84,9 @@ class GridSpec:
     domain (which depends on k) is refused by the check itself and reported
     as skipped.  ``a_values`` are order shifts for the product-vs-square
     check; ``cvx_weights`` are interpolation weights in [0, 1] for the
-    log-convexity check.  Repeated values in a field are dropped.
+    log-convexity check.  Each field is an iterable, not a str or bytes, of
+    finite real numbers that are not bools (lists, tuples, generators and
+    NumPy arrays qualify); repeated values in a field are dropped.
     """
 
     k_values: tuple[float, ...]
@@ -94,11 +99,18 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            values = tuple(dict.fromkeys(float(v) for v in getattr(self, field.name)))
+            values = getattr(self, field.name)
+            if isinstance(values, Iterable) and not isinstance(values, (str, bytes)):
+                values = tuple(values)
+            # a grid value is a finite real number, not a bool; an int past
+            # the double range is refused here, before float() would raise
+            if not isinstance(values, tuple) or not all(
+                    isinstance(v, Real) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in values):
+                raise InvalidParameter(f"grid field {field.name!r} must be an array of numbers")
+            values = tuple(dict.fromkeys(map(float, values)))
             if not values:
                 raise InvalidParameter(f"{field.name} must be non-empty")
-            if any(math.isnan(v) or math.isinf(v) for v in values):
-                raise InvalidParameter(f"{field.name} must be finite")
             object.__setattr__(self, field.name, values)
         for name in ("k_values", "x_values", "alpha_values"):
             if any(v <= 0.0 for v in getattr(self, name)):
@@ -539,7 +551,9 @@ def check_coefficient_facts(k: float, mu: float, nu: float) -> VerifyReport:
     for r in range(_COEFFICIENT_R_MAX + 1):
         direct = (r * k + mu + k) / (r * k + nu + k)
         ln_route = ln_nu[r] - ln_nu[r + 1] + ln_mu[r + 1] - ln_mu[r]
-        rel = abs(math.exp(ln_route) - direct) / direct
+        ratio = _exp_guarded(ln_route, "coefficient-facts' log-gamma route "
+                             "ratio at r = {}", r)
+        rel = abs(ratio - direct) / direct
         worst_rel = max(worst_rel, rel)
         slack_ratio = 1.0 - direct
         slack_dig = k_digamma(r * k + nu + k, k) - dig_base
@@ -728,13 +742,11 @@ def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
     values, so output is byte-identical across runs.  A failing point
     produces a failed report; it never aborts the run.
     """
-    ordered: list[str] = []
-    for name in checks:
+    ordered = tuple(dict.fromkeys(checks))
+    for name in ordered:
         if name not in _CHECKS:
             known = ", ".join(CHECK_NAMES)
             raise InvalidParameter(f"unknown check {name!r}; known checks: {known}")
-        if name not in ordered:
-            ordered.append(name)
     reports: list[VerifyReport] = []
     for name in ordered:
         reports.extend(_expand(name, spec))

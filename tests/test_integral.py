@@ -253,6 +253,16 @@ def test_integral_rep_params_refuse_a_non_finite_field_by_name(field, value):
         IntegralRepParams(**args)
 
 
+@pytest.mark.parametrize("field", ["alpha", "x"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_integral_rep_params_refuse_a_non_finite_alpha_or_x_by_name(field,
+                                                                    value):
+    args = {"k": 1.0, "nu": 0.5, "alpha": 1.0, "x": 1.0, field: value}
+    with pytest.raises(InvalidParameter,
+                       match=f"^{field} must be finite, got {value}$"):
+        IntegralRepParams(**args)
+
+
 @pytest.mark.parametrize("call", [
     lambda: route_legs(1.0, 0.5, 1e200, 1e-200, "cos"),
     lambda: route_legs(1.0, 0.5, 1e200, 1e-200, "cosh"),

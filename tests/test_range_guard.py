@@ -8,7 +8,9 @@ points where a value used to leak.
 """
 
 import functools
+import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -306,3 +308,101 @@ def test_chebyshev_probes_where_x_over_sqrt_k_is_zero(variant):
     assert report.passed and report.margin == 0.2337005501361693
     assert report.notes.endswith("closed-form probes not evaluable: "
                                  "x/sqrt(k) underflows to 0.0")
+
+
+def test_derivative_ladder_with_an_underflowed_scale_raises_overflow():
+    # (2k)^2 underflows to 0: the first weight 1/(2k)^m was a bare
+    # ZeroDivisionError, and `kbessel eval --deriv 2` exited 1
+    p = KBesselParams(1e-200, 1.0, 1.0)
+    message = r"^derivative ladder weights exceed double range at c=1\.0, "
+    for call in (lambda: kbessel.deriv_w_terms(p, 2),
+                 lambda: deriv_w(p, 1.0, 2)):
+        with pytest.raises(Overflow, match=message):
+            call()
+    result = CliRunner().invoke(cli.main, [
+        "eval", "--k", "1e-200", "--nu", "1", "--c", "1", "--x", "1",
+        "--deriv", "2"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: derivative ladder weights exceed")
+
+
+@pytest.mark.parametrize("c, product", [(1e-200, "0.0"), (1e200, "inf")],
+                         ids=["zero", "inf"])
+def test_recurrence_step_up_refuses_c_times_k_outside_the_normal_range(
+        c, product):
+    # c k = 0.0 was a bare ZeroDivisionError; c k = inf returned 0.0
+    with pytest.raises(Overflow, match=rf"^recurrence_step_up's c\*k = "
+                                       rf"{product} is not a normal double$"):
+        recurrence_step_up(KBesselParams(c, 1.0, c), 1.0, 1.0, 1.0)
+
+
+def _wide_params(b):
+    """(k, nu = b k, c) with k and |c| log-uniform on [1e-300, 1e300]."""
+    return st.builds(lambda k, b, c: KBesselParams(k, b * k, c),
+                     _WIDE, b, _signed(_WIDE))
+
+
+_LADDER_CALLS = st.one_of(
+    _call(kbessel.deriv_w_terms, _wide_params(st.floats(5.0, 1e6)),
+          st.integers(1, 6)),
+    _call(recurrence_step_up, _wide_params(_SERIES), _SERIES,
+          _signed(_WIDE), _signed(_WIDE)),
+)
+
+
+@given(call=_LADDER_CALLS)
+@settings(max_examples=2000, deadline=None, derandomize=True)
+def test_ladder_entry_points_return_finite_floats_or_raise(call):
+    # k and |c| log-uniform over [1e-300, 1e300], where (2k)^m or c k can
+    # leave the double range; orders nu = b k with b >= 5 > m - 1
+    try:
+        out = call()
+    except KBesselError:
+        return
+    floats = _floats(tuple(out)) if isinstance(out, list) else [out]
+    assert all(math.isfinite(v) for v in floats), (call, out)
+
+
+def test_coefficient_facts_route_ratio_past_the_double_range_fails_the_point(
+        tmp_path):
+    # exp of the log-gamma route's ratio overflowed: a bare OverflowError
+    # that aborted the sweep with exit 1
+    with pytest.raises(Overflow, match=r"^coefficient-facts' log-gamma route "
+                                       r"ratio at r = 0 exceeds double range"):
+        verify.check_coefficient_facts(1e-95, 0.0, 1e-79)
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"k_values": [1e-95], "nu_values": [0, 1e-79]}',
+                    encoding="utf-8")
+    result = CliRunner().invoke(cli.main, [
+        "verify", "--checks", "coefficient-facts", "--grid", str(grid)])
+    assert result.exit_code == 4
+    reports = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["passed"], r["margin"]) for r in reports] == [
+        (True, 0.0), (False, None), (True, 0.0)]
+    assert reports[1]["notes"].startswith("error: Overflow: ")
+
+
+def test_pochhammer_stops_at_the_first_partial_product_past_the_range():
+    # the loop ran on through 10^9 factors after the product overflowed
+    start = time.perf_counter()
+    with pytest.raises(Overflow, match=r"^k_pochhammer\(2\.0, 1000000000, "
+                                       r"1\.0\) exceeds double range$"):
+        k_pochhammer(2.0, 10 ** 9, 1.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pochhammer_below_the_normal_range_raises_unless_a_factor_is_zero():
+    # 1e-300 * 2e-300 underflowed and was returned as 0.0
+    with pytest.raises(Overflow, match=r"^k_pochhammer\(1e-300, 2, 1e-300\) "
+                                       r"underflows: 0\.0 is below the "
+                                       r"normal double range$"):
+        k_pochhammer(1e-300, 2, 1e-300)
+    result = CliRunner().invoke(cli.main, [
+        "gamma", "--fn", "pochhammer", "--t", "1e-300", "--n", "2",
+        "--k", "1e-300"])
+    assert (result.exit_code, result.stdout) == (3, "")
+    # the factor -2e-200 + 2e-200 is exactly 0, after the product of the
+    # first two had underflowed
+    assert k_pochhammer(-2e-200, 3, 1e-200) == 0.0
+    assert k_pochhammer(-2.0, 5, 1.0) == 0.0
+    assert k_pochhammer(1.0, 3, 1.0) == 6.0

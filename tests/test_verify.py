@@ -825,3 +825,35 @@ def test_chebyshev_notes_where_x_over_k_underflows(x):
     assert ("closed form with argument x/k not evaluable: x/k underflows "
             "to 0.0") in report.notes
     assert "|vs closed form with argument x/sqrt(k)|=" in report.notes
+
+
+def test_chebyshev_notes_where_sqrt_k_over_x_overflows():
+    # x/k = 1e-314 is nonzero, but sqrt(k)/x = 1e309 is past the double
+    # range, so the x/k probe is not evaluable; the inequality holds
+    report = check_chebyshev_products(1e10, 1.0, 1e-304, "cos")
+    assert report.passed
+    assert report.margin == 0.2337005500402285
+    assert report.notes.endswith(
+        "closed form with argument x/k not evaluable: (sqrt(k)/x) sin(x/k) "
+        "exceeds double range at x/k = 1e-314")
+
+
+@pytest.mark.parametrize("values", [
+    5, ("a",), (True,), ("2",), "12", (None,), (math.inf,), (math.nan,),
+    b"12", ([1.0],), (10 ** 400,),
+], ids=["scalar", "str-value", "bool", "numeric-str", "str-field", "none",
+        "inf", "nan", "bytes-field", "container", "int-past-double-range"])
+def test_grid_spec_refuses_what_is_not_an_array_of_numbers(values):
+    with pytest.raises(InvalidParameter, match="^grid field 'k_values' must "
+                                               "be an array of numbers$"):
+        small_grid(k_values=values)
+
+
+def test_grid_spec_takes_any_iterable_of_real_numbers():
+    np = pytest.importorskip("numpy")
+    for values in ([2, 1.0], (2.0, 1), (v for v in (2, 1)),
+                   np.array([2, 1]), np.array([2.0, 1.0])):
+        spec = small_grid(k_values=values)
+        assert spec.k_values == (2.0, 1.0)
+        assert all(type(v) is float for v in spec.k_values)
+
