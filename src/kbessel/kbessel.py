@@ -809,21 +809,16 @@ def multisection_lhs(p: KBesselParams, x: float, terms: int) -> EvalResult:
     step = -p.c * p.k
     factor = 1.0
     pieces = []
-    last_mag = math.inf
-    for r in range(terms):
+    for r in range(terms + 1):  # the last piece is the first omitted term
         order = p.nu + 2 * r * p.k
         w = eval_w(KBesselParams(p.k, order, p.c), x).value
-        piece = factor * order * w * two_over_x
-        pieces.append(piece)
-        last_mag = abs(piece)
+        pieces.append(factor * order * w * two_over_x)
         factor *= step
-    omit_order = p.nu + 2 * terms * p.k
-    omit_w = eval_w(KBesselParams(p.k, omit_order, p.c), x).value
-    omitted = abs(factor * omit_order * omit_w * two_over_x)
+    omitted = abs(pieces.pop())
     # an omitted term of exactly 0 (c = 0) leaves nothing to truncate
-    if omitted >= last_mag and omitted != 0.0:
+    if omitted >= abs(pieces[-1]) and omitted != 0.0:
         raise NonConvergence(
             f"multisection terms not yet decreasing after {terms} terms "
-            f"(|omitted| = {omitted:.3e} >= |last| = {last_mag:.3e})"
+            f"(|omitted| = {omitted:.3e} >= |last| = {abs(pieces[-1]):.3e})"
         )
     return EvalResult(math.fsum(pieces), terms, omitted)

@@ -56,8 +56,9 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
     """(x)_{n,k} = x (x+k) (x+2k) ... (x+(n-1)k); empty product for n = 0.
 
     Overflow at the first partial product past the double range, and where
-    the product falls below the normal double range, unless a factor is
-    exactly 0, which makes the product an exact zero.
+    the product falls below the normal double range.  A factor of exactly 0
+    ends the product: no later factor is negative, so its signed zero is the
+    value, also where a later factor would overflow.
     """
     _require_k(k)
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -65,16 +66,14 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
     if math.isnan(x):
         raise DomainError("k_pochhammer requires a real x, got nan")
     result = 1.0
-    exact_zero = False
     for j in range(n):
         factor = x + j * k
-        exact_zero = exact_zero or factor == 0.0
         result *= factor
+        if factor == 0.0:
+            return result
         if not math.isfinite(result):  # no later factor makes it finite
             break
     _finite(result, "k_pochhammer({}, {}, {}) exceeds double range", x, n, k)
-    if exact_zero:
-        return result
     return _normal(result, "k_pochhammer({}, {}, {}) underflows: {!r} is below "
                    "the normal double range", x, n, k, result)
 

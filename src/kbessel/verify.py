@@ -26,10 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from numbers import Real
-from typing import Callable, NamedTuple
 
 from .errors import (InvalidParameter, KBesselError, OutsideDomain, Overflow,
                      _exp_guarded, _finite, _normal, _positive)
@@ -86,7 +84,8 @@ class GridSpec:
     check; ``cvx_weights`` are interpolation weights in [0, 1] for the
     log-convexity check.  Each field is an iterable, not a str or bytes, of
     finite real numbers that are not bools (lists, tuples, generators and
-    NumPy arrays qualify); repeated values in a field are dropped.
+    NumPy arrays qualify, a 0-d array does not); repeated values in a field
+    are dropped.
     """
 
     k_values: tuple[float, ...]
@@ -100,11 +99,13 @@ class GridSpec:
     def __post_init__(self) -> None:
         for field in fields(self):
             values = getattr(self, field.name)
-            if isinstance(values, Iterable) and not isinstance(values, (str, bytes)):
-                values = tuple(values)
+            try:  # a str or bytes is not an array of numbers
+                values = None if isinstance(values, (str, bytes)) else tuple(values)
+            except TypeError:  # not iterable: a number, a 0-d NumPy array
+                values = None
             # a grid value is a finite real number, not a bool; an int past
             # the double range is refused here, before float() would raise
-            if not isinstance(values, tuple) or not all(
+            if values is None or not all(
                     isinstance(v, Real) and not isinstance(v, bool)
                     and abs(v) <= sys.float_info.max for v in values):
                 raise InvalidParameter(f"grid field {field.name!r} must be an array of numbers")
@@ -159,11 +160,6 @@ def _report(name: str, point: dict, margin: float, tol: float,
 
 def _skip(name: str, point: dict, reason: str) -> VerifyReport:
     return VerifyReport(name, point, None, True, True, reason)
-
-
-def _failure(name: str, point: dict, exc: KBesselError) -> VerifyReport:
-    return VerifyReport(name, point, None, False, False,
-                        f"error: {type(exc).__name__}: {exc}")
 
 
 def _require_order_pair(k: float, mu: float, nu: float) -> None:
@@ -642,31 +638,10 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
 # grid expansion
 
 
-class _Check(NamedTuple):
-    """How ``run_grid`` expands one check.
+_AXIS_FIELDS = {"k": "k_values", "nu": "nu_values", "c": "c_values", "x": "x_values",
+                "alpha": "alpha_values", "a": "a_values", "weight": "cvx_weights"}
 
-    ``axes`` are the point's keys in order; a pair of keys takes the ordered
-    pairs of ``nu_values``, any other key the sorted values of its grid
-    field.  ``call(spec, point)`` runs the check; it names the check
-    function as a module global, looked up on every call, so a replacement
-    set on this module (a tracer, a test spy) is the one that runs.
-    """
-
-    axes: tuple
-    call: Callable[[GridSpec, dict], VerifyReport]
-
-
-_AXIS_VALUES = {
-    "k": lambda spec: spec.k_values,
-    "nu": lambda spec: spec.nu_values,
-    "c": lambda spec: spec.c_values,
-    "x": lambda spec: spec.x_values,
-    "alpha": lambda spec: spec.alpha_values,
-    "a": lambda spec: spec.a_values,
-    "weight": lambda spec: spec.cvx_weights,
-    "variant": lambda spec: ("cos", "cosh"),
-    "route": lambda spec: ROUTES,
-}
+_FIXED_AXES = {"variant": ("cos", "cosh"), "route": ROUTES}
 
 _SERIES_AXES = ("k", "nu", "c", "x")
 
@@ -675,35 +650,41 @@ def _series_params(point: dict) -> KBesselParams:
     return KBesselParams(point["k"], point["nu"], point["c"])
 
 
+# How ``run_grid`` expands each check: (axes, call).  ``axes`` are the
+# point's keys in order; a pair of keys takes the ordered pairs of
+# ``nu_values``, any other key the sorted values of its grid field (or of its
+# fixed axis).  ``call(spec, point)`` runs the check; it names the check
+# function as a module global, looked up on every call, so a replacement set
+# on this module (a tracer, a test spy) is the one that runs.
 _CHECKS = {
-    "ode": _Check(
+    "ode": (
         _SERIES_AXES, lambda s, p: check_ode(_series_params(p), p["x"])),
-    "recurrences": _Check(
+    "recurrences": (
         _SERIES_AXES,
         lambda s, p: check_recurrences(_series_params(p), p["x"])),
-    "multisection": _Check(
+    "multisection": (
         _SERIES_AXES,
         lambda s, p: check_multisection(_series_params(p), p["x"])),
-    "ratio-x-monotone": _Check(
+    "ratio-x-monotone": (
         ("k", ("mu", "nu")),
         lambda s, p: check_ratio_x_monotone(**p, x_grid=sorted(s.x_values))),
-    "order-ratio-monotone": _Check(
+    "order-ratio-monotone": (
         ("k", ("mu", "nu"), "x"), lambda s, p: check_order_ratio_monotone(**p)),
-    "nu-decreasing-logconvex": _Check(
+    "nu-decreasing-logconvex": (
         ("k", ("nu1", "nu2"), "weight", "x"),
         lambda s, p: check_nu_decreasing_logconvex(
             p["k"], (p["nu1"], p["nu2"]), p["weight"], p["x"])),
-    "turan": _Check(("k", "nu", "a", "x"), lambda s, p: check_turan(**p)),
-    "chebyshev": _Check(
+    "turan": (("k", "nu", "a", "x"), lambda s, p: check_turan(**p)),
+    "chebyshev": (
         ("k", "nu", "x", "variant"),
         lambda s, p: check_chebyshev_products(**p)),
-    "coefficient-facts": _Check(
+    "coefficient-facts": (
         ("k", ("mu", "nu")), lambda s, p: check_coefficient_facts(**p)),
-    "sin-relation": _Check(
+    "sin-relation": (
         ("k", "alpha", "x"), lambda s, p: check_sin_relation(**p)),
-    "sinh-relation": _Check(
+    "sinh-relation": (
         ("k", "alpha", "x"), lambda s, p: check_sinh_relation(**p)),
-    "integral-agreement": _Check(
+    "integral-agreement": (
         ("k", "nu", "alpha", "x", "route"),
         lambda s, p: check_integral_agreement(**p)),
 }
@@ -713,25 +694,27 @@ CHECK_NAMES: tuple[str, ...] = tuple(_CHECKS)
 
 def _expand(name: str, spec: GridSpec):
     """Every report of one check over ``spec``, in lexicographic order."""
-    check = _CHECKS[name]
+    check_axes, call = _CHECKS[name]
     keys = []
     axes = []
-    for axis in check.axes:
+    for axis in check_axes:
         if isinstance(axis, tuple):
             keys.extend(axis)
             axes.append(list(itertools.combinations_with_replacement(
                 sorted(spec.nu_values), 2)))
         else:
             keys.append(axis)
-            axes.append([(v,) for v in sorted(_AXIS_VALUES[axis](spec))])
+            values = _FIXED_AXES.get(axis) or getattr(spec, _AXIS_FIELDS[axis])
+            axes.append([(v,) for v in sorted(values)])
     for combo in itertools.product(*axes):
         point = dict(zip(keys, itertools.chain.from_iterable(combo)))
         try:
-            yield check.call(spec, point)
+            yield call(spec, point)
         except OutsideDomain as exc:
             yield _skip(name, point, exc.reason)
         except KBesselError as exc:
-            yield _failure(name, point, exc)
+            yield VerifyReport(name, point, None, False, False,
+                               f"error: {type(exc).__name__}: {exc}")
 
 
 def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:

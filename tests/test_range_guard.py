@@ -406,3 +406,14 @@ def test_pochhammer_below_the_normal_range_raises_unless_a_factor_is_zero():
     assert k_pochhammer(-2e-200, 3, 1e-200) == 0.0
     assert k_pochhammer(-2.0, 5, 1.0) == 0.0
     assert k_pochhammer(1.0, 3, 1.0) == 6.0
+
+
+def test_pochhammer_ends_at_an_exact_zero_factor():
+    # the loop ran on through 10^9 factors after the first one, x = 0
+    start = time.perf_counter()
+    assert k_pochhammer(0.0, 10 ** 9, 1.0) == 0.0
+    assert time.perf_counter() - start < 1.0
+    # the third factor overflows: 0 * inf was nan, and raised Overflow
+    assert k_pochhammer(0.0, 3, 1e308) == 0.0
+    # the zero keeps the sign of the product before it
+    assert math.copysign(1.0, k_pochhammer(-1.0, 3, 1.0)) == -1.0

@@ -44,6 +44,11 @@ from kbessel import (
 from kbessel.cli import main
 from kbessel.integral import IntegralRepParams, eval_w_bessel_kernel, eval_w_cos
 
+try:
+    import numpy
+except ImportError:  # a test extra; the cases that need it are skipped
+    numpy = None
+
 # Frozen from an independent high-precision route (40-digit arithmetic,
 # normalized values built from the classical modified Bessel function as
 # Gamma(nu+1) (2/x)^nu I_nu(x) at k = 1).
@@ -841,8 +846,11 @@ def test_chebyshev_notes_where_sqrt_k_over_x_overflows():
 @pytest.mark.parametrize("values", [
     5, ("a",), (True,), ("2",), "12", (None,), (math.inf,), (math.nan,),
     b"12", ([1.0],), (10 ** 400,),
+    pytest.param(numpy.array(2.0) if numpy else None, marks=pytest.mark.skipif(
+        numpy is None, reason="needs numpy")),
 ], ids=["scalar", "str-value", "bool", "numeric-str", "str-field", "none",
-        "inf", "nan", "bytes-field", "container", "int-past-double-range"])
+        "inf", "nan", "bytes-field", "container", "int-past-double-range",
+        "0-d-array"])
 def test_grid_spec_refuses_what_is_not_an_array_of_numbers(values):
     with pytest.raises(InvalidParameter, match="^grid field 'k_values' must "
                                                "be an array of numbers$"):
