@@ -3,9 +3,21 @@
 All three use the same scheme: shift the argument above 12 with the
 recurrence, then apply the Stirling/asymptotic series with Bernoulli-number
 coefficients through B14.  At the threshold the first dropped term is below
-1e-16 of the result, so each routine is accurate to a few ulp over (0, inf)
-— verified in the tests against defining-integral quadrature and
-direct-summation oracles.  A value past the double range raises Overflow
+1e-16 of the result, so what is left is rounding.  Over (0, inf):
+
+- ``ln_gamma(x)`` is within 2^-45 (|ln Gamma(x)| + 1).  Below 12 the shift
+  product's logarithm, about 20 at x near 1, is subtracted from the
+  Stirling sum, so near the zeros at 1 and 2 the error is absolute, not
+  relative: ``ln_gamma(3.0)`` is 0.6931471805599507, 49 ulp above ln 2.
+  The worst seen over 530000 seeded samples against mpmath was 109 units
+  of 2^-53 (|ln Gamma(x)| + 1), at x = 0.989.
+- ``digamma(x)`` is within 2^-49 (|psi(x)| + 1); near its zero at
+  x = 1.4616 that is absolute, not relative.
+- ``trigamma(x)`` is within 2^-50 |psi'(x)|.
+
+The tests confirm these bounds on seeded samples against mpmath, and
+the values against defining-integral quadrature and direct-summation
+oracles.  A value past the double range raises Overflow
 (``errors._finite``).  Keeping these in-repo leaves the runtime library
 free of third-party math dependencies.
 """

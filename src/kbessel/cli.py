@@ -17,7 +17,14 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 from collections.abc import Iterable
+
+# The sweep modules load before click, as they did when the package loaded
+# them: compiled after click, their compile peak adds to its memory and
+# raises the commands' peak RSS.
+from .integral import ROUTES, route_legs
+from .verify import CHECK_NAMES, GridSpec, default_grid, run_grid
 
 import click
 
@@ -28,7 +35,6 @@ from .errors import (
     Overflow,
     QuadratureFailure,
 )
-from .integral import ROUTES, route_legs
 from .kbessel import (KBesselParams, SeriesConfig, _eval_normalized, deriv_w,
                       eval_w)
 from .kgamma import (
@@ -39,7 +45,6 @@ from .kgamma import (
     k_trigamma,
     ln_k_gamma,
 )
-from .verify import CHECK_NAMES, GridSpec, default_grid, run_grid
 
 _USAGE_ERRORS = (InvalidParameter, DomainError)
 _NUMERIC_ERRORS = (NonConvergence, Overflow, QuadratureFailure)
@@ -98,8 +103,11 @@ def _emit(lines: list[str], out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _fail(2, f"cannot write output file {out!r}: {exc}")
 
 
 def _table_lines(fmt: str, header: list[str],
@@ -235,10 +243,14 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
     is W from the expansion over the leading term (x/2)^(nu/k) /
     Gamma_k(nu+k), so it does not cancel at large y for c > 0.
     """
+    span = x_stop - x_start  # not finite where either end is not
+    if not math.isfinite(span):
+        _fail(2, f"--x-start and --x-stop must be finite, with x_stop - "
+                 f"x_start within the double range; got --x-start {x_start!r}, "
+                 f"--x-stop {x_stop!r}")
     if x_steps == 1:
         xs = [x_start]
     else:
-        span = x_stop - x_start
         xs = [x_start + span * i / (x_steps - 1) for i in range(x_steps)]
     with _exit_codes():
         params = KBesselParams(k, nu, c)

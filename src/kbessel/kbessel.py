@@ -622,8 +622,9 @@ def _leading_term_error(p: KBesselParams, x: float, t0: float) -> float:
     log, the product); u within 3 units of itself (nu + k, the quotient,
     and the 1 beside it), which moves (u - 1) ln k by 3 u |ln k| and
     ln Gamma(u) by 3 u |psi(u)| <= 3 (u |ln u| + 1), as
-    ln u - 1/u < psi(u) < ln u; ln Gamma within 4 units of itself, as the
-    classical routine states; the two sums and exp within 3 units of |L|."""
+    ln u - 1/u < psi(u) < ln u; ln Gamma within 2^8 units of
+    |ln Gamma| + 1, the bound that ``classical`` states; the two sums and
+    exp within 3 units of |L|."""
     if p.nu == 0.0:
         return 0.0  # _leading_term returns 1.0 exactly
     b = p.nu / p.k
@@ -633,7 +634,8 @@ def _leading_term_error(p: KBesselParams, x: float, t0: float) -> float:
     ln_k = math.log(p.k)
     ln_gamma_u = (b_ln_half - ln_t0) - b * ln_k
     return _U * (3.0 * abs(b_ln_half) + 3.0 * u * abs(ln_k)
-                 + 3.0 * (u * abs(math.log(u)) + 1.0) + 4.0 * abs(ln_gamma_u)
+                 + 3.0 * (u * abs(math.log(u)) + 1.0)
+                 + 256.0 * (abs(ln_gamma_u) + 1.0)
                  + 3.0 * abs(ln_t0))
 
 
@@ -754,8 +756,13 @@ def deriv_w_terms(p: KBesselParams, m: int) -> list[tuple[float, float]]:
 def deriv_w(p: KBesselParams, x: float, m: int,
             cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
     """m-th derivative of W at x via the order ladder (m >= 1); x is
-    refused where ``eval_w`` refuses it."""
+    refused where ``eval_w`` refuses it, and x = 0 where the ladder's
+    lowest order nu - m k is negative (the derivative is infinite there)."""
     parts = deriv_w_terms(p, m)
+    lowest = parts[0][0]
+    if x == 0.0 and lowest < 0.0:
+        raise DomainError(f"deriv_w at x = 0 requires nu - m*k >= 0, got "
+                          f"nu - m*k = {lowest} (nu={p.nu}, m={m}, k={p.k})")
     est = 0.0
     terms_used = 0
     vals = []

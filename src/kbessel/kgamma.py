@@ -19,6 +19,7 @@ range raises ``Overflow`` through the guards of ``errors``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -78,12 +79,14 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
                    "the normal double range", x, n, k, result)
 
 
+@functools.lru_cache(maxsize=256)
 def ln_k_gamma(t: float, k: float) -> float:
     """log Gamma_k(t) for t > 0.
 
     Overflow where t/k, ln Gamma(t/k) or the sum passes the double range,
     also where the two terms would cancel to a finite value: at
-    (t, k) = (e, 1e-307) they are -inf and +inf in double.
+    (t, k) = (e, 1e-307) they are -inf and +inf in double.  Memoized: the
+    verification sweeps ask for the same (t, k) again and again.
     """
     _require_k(k)
     if not t > 0.0:

@@ -3,12 +3,14 @@
 Fixture values were generated by independent brute-force oracles
 (tests/oracles.py): 40-digit quadrature of the Euler integral for ln_gamma,
 and directly summed series with integral tail corrections for digamma and
-trigamma.  They are frozen here as literals so the suite does not depend on
-any third-party library at run time.
+trigamma.  They are frozen here as literals; only the seeded error-bound
+test compares against mpmath at run time.
 """
 
 import math
+import random
 
+import mpmath as mp
 import pytest
 
 from kbessel.classical import EULER_GAMMA, digamma, ln_gamma, trigamma
@@ -123,3 +125,37 @@ def test_trigamma_functional_equation():
 def test_nonpositive_arguments_rejected(fn, bad):
     with pytest.raises(DomainError):
         fn(bad)
+
+
+def _seeded_arguments(seed: int, count: int, low: float):
+    """Half uniform on (0, 30], where the argument shift runs and the
+    zeros of ln Gamma and psi lie; half log-uniform over [low, 2.5e305]."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            yield 30.0 - rng.uniform(0.0, 30.0)
+        else:
+            yield math.exp(rng.uniform(math.log(low), math.log(2.5e305)))
+
+
+# fn, its mpmath reference, the bound's power of 2, whether the bound adds 1
+# to |f| (absolute near the zeros of ln Gamma and psi), the lowest argument
+# drawn (psi' passes the double range below 2^-512) and the sample count
+_BOUNDS = [
+    (ln_gamma, mp.loggamma, -45, True, 1e-300, 20000),
+    (digamma, mp.digamma, -49, True, 1e-300, 4000),
+    (trigamma, lambda x: mp.polygamma(1, x), -50, False, 1e-150, 4000),
+]
+
+
+@pytest.mark.parametrize("fn, exact, power, plus_one, low, count", _BOUNDS,
+                         ids=[row[0].__name__ for row in _BOUNDS])
+def test_error_bound_stated_in_the_module_docstring(fn, exact, power,
+                                                    plus_one, low, count):
+    worst = 0.0
+    with mp.workdps(30):
+        for x in _seeded_arguments(2046, count, low):
+            want = exact(mp.mpf(x))
+            scale = abs(want) + 1 if plus_one else abs(want)
+            worst = max(worst, float(abs(fn(x) - want) / scale))
+    assert worst <= 2.0 ** power

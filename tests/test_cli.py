@@ -133,6 +133,26 @@ class TestEval:
         assert result.exit_code == 2
         assert "derivative ladder" in result.stderr
 
+    def test_derivative_at_zero_names_the_ladders_lowest_order(self, runner):
+        # nu = 0.5 >= 0, but the ladder's lowest order nu - m k is -0.5
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "0.5", "--c", "1",
+                   "--x", "0", "--deriv", "1"])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: deriv_w at x = 0 requires nu - m*k >= 0, got "
+            "nu - m*k = -0.5 (nu=0.5, m=1, k=1.0)\n")
+
+    def test_unwritable_out_path_exits_2(self, runner, tmp_path):
+        target = tmp_path / "absent" / "f.txt"
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "0", "--c", "1", "--x", "1",
+                   "--out", str(target)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            f"error: cannot write output file {str(target)!r}: ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_negative_derivative_order_exits_2(self, runner):
         result = runner.invoke(
             main, ["eval", "--k", "1", "--nu", "0", "--c", "1",
@@ -461,6 +481,22 @@ class TestTable:
             main, ["table", "--k", "1", "--nu", "-3", "--c", "1",
                    "--x-start", "0", "--x-stop", "1", "--x-steps", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("start, stop", [
+        ("1", "inf"), ("-inf", "1"), ("nan", "1"), ("1", "nan"),
+        ("-1e308", "1.7e308"),  # each end finite, their span past the range
+    ])
+    def test_non_finite_x_range_exits_2_naming_the_options(self, runner,
+                                                           start, stop):
+        result = runner.invoke(
+            main, ["table", "--k", "1", "--nu", "0", "--c", "1",
+                   "--x-start", start, "--x-stop", stop, "--x-steps", "3"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            "error: --x-start and --x-stop must be finite")
+        assert f"--x-start {float(start)!r}, --x-stop {float(stop)!r}" in (
+            result.stderr)
+        assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------

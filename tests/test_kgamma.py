@@ -79,6 +79,19 @@ def test_ln_k_gamma_against_quadrature_fixture(args, expected):
     assert ln_k_gamma(t, k) == pytest.approx(float(expected), rel=1e-13, abs=1e-13)
 
 
+def test_ln_k_gamma_memo_returns_the_computed_bits():
+    ln_k_gamma.cache_clear()
+    first = ln_k_gamma(2.5, 0.75)
+    again = ln_k_gamma(2.5, 0.75)
+    info = ln_k_gamma.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 256)
+    assert again == first == ln_k_gamma.__wrapped__(2.5, 0.75)
+    with pytest.raises(DomainError):  # a refusal is not memoized
+        ln_k_gamma(-1.0, 1.0)
+    with pytest.raises(DomainError):
+        ln_k_gamma(-1.0, 1.0)
+
+
 def test_k_gamma_normalization_anchor():
     # Gamma_k(k) = 1 for every k
     for k in (0.25, 0.5, 1.0, 2.0, 3.7):

@@ -190,6 +190,25 @@ def test_non_finite_x_is_a_domain_error_before_any_term(monkeypatch, call, x):
         call(x)
 
 
+def test_deriv_w_at_zero_refuses_a_negative_lowest_ladder_order(monkeypatch):
+    def no_terms(*args):
+        raise AssertionError("a series term was evaluated")
+
+    monkeypatch.setattr(kbessel_module, "_series", no_terms)
+    # nu >= 0, so eval_w admits x = 0 at nu; the ladder's nu - m k does not
+    with pytest.raises(DomainError, match=r"deriv_w at x = 0 requires "
+                       r"nu - m\*k >= 0, got nu - m\*k = -0\.5 "):
+        deriv_w(KBesselParams(1.0, 0.5, 1.0), 0.0, 1)
+
+
+def test_deriv_w_at_zero_where_the_ladder_admits_it():
+    # nu = m k: W^(m)(0) = 1 / (2k)^m from the lowest order's limit 1
+    assert deriv_w(KBesselParams(2.0, 4.0, 1.0), 0.0, 2) == EvalResult(
+        0.0625, 1, 0.0)
+    # nu > m k: every ladder order is positive, so every term vanishes
+    assert deriv_w(KBesselParams(1.0, 2.5, -1.0), 0.0, 2).value == 0.0
+
+
 def test_c_zero_single_term():
     p = KBesselParams(1.5, 0.8, 0.0)
     x = 2.0
@@ -358,9 +377,15 @@ def test_series_layer_bits_are_pinned():
     # (6.8e96 -> 1.5e-14) and 199 eval_w_with_derivatives: c > 0 W 3.8e9 ->
     # 1.1e-14, W' 9.3e26 -> 2.9e-14, W'' 2.3e25 -> 5.3e-6 (W at nu + 2k
     # still from the series past y = 35 where (b + 2)^2 > 2y); c < 0 W
-    # 9.8e-15 -> 5.9e-15, W' 1.0e-14 -> 7.2e-15, W'' 9.8e-15 -> 5.9e-15
+    # 9.8e-15 -> 5.9e-15, W' 1.0e-14 -> 7.2e-15, W'' 9.8e-15 -> 5.9e-15.
+    # Since t0's error bound takes ln Gamma within 2^-45 (|ln Gamma| + 1),
+    # the bound classical states, not within 4 ulp of itself, the
+    # est_error of 171 eval_normalized_i and 171 eval_normalized_j entries
+    # at y >= 17 grew 1.26x to 15.8x (median 5.8x); no value moved
+    # (digest 26bbca33f18c13eec3bee2d92be48c459f4f503a8dd5f02f0f03d56a955c0436
+    # before)
     assert _series_layer_digest(2024, 1000) == (
-        "26bbca33f18c13eec3bee2d92be48c459f4f503a8dd5f02f0f03d56a955c0436")
+        "facb5abe91f5e5acda04935b8a07bc0140369f94e67754cfc8f634c29295c0e4")
 
 
 # The composed double-double ("dd") operations, as the series loop ran them
