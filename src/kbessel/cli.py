@@ -251,7 +251,11 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
     if x_steps == 1:
         xs = [x_start]
     else:
-        xs = [x_start + span * i / (x_steps - 1) for i in range(x_steps)]
+        # span * i can pass the double range where span fits; only there is
+        # i / (x_steps - 1) formed first, which moves the last bit of x
+        xs = [x_start + (span * i / (x_steps - 1) if math.isfinite(span * i)
+                         else span * (i / (x_steps - 1)))
+              for i in range(x_steps)]
     with _exit_codes():
         params = KBesselParams(k, nu, c)
         cfg = SeriesConfig(rel_tol=tol, max_terms=max_terms)

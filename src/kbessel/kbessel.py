@@ -141,12 +141,12 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     With derivs, also sums the term-wise derivatives t_r (2r+b)/x and
     t_r (2r+b)(2r+b-1)/x^2 with b = nu/k, and truncation waits for all three
     sums (Overflow if one leaves double range); without, both are returned
-    as 0.0.  q = 0 (c = 0, or underflow) ends the sum at t_0, est_error 0.0;
-    a truncation estimate that is not finite raises Overflow.
+    as 0.0.  q = 0 (c = 0, x = 0, or underflow) ends the sum at t_0,
+    est_error 0.0; a truncation estimate that is not finite raises Overflow.
 
     q is Dekker's exact product (x/2)(x/2) (Numer. Math. 18, 1971) times -c
-    as a dd times a double, and exactly 0 at c = 0, where that product is
-    NaN once (x/2)^2 or its split overflows.  The body writes out the dd
+    as a dd times a double, and exactly 0 at c = 0 and at x = 0, where the
+    product is NaN once a split overflows.  The body writes out the dd
     operations named in its comments (two-sum based dd_add, Dekker's exact
     product, dd_mul, dd times double, three-digit dd_div) in the same
     order, so the bits are those of the composed functions without the
@@ -164,7 +164,7 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     entries stay, about 0.16 MB; on the default verify sweep 3350 of 8253
     calls hit.  typed=True keeps 1 and 1.0 apart.  Keys compare floats by
     value, so +0.0 and -0.0 collide, which cannot change a bit: t0 and k
-    are > 0, x is nonzero, and c = +-0.0 both give q = (0.0, 0.0).  A nu of
+    are > 0, and x = +-0.0 and c = +-0.0 each give q = (0.0, 0.0).  A nu of
     +-0.0 is added to +0.0 (0*k + nu and 2r + nu/k at r = 0) or to a
     nonzero dh (r > 0), with the same sum either way, and its two-sum error
     nu - v (v = +0.0 there) is added to +0.0, giving +0.0.
@@ -175,7 +175,7 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
         b = nu / k
         inv_x = 1.0 / x
         inv_x2 = _finite(inv_x * inv_x, "1/x^2 exceeds double range at x = {!r}", x)
-    if c == 0.0:
+    if c == 0.0 or x == 0.0:
         qhi = qlo = 0.0
     else:
         # q = (x/2)(x/2) (-c): an exact product, then dd times double
@@ -416,9 +416,9 @@ def _prefactor(ln_const: float, t: float, k: float, b: float, x: float,
 
 def _leading_term(p: KBesselParams, x: float) -> float:
     """t_0 = (x/2)^(nu/k) / Gamma_k(nu + k) at x > 0, or Overflow where it
-    is not a normal double."""
-    if p.nu == 0.0:
-        return 1.0  # (x/2)^0 / Gamma_k(k), Gamma_k(k) = 1
+    is not a normal double; also at x = 0 for nu = 0, where ``_prefactor``
+    returns exp(0.0) = 1.0 exactly: ln_k_gamma(k, k) is 0 ln k +
+    ln_gamma(1.0) = 0.0 and ``_ln_half_x_power`` 0.0 at b = 0."""
     return _prefactor(0.0, p.nu + p.k, p.k, p.nu / p.k, x, "leading series term")
 
 
@@ -605,10 +605,8 @@ def eval_w(p: KBesselParams, x: float, cfg: SeriesConfig = _DEFAULT_CONFIG) -> E
     if x == 0.0:
         if p.nu < 0.0:
             raise DomainError("eval_w at x = 0 requires nu >= 0")
-        if p.nu == 0.0:
-            # limit 1/Gamma_k(k) = 1
-            return EvalResult(1.0, 1, 0.0)
-        return EvalResult(0.0, 1, 0.0)
+        if p.nu > 0.0:
+            return EvalResult(0.0, 1, 0.0)
     res = _hankel(p, x, cfg)
     if res is not None:
         return res
@@ -626,7 +624,7 @@ def _leading_term_error(p: KBesselParams, x: float, t0: float) -> float:
     |ln Gamma| + 1, the bound that ``classical`` states; the two sums and
     exp within 3 units of |L|."""
     if p.nu == 0.0:
-        return 0.0  # _leading_term returns 1.0 exactly
+        return 0.0  # _prefactor returns exp(0.0) = 1.0 exactly
     b = p.nu / p.k
     u = b + 1.0
     ln_t0 = math.log(t0)
@@ -641,13 +639,11 @@ def _leading_term_error(p: KBesselParams, x: float, t0: float) -> float:
 
 def _eval_normalized(name: str, p: KBesselParams, x: float,
                      cfg: SeriesConfig = _DEFAULT_CONFIG) -> EvalResult:
-    """(2/x)^(nu/k) Gamma_k(nu+k) W(x): the series with leading term 1, or
-    W / t_0 with W from the Hankel expansion and t_0 = (x/2)^(nu/k) /
-    Gamma_k(nu+k) from its logarithm."""
+    """(2/x)^(nu/k) Gamma_k(nu+k) W(x): the series with leading term 1, which
+    ends at that term at x = 0 (value 1), or W / t_0 with W from the Hankel
+    expansion and t_0 = (x/2)^(nu/k) / Gamma_k(nu+k) from its logarithm."""
     if not math.isfinite(x):
         raise DomainError(f"{name} requires a finite real x, got {x}")
-    if x == 0.0:
-        return EvalResult(1.0, 1, 0.0)
     ax = abs(x)  # the function is even in x
     w = _hankel(p, ax, cfg)
     if w is None:

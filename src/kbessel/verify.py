@@ -170,6 +170,23 @@ def _require_order_pair(k: float, mu: float, nu: float) -> None:
         raise OutsideDomain("orders must exceed -k", f"mu={mu}, k={k}")
 
 
+def _products(a: float, b: float, c: float, d: float
+              ) -> tuple[float, float, str]:
+    """(a b, c d, note) for the two sides of a product comparison.  Where
+    the factors fit but a product does not, each factor times 2^-h is
+    exact, so both sides scale by 2^-2h and the larger lands in [1, 8),
+    where the relative test is as before; the note gives the scaling."""
+    left, right = a * b, c * d
+    if not (math.isinf(left) or math.isinf(right)):
+        return left, right, ""
+    top = max(math.frexp(a)[1] + math.frexp(b)[1],
+              math.frexp(c)[1] + math.frexp(d)[1])
+    h = (top - 2) // 2
+    return (math.ldexp(a, -h) * math.ldexp(b, -h),
+            math.ldexp(c, -h) * math.ldexp(d, -h),
+            f" (both scaled by 2^{-2 * h})")
+
+
 def _normalized(k: float, order: float, x: float) -> float:
     return eval_normalized_i(KBesselParams(k, order, -1.0), x).value
 
@@ -349,16 +366,18 @@ def check_order_ratio_monotone(k: float, mu: float, nu: float,
 
     For nu >= mu > -k the normalized values satisfy
     I_{nu+k} I_mu >= I_nu I_{mu+k}; margin = LHS - RHS,
-    tol = 1e-12 * scale.
+    tol = 1e-12 * scale, both sides scaled as in ``_products`` where one
+    leaves the double range.
     """
     _require_order_pair(k, mu, nu)
     _positive("x", x)
-    lhs = _normalized(k, nu + k, x) * _normalized(k, mu, x)
-    rhs = _normalized(k, nu, x) * _normalized(k, mu + k, x)
+    lhs, rhs, scaled = _products(
+        _normalized(k, nu + k, x), _normalized(k, mu, x),
+        _normalized(k, nu, x), _normalized(k, mu + k, x))
     margin = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
     point = {"k": k, "mu": mu, "nu": nu, "x": x}
-    notes = f"lhs={lhs!r} rhs={rhs!r}"
+    notes = f"lhs={lhs!r} rhs={rhs!r}{scaled}"
     return _report("order-ratio-monotone", point, margin, 1e-12 * scale, notes)
 
 
@@ -375,8 +394,6 @@ def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
     """
     nu1, nu2 = (float(nu_pair[0]), float(nu_pair[1]))
     _positive("k", k)
-    if not (nu1 > -k and nu2 > -k):
-        raise OutsideDomain("orders must exceed -k", f"nu1={nu1}, nu2={nu2}, k={k}")
     if not 0.0 <= alpha_cvx <= 1.0:
         raise InvalidParameter(f"weight must lie in [0, 1], got {alpha_cvx}")
     _positive("x", x)
@@ -408,7 +425,8 @@ def check_turan(k: float, nu: float, a: float, x: float) -> VerifyReport:
 
     For nu >= |a| - k the normalized values satisfy
     I_{nu-a} I_{nu+a} >= I_nu^2; margin = product - square,
-    tol = 1e-12 * scale.
+    tol = 1e-12 * scale, both sides scaled as in ``_products`` where one
+    leaves the double range.
     """
     _positive("k", k)
     if not nu >= abs(a) - k + 1e-9:
@@ -418,12 +436,11 @@ def check_turan(k: float, nu: float, a: float, x: float) -> VerifyReport:
     v_lo = _normalized(k, nu - a, x)
     v_hi = _normalized(k, nu + a, x)
     v_mid = _normalized(k, nu, x)
-    product = v_lo * v_hi
-    square = v_mid * v_mid
+    product, square, scaled = _products(v_lo, v_hi, v_mid, v_mid)
     margin = product - square
     scale = max(1.0, abs(product), abs(square))
     point = {"k": k, "nu": nu, "a": a, "x": x}
-    notes = f"shifted product={product!r} square={square!r}"
+    notes = f"shifted product={product!r} square={square!r}{scaled}"
     return _report("turan", point, margin, 1e-12 * scale, notes)
 
 
@@ -435,29 +452,28 @@ def check_chebyshev_products(k: float, nu: float, x: float,
     and g = (1-t^2)^(nu/k+1/2), the four quadratures must satisfy
     (int qf)(int qg) <= (int q)(int qfg) when f and g are monotone in the
     same sense (nu >= k/2) and the reverse when they are opposite
-    (-k/2 < nu < k/2).  Points with nu <= -k/2 are skipped because int qf
-    and int qfg diverge there; the cos variant is skipped when the weight
-    changes sign on [0, 1] (x/sqrt(k) >= pi/2).  margin is the slack of the
-    asserted side, tol = 1e-12 * scale; where a product of two integrals
-    leaves the double range, both sides are first scaled by one power of
-    two, which the notes give.  The notes log how the plain weight integral
-    compares with two candidate closed forms (argument x/sqrt(k) vs
-    argument x/k), or that those probes are out of double range, or not
-    evaluable where x/sqrt(k) underflows to 0; the x/k probe alone is not
-    evaluable where x/k underflows to 0 or sqrt(k)/x overflows.
+    (-k/2 < nu < k/2).  Points with nu <= -k/2 are refused (OutsideDomain)
+    because int qf and int qfg diverge there; the cos variant is skipped,
+    a limit of the certification rather than of the domain, when the
+    weight changes sign on [0, 1] (x/sqrt(k) >= pi/2).  margin is the
+    slack of the asserted side, tol = 1e-12 * scale; where a product of two
+    integrals leaves the double range, both sides are first scaled by one
+    power of two (``_products``), which the notes give.  The notes log how
+    the plain weight integral compares with two candidate closed forms
+    (argument x/sqrt(k) vs argument x/k), or that those probes are out of
+    double range, or not evaluable where x/sqrt(k) underflows to 0; the
+    x/k probe alone is not evaluable where x/k underflows to 0 or
+    sqrt(k)/x overflows.
     Only the inequality itself is asserted.
     """
     if variant not in ("cos", "cosh"):
         raise InvalidParameter(f"variant must be 'cos' or 'cosh', got {variant!r}")
     _positive("k", k)
     _positive("x", x)
-    if not nu > -0.75 * k:
-        raise OutsideDomain("requires nu > -3k/4", f"nu={nu}, k={k}")
+    if not nu > -0.5 * k:
+        raise OutsideDomain("weighted integrals diverge for nu <= -k/2 "
+                            "(weight exponent <= -1)", f"nu={nu}, k={k}")
     point = {"k": k, "nu": nu, "x": x, "variant": variant}
-    if nu <= -0.5 * k:
-        return _skip("chebyshev", point,
-                     "weighted integrals diverge for nu <= -k/2 "
-                     "(weight exponent <= -1)")
     omega = x / math.sqrt(k)
     if variant == "cos" and omega >= 0.5 * math.pi:
         return _skip("chebyshev", point,
@@ -493,19 +509,7 @@ def check_chebyshev_products(k: float, nu: float, x: float,
                        f"double range at x/k = {x_k!r}")
         else:
             probes += f"|vs closed form with argument x/k|={probe_k:.3e}"
-    separate = int_qf * int_qg
-    joint = int_q * int_qfg
-    scaled = ""
-    if math.isinf(separate) or math.isinf(joint):
-        # the integrals fit but a product does not (cosh, large x/sqrt(k)):
-        # each integral times 2^-h is exact, so both sides scale by 2^-2h
-        # and the larger lands in [1, 8), where the relative test is as before
-        top = max(math.frexp(a)[1] + math.frexp(b)[1]
-                  for a, b in ((int_qf, int_qg), (int_q, int_qfg)))
-        h = (top - 2) // 2
-        separate = math.ldexp(int_qf, -h) * math.ldexp(int_qg, -h)
-        joint = math.ldexp(int_q, -h) * math.ldexp(int_qfg, -h)
-        scaled = f" (both scaled by 2^{-2 * h})"
+    separate, joint, scaled = _products(int_qf, int_qg, int_q, int_qfg)
     if nu >= 0.5 * k:
         margin = joint - separate
         regime = "same-sense monotone (nu >= k/2): separate <= joint"

@@ -476,6 +476,17 @@ class TestTable:
         assert result.exit_code == 2
         assert "--x-steps" in result.stderr
 
+    def test_span_times_step_past_the_double_range_keeps_every_row(self,
+                                                                  runner):
+        # span = 1.7e308 fits, span * 2 does not: the last x was inf
+        result = runner.invoke(
+            main, ["table", "--k", "1", "--nu", "0", "--c", "0",
+                   "--x-start", "0", "--x-stop", "1.7e308", "--x-steps", "3"])
+        assert result.exit_code == 0
+        rows = rows_of(result.stdout)[1:]
+        assert [row[0] for row in rows] == ["0.0", "8.5e+307", "1.7e+308"]
+        assert all(row[1:3] == ["1.0", "1.0"] for row in rows)
+
     def test_invalid_order_exits_2(self, runner):
         result = runner.invoke(
             main, ["table", "--k", "1", "--nu", "-3", "--c", "1",
@@ -894,17 +905,28 @@ class TestSweepsOnValidGrids:
             assert _strict_json(line)["notes"].startswith(
                 "error: Overflow: integral prefactor underflows")
 
+    def test_products_past_the_double_range_pass_scaled(self, runner,
+                                                        tmp_path):
+        # each normalized factor fits, about 4e272, but the products do
+        # not: their margin was nan (exit 4) before one power-of-two scaling
+        result = self._run(runner, tmp_path, {
+            "k_values": [1e5], "nu_values": [-9e4, 1e4], "a_values": [0.25],
+            "x_values": [2e5]}, "verify", "--checks",
+            "turan,order-ratio-monotone")
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        assert f"{len(lines)} reports: {len(lines)} passed" in result.stderr
+        scaled = [_strict_json(line) for line in lines
+                  if "(both scaled by 2^-" in line]
+        assert {r["check_name"] for r in scaled} == {"turan",
+                                                     "order-ratio-monotone"}
+
     @pytest.mark.parametrize("checks, payload", [
-        # both sides overflow, so the margin was nan
-        ("turan,order-ratio-monotone",
-         {"k_values": [0.006822937175492212],
-          "nu_values": [-1.3192400672141166e-84], "a_values": [1e-320],
-          "x_values": [44.75602803982543]}),
         # alpha/k overflows, so the margin was -inf
         ("sin-relation",
          {"k_values": [1e-320], "alpha_values": [1.0],
           "x_values": [1e-320]}),
-    ], ids=["nan-margin", "infinite-margin"])
+    ], ids=["infinite-margin"])
     def test_a_non_finite_margin_is_a_failed_report(self, runner, tmp_path,
                                                      checks, payload):
         result = self._run(runner, tmp_path, payload, "verify", "--checks",

@@ -239,15 +239,23 @@ def test_ode_residual_refuses_a_square_outside_the_normal_range(p, x,
         verify.check_ode(p, x)
 
 
-@pytest.mark.parametrize("check", [
-    lambda k, nu, a, x: verify.check_turan(k, nu, a, x),
-    lambda k, nu, a, x: verify.check_order_ratio_monotone(k, nu, nu, x),
+@pytest.mark.parametrize("check, points", [
+    (verify.check_turan,
+     [((0.006822937175492212, -1.3192400672141166e-84, 1e-320,
+        44.75602803982543), 0.0, "2^-1550"),
+      ((1e5, 1e4, 0.25, 2e5), 1.9446222410124392e-11, "2^-1810")]),
+    (verify.check_order_ratio_monotone,
+     [((0.006822937175492212, -1.3192400672141166e-84,
+        -1.3192400672141166e-84, 44.75602803982543), 0.0, "2^-1542"),
+      ((1e5, -9e4, 1e4, 2e5), 1.3563241674029674, "2^-1814")]),
 ], ids=["turan", "order-ratio-monotone"])
-def test_a_margin_of_infinite_sides_raises_instead_of_nan(check):
-    # both sides overflow to inf, so their difference, the margin, was nan
-    with pytest.raises(Overflow, match=r"margin is nan: .*=inf .*=inf$"):
-        check(0.006822937175492212, -1.3192400672141166e-84, 1e-320,
-              44.75602803982543)
+def test_sides_past_the_double_range_are_compared_scaled(check, points):
+    # each normalized factor fits but both products overflow to inf, which
+    # made the margin nan (an Overflow); one power of two scales both sides
+    for args, margin, scaling in points:
+        report = check(*args)
+        assert report.passed and report.margin == margin
+        assert report.notes.endswith(f" (both scaled by {scaling})")
 
 
 def test_logconvexity_report_refuses_a_non_finite_margin(monkeypatch):

@@ -158,6 +158,22 @@ def test_x_zero_limits():
         eval_w(KBesselParams(2.0, -0.5, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("k", [0.3, 1.0])
+@pytest.mark.parametrize("nu", [0.0, -0.0, 0.5])
+@pytest.mark.parametrize("c", [-1e305, -1.0, 0.0, 1.0, 2.5])
+@pytest.mark.parametrize("x", [0.0, -0.0])
+def test_x_zero_comes_from_the_series_leading_term(x, c, nu, k):
+    # no x = 0 branch: q = 0 ends the sum at t_0 (also for a |c| whose
+    # Dekker split is NaN), and t_0 at nu = 0 is exp(0.0) = 1.0; repr tells
+    # -0.0 from 0.0
+    p = KBesselParams(k, nu, c)
+    one = repr(EvalResult(1.0, 1, 0.0))
+    for fn in (eval_normalized_i, eval_normalized_j):
+        assert repr(fn(p, x)) == one
+    w_at_zero = one if nu == 0.0 else repr(EvalResult(0.0, 1, 0.0))
+    assert repr(eval_w(p, x)) == w_at_zero
+
+
 def test_negative_and_nan_x_rejected():
     p = KBesselParams(1.0, 0.5, 1.0)
     with pytest.raises(DomainError):

@@ -42,6 +42,7 @@ from kbessel import (
     run_grid,
 )
 from kbessel.cli import main
+from kbessel.errors import OutsideDomain
 from kbessel.integral import IntegralRepParams, eval_w_bessel_kernel, eval_w_cos
 
 try:
@@ -358,10 +359,18 @@ def test_chebyshev_reversed_regime_holds():
 
 
 def test_chebyshev_divergent_band_is_skipped():
-    report = check_chebyshev_products(1.0, -0.6, 1.0, "cosh")
-    assert report.skipped
-    assert report.margin is None
-    assert "diverge" in report.notes
+    # one divergence rule: a direct call is refused, run_grid skips the point
+    # with the refusal's reason
+    with pytest.raises(OutsideDomain) as refusal:
+        check_chebyshev_products(1.0, -0.6, 1.0, "cosh")
+    assert refusal.value.reason == ("weighted integrals diverge for "
+                                    "nu <= -k/2 (weight exponent <= -1)")
+    reports = run_grid(small_grid(nu_values=(-0.6,)), ["chebyshev"])
+    assert [r.grid_point for r in reports] == [
+        {"k": 1.0, "nu": -0.6, "x": 1.0, "variant": v} for v in ("cos", "cosh")]
+    for report in reports:
+        assert report.skipped and report.margin is None
+        assert report.notes == refusal.value.reason
 
 
 def test_chebyshev_sign_changing_cosine_weight_is_skipped():
@@ -615,13 +624,15 @@ def test_run_grid_logs_skips_with_reasons():
      lambda: check_turan(1.0, 0.0, 1.5, 1.0)),
     ("chebyshev", {"nu_values": (-0.8,)},
      lambda: check_chebyshev_products(1.0, -0.8, 1.0, "cos")),
+    ("chebyshev", {"nu_values": (-0.6,)},
+     lambda: check_chebyshev_products(1.0, -0.6, 1.0, "cos")),
     ("integral-agreement", {"nu_values": (0.0,)},
      lambda: eval_w_bessel_kernel(IntegralRepParams(1.0, 0.0, 1.0, 1.0), 1.0)),
     ("integral-agreement", {"nu_values": (-0.6,)},
      lambda: eval_w_cos(IntegralRepParams(1.0, -0.6, 1.0, 1.0))),
 ], ids=["series-order", "multisection", "ratio-x-order", "ratio-x-one-point",
         "order-ratio", "coefficient-facts", "logconvex", "turan", "chebyshev",
-        "kernel-route", "cos-route"])
+        "chebyshev-divergent", "kernel-route", "cos-route"])
 def test_skip_note_is_the_guard_refusal_reason(name, overrides, refuse):
     with pytest.raises(InvalidParameter) as refusal:
         refuse()
