@@ -6,14 +6,16 @@ convention:
 
 * for an inequality, ``margin`` is the slack — the side asserted to be
   larger minus the side asserted to be smaller;
-* for an identity, ``margin`` is ``-abs(residual)`` (or minus the worst
-  residual measured in units of its tolerance when a check bundles several
-  identities, in which case the tolerance is 1);
+* for an identity, ``margin`` is ``-abs(residual)`` (``recurrences`` gives
+  minus its worst residual measured in units of its tolerance, with
+  tolerance 1);
 * a skipped point carries ``margin = None`` and the reason in ``notes``;
 * a margin or tolerance that is infinite or NaN raises Overflow instead.
 
-A check passes exactly when ``margin >= -tol`` for its tolerance, so
-reports can be filtered and aggregated without knowing which inequality
+Each check lists the (margin, tol) comparisons it asserts, and ``_report``
+alone decides the verdict: the report's margin is the smallest margin, and
+it passes exactly when every margin is ``>= -tol`` for its own tolerance,
+so reports can be filtered and aggregated without knowing which inequality
 they came from.  ``run_grid`` expands a :class:`GridSpec` into every
 combination and runs the check on each; a check's refusal of a point
 outside its domain (:class:`~kbessel.errors.OutsideDomain`) becomes a skip
@@ -145,17 +147,18 @@ class VerifyReport:
     notes: str = ""
 
 
-def _require_finite(name: str, margin: float, tol: float, notes: str) -> None:
-    """Overflow where the margin or its tolerance is infinite or NaN, which
-    no report may carry; the message ends with the check's notes."""
-    for what, value in (("margin", margin), ("tolerance", tol)):
-        _finite(value, "{} {} is {!r}: {}", name, what, value, notes)
-
-
-def _report(name: str, point: dict, margin: float, tol: float,
+def _report(name: str, point: dict, comparisons: list[tuple[float, float]],
             notes: str) -> VerifyReport:
-    _require_finite(name, margin, tol, notes)
-    return VerifyReport(name, point, margin, margin >= -tol, False, notes)
+    """The report of a check asserting each (margin, tol) in ``comparisons``
+    (at least one): its margin is the smallest, and it passes only where
+    every margin >= -its tol.  Overflow where a margin or tolerance is
+    infinite or NaN, which no report may carry; the message ends with the
+    check's notes."""
+    for margin, tol in comparisons:
+        for what, value in (("margin", margin), ("tolerance", tol)):
+            _finite(value, "{} {} is {!r}: {}", name, what, value, notes)
+    return VerifyReport(name, point, min(m for m, _ in comparisons),
+                        all(m >= -t for m, t in comparisons), False, notes)
 
 
 def _skip(name: str, point: dict, reason: str) -> VerifyReport:
@@ -168,6 +171,12 @@ def _require_order_pair(k: float, mu: float, nu: float) -> None:
         raise InvalidParameter(f"orders must satisfy nu >= mu, got mu={mu}, nu={nu}")
     if not mu > -k:
         raise OutsideDomain("orders must exceed -k", f"mu={mu}, k={k}")
+
+
+def _slack(larger: float, smaller: float) -> tuple[float, float]:
+    """(margin, scale) of the inequality larger >= smaller: the slack, and
+    max(1, |larger|, |smaller|), which its relative tolerance multiplies."""
+    return larger - smaller, max(1.0, abs(larger), abs(smaller))
 
 
 def _products(a: float, b: float, c: float, d: float
@@ -218,7 +227,7 @@ def check_ode(p: KBesselParams, x: float) -> VerifyReport:
     residual = d2 + d1 / x + (p.c * p.k - (p.nu * p.nu) / x2) * y / k2
     scale = max(abs(d2), abs(d1 / x), abs(y) / x2, 1.0)
     notes = f"residual={residual:.6e} scale={scale:.6e}"
-    return _report("ode", point, -abs(residual), 1e-8 * scale, notes)
+    return _report("ode", point, [(-abs(residual), 1e-8 * scale)], notes)
 
 
 def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
@@ -309,7 +318,7 @@ def check_recurrences(p: KBesselParams, x: float) -> VerifyReport:
     worst_name, worst = max(ratios, key=lambda item: item[1])
     notes = (f"{len(ratios)} identities checked; worst: {worst_name} at "
              f"{worst:.3e} of its tolerance; scale={scale:.6e}")
-    return _report("recurrences", point, -worst, 1.0, notes)
+    return _report("recurrences", point, [(-worst, 1.0)], notes)
 
 
 def check_multisection(p: KBesselParams, x: float) -> VerifyReport:
@@ -329,7 +338,7 @@ def check_multisection(p: KBesselParams, x: float) -> VerifyReport:
     diff = got - want
     notes = (f"{_MULTISECTION_TERMS}-term expansion={got!r} direct={want!r} "
              f"diff={diff:.3e}")
-    return _report("multisection", point, -abs(diff), 1e-8, notes)
+    return _report("multisection", point, [(-abs(diff), 1e-8)], notes)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +366,7 @@ def check_ratio_x_monotone(k: float, mu: float, nu: float,
              "x_start": xs[0], "x_stop": xs[-1], "x_count": len(xs)}
     notes = (f"smallest consecutive ratio increment {margin:.6e} over "
              f"{len(xs)} grid points")
-    return _report("ratio-x-monotone", point, margin, 1e-12, notes)
+    return _report("ratio-x-monotone", point, [(margin, 1e-12)], notes)
 
 
 def check_order_ratio_monotone(k: float, mu: float, nu: float,
@@ -374,11 +383,10 @@ def check_order_ratio_monotone(k: float, mu: float, nu: float,
     lhs, rhs, scaled = _products(
         _normalized(k, nu + k, x), _normalized(k, mu, x),
         _normalized(k, nu, x), _normalized(k, mu + k, x))
-    margin = lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
+    margin, scale = _slack(lhs, rhs)
     point = {"k": k, "mu": mu, "nu": nu, "x": x}
     notes = f"lhs={lhs!r} rhs={rhs!r}{scaled}"
-    return _report("order-ratio-monotone", point, margin, 1e-12 * scale, notes)
+    return _report("order-ratio-monotone", point, [(margin, 1e-12 * scale)], notes)
 
 
 def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
@@ -400,24 +408,16 @@ def check_nu_decreasing_logconvex(k: float, nu_pair, alpha_cvx: float,
     v1 = _normalized(k, nu1, x)
     v2 = _normalized(k, nu2, x)
     v_small, v_large = (v1, v2) if nu1 <= nu2 else (v2, v1)
-    margin_dec = v_small - v_large
-    scale_dec = max(1.0, abs(v_small), abs(v_large))
-
+    margin_dec, scale_dec = _slack(v_small, v_large)
     nu_mid = alpha_cvx * nu1 + (1.0 - alpha_cvx) * nu2
-    v_mid = _normalized(k, nu_mid, x)
-    geom = v1 ** alpha_cvx * v2 ** (1.0 - alpha_cvx)
-    margin_cvx = geom - v_mid
-    scale_cvx = max(1.0, abs(geom), abs(v_mid))
-
-    passed = (margin_dec >= -1e-12 * scale_dec
-              and margin_cvx >= -1e-12 * scale_cvx)
+    margin_cvx, scale_cvx = _slack(v1 ** alpha_cvx * v2 ** (1.0 - alpha_cvx),
+                                   _normalized(k, nu_mid, x))
     point = {"k": k, "nu1": nu1, "nu2": nu2, "weight": alpha_cvx, "x": x}
     notes = (f"decreasing margin={margin_dec:.6e} (scale {scale_dec:.3e}); "
              f"log-convexity margin={margin_cvx:.6e} (scale {scale_cvx:.3e})")
-    for margin, scale in ((margin_dec, scale_dec), (margin_cvx, scale_cvx)):
-        _require_finite("nu-decreasing-logconvex", margin, 1e-12 * scale, notes)
-    return VerifyReport("nu-decreasing-logconvex", point,
-                        min(margin_dec, margin_cvx), passed, False, notes)
+    return _report("nu-decreasing-logconvex", point,
+                   [(margin_dec, 1e-12 * scale_dec),
+                    (margin_cvx, 1e-12 * scale_cvx)], notes)
 
 
 def check_turan(k: float, nu: float, a: float, x: float) -> VerifyReport:
@@ -437,11 +437,10 @@ def check_turan(k: float, nu: float, a: float, x: float) -> VerifyReport:
     v_hi = _normalized(k, nu + a, x)
     v_mid = _normalized(k, nu, x)
     product, square, scaled = _products(v_lo, v_hi, v_mid, v_mid)
-    margin = product - square
-    scale = max(1.0, abs(product), abs(square))
+    margin, scale = _slack(product, square)
     point = {"k": k, "nu": nu, "a": a, "x": x}
     notes = f"shifted product={product!r} square={square!r}{scaled}"
-    return _report("turan", point, margin, 1e-12 * scale, notes)
+    return _report("turan", point, [(margin, 1e-12 * scale)], notes)
 
 
 def check_chebyshev_products(k: float, nu: float, x: float,
@@ -511,15 +510,14 @@ def check_chebyshev_products(k: float, nu: float, x: float,
             probes += f"|vs closed form with argument x/k|={probe_k:.3e}"
     separate, joint, scaled = _products(int_qf, int_qg, int_q, int_qfg)
     if nu >= 0.5 * k:
-        margin = joint - separate
+        margin, scale = _slack(joint, separate)
         regime = "same-sense monotone (nu >= k/2): separate <= joint"
     else:
-        margin = separate - joint
+        margin, scale = _slack(separate, joint)
         regime = "opposite-sense monotone (|nu| < k/2): separate >= joint"
-    scale = max(1.0, abs(separate), abs(joint))
     notes = (f"{regime}; separate={separate!r} joint={joint!r}{scaled}; "
              f"plain weight integral={int_q!r}, {probes}")
-    return _report("chebyshev", point, margin, 1e-12 * scale, notes)
+    return _report("chebyshev", point, [(margin, 1e-12 * scale)], notes)
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +563,16 @@ def check_coefficient_facts(k: float, mu: float, nu: float) -> VerifyReport:
     notes = (f"worst inequality slack={worst_slack:.6e}; "
              f"ratio cross-check max rel. diff={worst_rel:.3e}"
              + ("" if agree else " (exceeds 1e-10)"))
-    return _report("coefficient-facts", point, margin, 1e-12, notes)
+    return _report("coefficient-facts", point, [(margin, 1e-12)], notes)
 
 
 # ---------------------------------------------------------------------------
 # elementary-function relations and route agreement
 
 
-def _relation_report(name: str, k: float, alpha: float, x: float,
-                     sides: tuple[float, float]) -> VerifyReport:
-    lhs, rhs_stated = sides
+def _relation_report(relation: str, k: float, alpha: float,
+                     x: float) -> VerifyReport:
+    lhs, rhs_stated = _relation_sides(relation, k, alpha, x)
     residual_stated = lhs - rhs_stated
     scale = max(1.0, abs(lhs))
     residual_rescaled = lhs - k * rhs_stated
@@ -586,7 +584,8 @@ def _relation_report(name: str, k: float, alpha: float, x: float,
     notes = (f"residual with the stated constant={residual_stated:.6e}; "
              f"fitted constant multiplier={fitted}; residual after "
              f"multiplying the constant by k={residual_rescaled:.3e}")
-    return _report(name, point, -abs(residual_rescaled), 1e-10 * scale, notes)
+    return _report(f"{relation}-relation", point,
+                   [(-abs(residual_rescaled), 1e-10 * scale)], notes)
 
 
 def check_sin_relation(k: float, alpha: float, x: float) -> VerifyReport:
@@ -599,14 +598,12 @@ def check_sin_relation(k: float, alpha: float, x: float) -> VerifyReport:
     tol = 1e-10 * scale) and reports the stated-constant residual and the
     fitted multiplier in the notes.
     """
-    return _relation_report("sin-relation", k, alpha, x,
-                            _relation_sides("sin", k, alpha, x))
+    return _relation_report("sin", k, alpha, x)
 
 
 def check_sinh_relation(k: float, alpha: float, x: float) -> VerifyReport:
     """Hyperbolic counterpart of :func:`check_sin_relation`."""
-    return _relation_report("sinh-relation", k, alpha, x,
-                            _relation_sides("sinh", k, alpha, x))
+    return _relation_report("sinh", k, alpha, x)
 
 
 def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
@@ -616,26 +613,19 @@ def check_integral_agreement(k: float, nu: float, alpha: float, x: float,
     Routes: 'cos' (c = +alpha^2, needs nu/k > -1/2), 'cosh'
     (c = -alpha^2, same range), and 'kernel' (needs nu > 0; compared at
     both c = +alpha^2 and c = -alpha^2).  margin = -abs(difference),
-    tol = 1e-9 * max(1, |series value|); inadmissible combinations are
-    skipped with the violated condition as the reason.
+    tol = 1e-9 * max(1, |series value|) for each leg, and the point passes
+    only where every leg does; inadmissible combinations are skipped with
+    the violated condition as the reason.
     """
     reason, legs = route_legs(k, nu, alpha, x, route, _QUAD)
     point = {"k": k, "nu": nu, "alpha": alpha, "x": x, "route": route}
     if reason is not None:
         return _skip("integral-agreement", point, reason)
-
-    margin = math.inf
-    tol = 0.0
-    parts = []
-    for c, got, want in legs:
-        diff = got - want
-        this_tol = 1e-9 * max(1.0, abs(want))
-        if -abs(diff) < margin:
-            margin = -abs(diff)
-            tol = this_tol
-        parts.append(f"c={c!r}: quadrature={got!r} series={want!r} "
-                     f"diff={diff:.3e}")
-    return _report("integral-agreement", point, margin, tol, "; ".join(parts))
+    notes = "; ".join(f"c={c!r}: quadrature={got!r} series={want!r} "
+                      f"diff={got - want:.3e}" for c, got, want in legs)
+    return _report("integral-agreement", point,
+                   [(-abs(got - want), 1e-9 * max(1.0, abs(want)))
+                    for _, got, want in legs], notes)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +719,8 @@ def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
     values, so output is byte-identical across runs.  A failing point
     produces a failed report; it never aborts the run.
     """
+    if isinstance(checks, str):
+        raise InvalidParameter(f"checks must be a list of check names, not {checks!r}")
     ordered = tuple(dict.fromkeys(checks))
     for name in ordered:
         if name not in _CHECKS:

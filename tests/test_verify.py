@@ -519,6 +519,46 @@ def test_integral_agreement_rejects_unknown_route():
         check_integral_agreement(1.0, 1.0, 1.0, 1.0, "laplace")
 
 
+# Each case patches one name in verify so that exactly one of the report's
+# two comparisons misses its own tolerance: (name, replacement, call, the
+# smallest margin).
+_ONE_COMPARISON_MISSES = {
+    # the c = +1 leg is 2e-9 off against its tolerance 1e-9; the c = -1 leg
+    # has the smaller margin, 5e-9 off, but is within its 1e-7
+    "integral-agreement legs": (
+        "route_legs",
+        lambda *args: (None, [(1.0, 0.5 + 2e-9, 0.5),
+                              (-1.0, 100.0 + 5e-9, 100.0)]),
+        lambda: check_integral_agreement(1.0, 1.0, 1.0, 1.0, "kernel"),
+        -5.000003966415534e-09),
+    # the values decrease in the order (margin 1), but the midpoint value
+    # lies 1e-9 above the geometric mean of the ends
+    "log-convexity": (
+        "_normalized",
+        lambda k, order, x: {0.0: 2.0, 1.0: 1.0,
+                             0.5: math.sqrt(2.0) + 1e-9}[order],
+        lambda: check_nu_decreasing_logconvex(1.0, (0.0, 1.0), 0.5, 1.0),
+        -1.000000082740371e-09),
+    # log-convex (the midpoint value is 0, margin 1), but the larger
+    # order's value is 1e-9 above the smaller order's
+    "decrease": (
+        "_normalized",
+        lambda k, order, x: {0.0: 1.0, 1.0: 1.0 + 1e-9, 0.5: 0.0}[order],
+        lambda: check_nu_decreasing_logconvex(1.0, (0.0, 1.0), 0.5, 1.0),
+        -1.000000082740371e-09),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_COMPARISON_MISSES))
+def test_a_report_fails_where_any_one_comparison_misses_its_tolerance(
+        monkeypatch, case):
+    name, replacement, call, margin = _ONE_COMPARISON_MISSES[case]
+    monkeypatch.setattr(verify, name, replacement)
+    report = call()
+    assert not report.passed
+    assert report.margin == margin
+
+
 # ---------------------------------------------------------------------------
 # grid plumbing
 
@@ -551,6 +591,10 @@ def test_run_grid_empty_check_list_is_empty():
 def test_run_grid_rejects_unknown_check_name():
     with pytest.raises(InvalidParameter):
         run_grid(small_grid(), ["turan", "nonsense"])
+    # a bare str would be iterated as one-letter names
+    with pytest.raises(InvalidParameter, match="^checks must be a list of "
+                                               "check names, not 'ode'$"):
+        run_grid(small_grid(), "ode")
 
 
 def test_run_grid_collapses_duplicate_names():
