@@ -18,13 +18,13 @@ import io
 import itertools
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 # The sweep modules load before click, as they did when the package loaded
 # them: compiled after click, their compile peak adds to its memory and
 # raises the commands' peak RSS.
 from .integral import ROUTES, route_legs
-from .verify import CHECK_NAMES, GridSpec, default_grid, run_grid
+from .verify import CHECK_NAMES, GridSpec, _sweep, default_grid
 
 import click
 
@@ -98,36 +98,59 @@ def _csv_cell(value) -> str:
     return _json_value(value)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write each of ``lines`` and a newline to stdout, or to the file
+    ``out``, as the iterable yields them; the stream is flushed once, at the
+    end, where ``click.echo`` would flush on every call.
+
+    ``out`` is opened only here, once the caller has validated its input,
+    and exits 2 where it cannot be opened or written.  Unlike
+    ``click.echo``, this does not strip ANSI escapes on a non-tty stream;
+    no line holds a raw ESC, since the jsonl and json formats escape it
+    (``json.dumps``) and the library forms every check name and note.
+    """
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            _fail(2, f"cannot write output file {out!r}: {exc}")
+        _write(click.get_text_stream("stdout"), lines)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            _write(handle, lines)
+    except OSError as exc:
+        _fail(2, f"cannot write output file {out!r}: {exc}")
+
+
+def _write(stream, lines: Iterable[str]) -> None:
+    for line in lines:
+        stream.write(line + "\n")
+    stream.flush()
 
 
 def _table_lines(fmt: str, header: list[str],
-                 rows: Iterable[list]) -> list[str]:
+                 rows: Iterable[list]) -> Iterator[str]:
+    """The lines of ``rows`` in ``fmt``, each formed as its row arrives;
+    the plain and csv formats begin with the header."""
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL,
                             lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
-        return buffer.getvalue().splitlines()
+        cells = ([_csv_cell(cell) for cell in row] for row in rows)
+        for row in itertools.chain([header], cells):
+            # each row ends in the writer's "\n", so its lines are the ones
+            # that splitting every row's text at once would give
+            writer.writerow(row)
+            yield from buffer.getvalue().splitlines()
+            buffer.seek(0)
+            buffer.truncate()
+        return
     if fmt == "json":
-        return [_json_value(dict(zip(header, row))) for row in rows]
-    lines = [" ".join(header)]
+        for row in rows:
+            yield _json_value(dict(zip(header, row)))
+        return
+    yield " ".join(header)
     for row in rows:
-        lines.append(" ".join("" if cell is None else repr(cell)
-                              if isinstance(cell, float) else str(cell)
-                              for cell in row))
-    return lines
+        yield " ".join("" if cell is None else repr(cell)
+                       if isinstance(cell, float) else str(cell)
+                       for cell in row)
 
 
 def _parse_x_list(text: str) -> list[float]:
@@ -344,7 +367,9 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
 def cmd_verify(checks: str, grid: str, fmt: str, out: str | None) -> None:
     """Run certification checks over a grid and report each point.
 
-    Exits 0 when every non-skipped check passes and 4 otherwise; a summary
+    Each report is written as soon as its check returns, so memory does not
+    grow with the grid; --out is opened once the check names and the grid
+    are valid, before the first check runs.  Exits 0 when every non-skipped check passes and 4 otherwise; a summary
     goes to stderr.
     """
     if checks == "all":
@@ -355,17 +380,22 @@ def cmd_verify(checks: str, grid: str, fmt: str, out: str | None) -> None:
             _fail(2, "--checks must name at least one check")
     spec = _grid_spec(grid)  # unnamed fields keep their default values
     with _exit_codes():
-        reports = run_grid(spec, names)
+        reports = _sweep(spec, names)  # refuses the names before any check
     header = ["check_name", "grid_point", "margin", "passed", "skipped",
               "notes"]
-    rows = ([getattr(r, name) for name in header] for r in reports)
-    _emit(_table_lines("json" if fmt == "jsonl" else fmt, header, rows), out)
-    failed = sum(1 for r in reports if not r.passed and not r.skipped)
-    skipped = sum(1 for r in reports if r.skipped)
-    passed = len(reports) - failed - skipped
-    click.echo(f"{len(reports)} reports: {passed} passed, {skipped} skipped, "
-               f"{failed} failed", err=True)
-    if failed:
+    tally = {"passed": 0, "skipped": 0, "failed": 0}
+
+    def rows():
+        for report in reports:
+            tally["skipped" if report.skipped else
+                  "passed" if report.passed else "failed"] += 1
+            yield [getattr(report, name) for name in header]
+
+    _emit(_table_lines("json" if fmt == "jsonl" else fmt, header, rows()), out)
+    click.echo(f"{sum(tally.values())} reports: {tally['passed']} passed, "
+               f"{tally['skipped']} skipped, {tally['failed']} failed",
+               err=True)
+    if tally["failed"]:
         raise SystemExit(4)
 
 

@@ -155,28 +155,21 @@ class _Level:
     nodes: tuple | array = field(compare=False, repr=False)
 
 
-@lru_cache(maxsize=128)
-def _node_transform(p1: float, level: _Level) -> tuple[array, array]:
-    """Nodes t_i and weights of one level after the sine-map chain.
+@lru_cache(maxsize=64)
+def _sine_map_chain(level: _Level) -> tuple[array, array, array, array]:
+    """t_i, w_i * (pi/4), ln sin(delta_i) and ln w_i at each node of
+    ``level``, whose nodes are ``legendre_nodes(level.n)``.
 
-    ``level.nodes`` is ``legendre_nodes(level.n)``; the weight
-    w_i * (pi/4) * exp(ln_val) holds everything but h(t_i).  The chain
-    depends only on (p1, extra, n), so it is cached under that key;
-    callers share the arrays and only read them.  The t_i
-    do not read p1: every p1 with the same (extra, n) gets the same t_i, bit
-    for bit, which is what lets ``_level_values`` share h's values across
-    weight exponents.  A node whose weight overflows raises
-    QuadratureFailure, before any h is evaluated on the level.  An entry
-    holds 16 n bytes of arrays, a quarter of what ``legendre_nodes(n)``
-    keeps, so the default QuadConfig (n <= 128 * 2**8) bounds the cache at
-    128 * 16 * 32768 bytes = 64 MiB; the default verify grid fills 76
-    entries with 228 KiB.
+    The chain depends on (extra, n) alone, so every weight exponent of a
+    level shares it; callers only read its arrays.  An entry holds 32 n
+    bytes, so with the default QuadConfig (n <= 128 * 2**8) the cache holds
+    at most 64 * 32 * 32768 bytes = 64 MiB; the default verify grid fills
+    12 entries with 72 KiB.
     """
     extra = level.extra
     xs, ws = level.nodes
     quarter_pi = 0.25 * math.pi
-    ts = array("d")
-    weights = array("d")
+    ts, scaled, ln_sins, ln_ws = (array("d") for _ in range(4))
     for xi, wi in zip(xs, ws):
         delta = quarter_pi * (1.0 - xi)
         ln_delta = math.log(delta)
@@ -185,12 +178,38 @@ def _node_transform(p1: float, level: _Level) -> tuple[array, array]:
             ln_w += _LN_HALF_PI + _ln_sin(delta, ln_delta)
             ln_delta = _LN_PI + 2.0 * _ln_sin(0.5 * delta, ln_delta - _LN2)
             delta = math.exp(ln_delta)
-        ln_val = p1 * _ln_sin(delta, ln_delta) + ln_w
+        ts.append(math.cos(delta))
+        scaled.append(wi * quarter_pi)
+        ln_sins.append(_ln_sin(delta, ln_delta))
+        ln_ws.append(ln_w)
+    return ts, scaled, ln_sins, ln_ws
+
+
+@lru_cache(maxsize=128)
+def _node_transform(p1: float, level: _Level) -> tuple[array, array]:
+    """Nodes t_i and weights of one level after the sine-map chain.
+
+    ``level.nodes`` is ``legendre_nodes(level.n)``; the weight
+    w_i * (pi/4) * exp(p1 ln sin(delta_i) + ln w_i) holds everything but
+    h(t_i).  The weights depend only on (p1, extra, n), so they are cached
+    under that key; callers share the arrays and only read them.  The t_i
+    are the chain's, which does not read p1: every p1 with the same
+    (extra, n) gets the same t_i array, which is what lets ``_level_values``
+    share h's values across weight exponents.  A node whose weight
+    overflows raises QuadratureFailure, before any h is evaluated on the
+    level.  An entry holds 8 n bytes of weights, an eighth of what
+    ``legendre_nodes(n)`` keeps, so the default QuadConfig (n <= 128 * 2**8)
+    bounds the cache at 128 * 8 * 32768 bytes = 32 MiB; the default verify
+    grid fills 76 entries with 114 KiB.
+    """
+    ts, scaled, ln_sins, ln_ws = _sine_map_chain(level)
+    weights = array("d")
+    for wi, ln_sin, ln_w in zip(scaled, ln_sins, ln_ws):
+        ln_val = p1 * ln_sin + ln_w
         if ln_val > _MAX_EXP_ARG:
             raise QuadratureFailure(
                 "transformed integrand overflows double range")
-        ts.append(math.cos(delta))
-        weights.append(wi * quarter_pi * math.exp(ln_val))
+        weights.append(wi * math.exp(ln_val))
     return ts, weights
 
 
@@ -239,7 +258,7 @@ def _level_values(h, level: _Level) -> array:
     An entry holds 8 n bytes of values, so with the default QuadConfig
     (n <= 32768) the memo holds at most 256 * 8 * 32768 bytes = 64 MiB of
     them; its key also keeps the level's t_i array, which is the one
-    ``_node_transform``'s cache holds until that entry is evicted.
+    ``_sine_map_chain``'s cache holds until that entry is evicted.
     """
     return h.values(level.nodes)
 

@@ -711,13 +711,12 @@ def _expand(name: str, spec: GridSpec):
                                f"error: {type(exc).__name__}: {exc}")
 
 
-def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
-    """Expand ``spec`` for each named check and collect every report.
+def _sweep(spec: GridSpec, checks):
+    """``run_grid``'s reports as a lazy iterator: each point's check runs
+    when the iterator reaches it.
 
-    Check names run in the order given (duplicates collapsed); within one
-    check the reports follow the lexicographic order of the sorted grid
-    values, so output is byte-identical across runs.  A failing point
-    produces a failed report; it never aborts the run.
+    The names are refused here, before any check runs: a bare ``str`` and
+    an unknown name raise InvalidParameter.
     """
     if isinstance(checks, str):
         raise InvalidParameter(f"checks must be a list of check names, not {checks!r}")
@@ -726,7 +725,15 @@ def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
         if name not in _CHECKS:
             known = ", ".join(CHECK_NAMES)
             raise InvalidParameter(f"unknown check {name!r}; known checks: {known}")
-    reports: list[VerifyReport] = []
-    for name in ordered:
-        reports.extend(_expand(name, spec))
-    return reports
+    return itertools.chain.from_iterable(_expand(name, spec) for name in ordered)
+
+
+def run_grid(spec: GridSpec, checks) -> list[VerifyReport]:
+    """Expand ``spec`` for each named check and collect every report.
+
+    Check names run in the order given (duplicates collapsed); within one
+    check the reports follow the lexicographic order of the sorted grid
+    values, so output is byte-identical across runs.  A failing point
+    produces a failed report; it never aborts the run.
+    """
+    return list(_sweep(spec, checks))

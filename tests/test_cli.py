@@ -844,6 +844,46 @@ class TestVerify:
         assert result.exit_code == 2
         assert "array of numbers" in result.stderr
 
+    def test_usage_error_leaves_an_existing_out_file_untouched(self, runner,
+                                                              tmp_path,
+                                                              check_calls):
+        target = tmp_path / "reports.jsonl"
+        target.write_bytes(b"kept\n")
+        result = runner.invoke(
+            main, ["verify", "--checks", "bogus", "--out", str(target)])
+        assert result.exit_code == 2
+        assert "unknown check" in result.stderr
+        assert target.read_bytes() == b"kept\n"
+        assert check_calls == []
+
+    def test_unwritable_out_path_exits_2_before_any_check(self, runner,
+                                                          tmp_path,
+                                                          check_calls):
+        target = tmp_path / "absent" / "reports.jsonl"
+        result = runner.invoke(main, ["verify", "--out", str(target)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            f"error: cannot write output file {str(target)!r}: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert check_calls == []
+
+    def test_out_file_holds_the_stdout_bytes_on_default_grid(self, runner,
+                                                             tmp_path):
+        target = tmp_path / "reports.jsonl"
+        printed = runner.invoke(main, ["verify"])
+        filed = runner.invoke(main, ["verify", "--out", str(target)])
+        assert filed.exit_code == printed.exit_code == 0
+        assert filed.stdout == ""
+        assert filed.stderr == printed.stderr
+        assert target.read_bytes() == printed.stdout_bytes
+
+    def test_csv_on_default_grid_is_pinned(self, runner):
+        result = runner.invoke(main, ["verify", "--format", "csv"])
+        assert result.exit_code == 0
+        assert len(result.stdout_bytes) == 437441
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "0bc5998252bab4ac111203d5695dda0988847ff04fc67e5b22bfc52237ab65af")
+
     def test_all_checks_on_default_grid_pass(self, runner):
         result = runner.invoke(main, ["verify"])
         assert result.exit_code == 0

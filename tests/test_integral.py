@@ -175,6 +175,35 @@ def test_cached_node_transform_matches_reference_loop(a, n, extra):
     assert got == want
 
 
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("extra, exponents", [
+    (0, (-0.5, 0.0, 0.5, 3.25)), (1, (1.2, 2.1)), (2, (0.25, 0.6)),
+    (3, (-0.4, -0.25)),
+])
+def test_weight_exponents_of_a_level_share_one_sine_map_chain(extra,
+                                                              exponents, n):
+    # the weights of every exponent equal the per-node chain's bit for bit,
+    # and the level's chain is formed once and its t_i array shared
+    integral._node_transform.cache_clear()
+    integral._sine_map_chain.cache_clear()
+    try:
+        shared_ts = None
+        for a in exponents:
+            p1 = 2.0 * a + 1.0
+            assert integral._substitution_levels(p1) == extra
+            ts, weights, _ = _reference_nodes(a, n)
+            got_t, got_w = _node_transform(p1, extra, n)
+            assert got_t.tobytes() == array("d", ts).tobytes()
+            assert got_w.tobytes() == array("d", weights).tobytes()
+            shared_ts = shared_ts or got_t
+            assert got_t is shared_ts
+        info = integral._sine_map_chain.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+    finally:
+        integral._node_transform.cache_clear()
+        integral._sine_map_chain.cache_clear()
+
+
 def test_node_overflow_raises_before_any_call_to_h(monkeypatch):
     # no a > -1 overflows a double weight, so the limit is lowered to fall
     # between the ln weights of nodes 1 and 2 (2.73 and 2.78 here)

@@ -597,6 +597,28 @@ def test_run_grid_rejects_unknown_check_name():
         run_grid(small_grid(), "ode")
 
 
+def test_run_grid_is_the_sweep_collected():
+    spec = small_grid(nu_values=(-0.6, 0.5, 2.0), x_values=(0.25, 1.0))
+    names = ["turan", *CHECK_NAMES, "ode"]
+    assert run_grid(spec, names) == list(verify._sweep(spec, names))
+
+
+def test_sweep_runs_a_check_only_when_its_report_is_asked_for(check_calls):
+    sweep = verify._sweep(small_grid(nu_values=(0.5, 1.0)), ["turan"])
+    assert check_calls == []
+    first = next(sweep)
+    assert check_calls == ["check_turan"]
+    assert first == check_turan(1.0, 0.5, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("checks", [["turan", "nonsense"], "turan"],
+                         ids=["unknown-name", "bare-str"])
+def test_sweep_refuses_names_before_any_check_runs(check_calls, checks):
+    with pytest.raises(InvalidParameter):
+        verify._sweep(small_grid(), checks)
+    assert check_calls == []
+
+
 def test_run_grid_collapses_duplicate_names():
     once = run_grid(small_grid(), ["turan"])
     twice = run_grid(small_grid(), ["turan", "turan"])
