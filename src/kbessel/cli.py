@@ -14,11 +14,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import io
 import itertools
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 # The sweep modules load before click, as they did when the package loaded
 # them: compiled after click, their compile peak adds to its memory and
@@ -67,11 +66,6 @@ def _exit_codes():
         _fail(3, str(exc))
 
 
-def _fmt17(value: float) -> str:
-    """17-significant-digit form used by csv/json output."""
-    return format(float(value), ".17g")
-
-
 def _json_value(value) -> str:
     if value is None:
         return "null"
@@ -80,7 +74,7 @@ def _json_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _fmt17(value)
+        return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -90,67 +84,49 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return _json_value(value)
-
-
-def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write each of ``lines`` and a newline to stdout, or to the file
-    ``out``, as the iterable yields them; the stream is flushed once, at the
-    end, where ``click.echo`` would flush on every call.
+def _emit(fmt: str, header: list[str] | None, rows: Iterable[list],
+          out: str | None) -> None:
+    """Write ``rows`` in ``fmt`` to stdout, or to the file ``out``, each row
+    as the iterable yields it; the stream is flushed once, at the end, where
+    ``click.echo`` would flush on every call.
 
     ``out`` is opened only here, once the caller has validated its input,
     and exits 2 where it cannot be opened or written.  Unlike
     ``click.echo``, this does not strip ANSI escapes on a non-tty stream;
-    no line holds a raw ESC, since the jsonl and json formats escape it
+    no row holds a raw ESC, since the json format escapes it
     (``json.dumps``) and the library forms every check name and note.
     """
     if out is None:
-        _write(click.get_text_stream("stdout"), lines)
+        _write(click.get_text_stream("stdout"), fmt, header, rows)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            _write(handle, lines)
+            _write(handle, fmt, header, rows)
     except OSError as exc:
         _fail(2, f"cannot write output file {out!r}: {exc}")
 
 
-def _write(stream, lines: Iterable[str]) -> None:
-    for line in lines:
-        stream.write(line + "\n")
-    stream.flush()
-
-
-def _table_lines(fmt: str, header: list[str],
-                 rows: Iterable[list]) -> Iterator[str]:
-    """The lines of ``rows`` in ``fmt``, each formed as its row arrives;
-    the plain and csv formats begin with the header."""
+def _write(stream, fmt: str, header: list[str] | None,
+           rows: Iterable[list]) -> None:
+    """csv: a header record, then one record per row, through the csv
+    module (None an empty cell, other non-str cells in their json form);
+    json: one object per line; plain: the header unless it is None, then
+    each row's cells joined by spaces, floats in repr form."""
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL,
-                            lineterminator="\n")
-        cells = ([_csv_cell(cell) for cell in row] for row in rows)
-        for row in itertools.chain([header], cells):
-            # each row ends in the writer's "\n", so its lines are the ones
-            # that splitting every row's text at once would give
-            writer.writerow(row)
-            yield from buffer.getvalue().splitlines()
-            buffer.seek(0)
-            buffer.truncate()
-        return
-    if fmt == "json":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(["" if cell is None else cell
+                          if isinstance(cell, str) else _json_value(cell)
+                          for cell in row] for row in rows)
+    elif fmt == "json":
         for row in rows:
-            yield _json_value(dict(zip(header, row)))
-        return
-    yield " ".join(header)
-    for row in rows:
-        yield " ".join("" if cell is None else repr(cell)
-                       if isinstance(cell, float) else str(cell)
-                       for cell in row)
+            stream.write(_json_value(dict(zip(header, row))) + "\n")
+    else:
+        records = rows if header is None else itertools.chain([header], rows)
+        for row in records:
+            stream.write(" ".join(repr(cell) if isinstance(cell, float)
+                                  else str(cell) for cell in row) + "\n")
+    stream.flush()
 
 
 def _parse_x_list(text: str) -> list[float]:
@@ -204,7 +180,7 @@ def cmd_eval(k: float, nu: float, c: float, x_text: str, deriv: int,
                 result = eval_w(params, x, cfg)
             rows.append([x, result.value, result.terms_used, result.est_error])
     header = ["x", "value", "terms_used", "est_error"]
-    _emit(_table_lines(fmt, header, rows), out)
+    _emit(fmt, header, rows, out)
 
 
 # --fn name -> (function, the options it takes before k)
@@ -235,9 +211,13 @@ def cmd_gamma(fn: str, t: float | None, n: int | None, x: float | None,
     missing = [name for name in need if given[name] is None]
     if missing:
         _fail(2, f"--fn {fn} requires --" + " --".join(missing))
+    extra = [name for name in given
+             if name not in need and given[name] is not None]
+    if extra:
+        _fail(2, f"--fn {fn} does not take --" + " --".join(extra))
     with _exit_codes():
         value = function(*(given[name] for name in need), k)
-    _emit([repr(value)], out)
+    _emit("plain", None, [[value]], out)
 
 
 @main.command("table")
@@ -288,7 +268,7 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
             normalized = _eval_normalized("table", params, x, cfg).value
             rows.append([x, result.value, normalized, result.est_error])
     header = ["x", "value", "normalized", "est_error"]
-    _emit(_table_lines(fmt, header, rows), out)
+    _emit(fmt, header, rows, out)
 
 
 _GRID_FIELDS = tuple(field.name for field in dataclasses.fields(GridSpec))
@@ -353,7 +333,7 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
                                  quad - series])
     header = ["k", "nu", "alpha", "x", "route", "c", "series", "integral",
               "diff"]
-    _emit(_table_lines(fmt, header, rows), out)
+    _emit(fmt, header, rows, out)
 
 
 @main.command("verify")
@@ -391,7 +371,7 @@ def cmd_verify(checks: str, grid: str, fmt: str, out: str | None) -> None:
                   "passed" if report.passed else "failed"] += 1
             yield [getattr(report, name) for name in header]
 
-    _emit(_table_lines("json" if fmt == "jsonl" else fmt, header, rows()), out)
+    _emit("json" if fmt == "jsonl" else fmt, header, rows(), out)
     click.echo(f"{sum(tally.values())} reports: {tally['passed']} passed, "
                f"{tally['skipped']} skipped, {tally['failed']} failed",
                err=True)

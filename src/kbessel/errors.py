@@ -94,12 +94,20 @@ def _exp_guarded(ln_value: float, what: str, *args) -> float:
     normal part."""
     if not ln_value <= _MAX_EXP_ARG:
         raise Overflow(f"{what.format(*args)} exceeds double range "
-                       f"(log magnitude {ln_value:.1f})")
+                       f"{_log_magnitude(ln_value)}")
     value = math.exp(ln_value)
     if value < _MIN_NORMAL:
         raise Overflow(f"{what.format(*args)} underflows: {value!r} is below "
-                       f"the normal double range (log magnitude {ln_value:.1f})")
+                       f"the normal double range {_log_magnitude(ln_value)}")
     return value
+
+
+def _log_magnitude(ln_value: float) -> str:
+    """ln_value with one decimal below 1e4 in magnitude and with five
+    significant digits from there (and for NaN), so that a message holds
+    no 300-digit number."""
+    spec = ".1f" if abs(ln_value) < 1e4 else ".5g"
+    return f"(log magnitude {ln_value:{spec}})"
 
 
 def _positive(name: str, value: float) -> None:

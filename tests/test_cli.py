@@ -29,7 +29,7 @@ from kbessel import (
     k_trigamma,
     ln_k_gamma,
 )
-from kbessel.cli import main
+from kbessel.cli import _emit, main
 
 
 @pytest.fixture()
@@ -116,6 +116,31 @@ class TestEval:
         assert set(record) == {"x", "value", "terms_used", "est_error"}
         want = eval_w(KBesselParams(1.0, 0.0, 2.0), 1.5)
         assert record["value"] == want.value
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("plain",
+         "f27605d94cecbb8cee12ee0b1b7f6bf869f7853869564153e5b3fc8a338f4626"),
+        ("csv",
+         "0106e254b9906af51859f5637e9cedfe13b159f4a5eadd7deec417189bdbb809"),
+        ("json",
+         "9eb21c0ac732d25a292c6e890108a160c539df7613b3b4b0d7dc31ef4dea24c8"),
+    ])
+    def test_each_format_is_pinned(self, runner, fmt, digest):
+        # x = 0 gives the exact zeros, x = 20 the Hankel route
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "0.5", "--c", "1",
+                   "--x", "0,0.5,1,3,20", "--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    def test_overflow_message_stays_short(self, runner):
+        # the leading term's log magnitude is -6.9e302
+        result = runner.invoke(
+            main, ["eval", "--k", "1", "--nu", "1e300", "--c", "1", "--x", "1"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.endswith("(log magnitude -6.9047e+302)\n")
+        assert len(result.stderr_bytes) < 200
 
     def test_derivative_flag_matches_library(self, runner):
         result = runner.invoke(
@@ -320,6 +345,20 @@ class TestGamma:
         assert result.exit_code == 2
         assert "requires --y" in result.stderr
 
+    @pytest.mark.parametrize("args, extra", [
+        (["--fn", "pochhammer", "--t", "1", "--n", "3", "--x", "2"], "--x"),
+        (["--fn", "gamma", "--t", "1", "--n", "3"], "--n"),
+        (["--fn", "beta", "--x", "1", "--y", "1", "--t", "1"], "--t"),
+        (["--fn", "digamma", "--t", "1", "--x", "0", "--y", "0"], "--x --y"),
+    ], ids=["pochhammer-x", "gamma-n", "beta-t", "digamma-x-y"])
+    def test_option_the_function_does_not_take_exits_2(self, runner, args,
+                                                       extra):
+        result = runner.invoke(main, ["gamma", *args, "--k", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: --fn {args[1]} does not take {extra}\n")
+
     def test_pole_argument_exits_2(self, runner):
         result = runner.invoke(
             main, ["gamma", "--fn", "gamma", "--t", "-1", "--k", "1"])
@@ -468,6 +507,23 @@ class TestTable:
         parsed = list(csv.DictReader(io.StringIO(result.stdout)))
         assert len(parsed) == 4
         assert list(parsed[0]) == ["x", "value", "normalized", "est_error"]
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("plain",
+         "5ebe56e064b799265b5e1c38ae96bda1b2d106d184ea2ef63b9b859f9ede5d40"),
+        ("csv",
+         "d0fbc17c1947d532b4dd3eadc68ab007db0a8d83aebadb7dfd0d41c672a5d89f"),
+        ("json",
+         "a158b0be6ab95d35cf903befbb2079f4e761a48b10bf32a4fa7c5ad9c0081f00"),
+    ])
+    def test_each_format_is_pinned(self, runner, fmt, digest):
+        # y = x sqrt(|c|/k) = 2x crosses 17, so both routes are tabulated
+        result = runner.invoke(
+            main, ["table", "--k", "0.5", "--nu", "0.7", "--c", "2",
+                   "--x-start", "0", "--x-stop", "30", "--x-steps", "7",
+                   "--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
     def test_zero_steps_exits_2(self, runner):
         result = runner.invoke(
@@ -1003,3 +1059,20 @@ class TestSweepsOnValidGrids:
         result = self._run(runner, tmp_path, [1.0], command)
         assert result.exit_code == 2
         assert "must hold a JSON object of arrays" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# the output writer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cell", ["x\u2028y", "p\x0cq"],
+                         ids=["line-separator", "form-feed"])
+def test_csv_cell_holding_a_line_boundary_stays_one_record(tmp_path, cell):
+    # str.splitlines() breaks at both characters; a csv record ends only at
+    # the writer's "\n"
+    target = tmp_path / "rows.csv"
+    _emit("csv", ["a", "b"], [[cell, 1.0], [None, cell]], str(target))
+    with open(target, newline="", encoding="utf-8") as handle:
+        assert list(csv.reader(handle)) == [["a", "b"], [cell, "1"],
+                                            ["", cell]]

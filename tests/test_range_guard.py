@@ -142,6 +142,20 @@ def test_exp_guard_refuses_a_nan_logarithm():
     assert errors._exp_guarded(0.0, "{}") == 1.0
 
 
+def test_exp_guard_message_bounds_the_digits_of_its_log_magnitude():
+    # five significant digits from 1e4 up; one decimal below, as before
+    for ln_value, what, text in [(1e300, "exceeds", "1e+300"),
+                                 (-6.9e302, "underflows", "-6.9e+302"),
+                                 (805.3, "exceeds", "805.3"),
+                                 (-805.3, "underflows", "-805.3"),
+                                 (710.0, "exceeds", "710.0")]:
+        with pytest.raises(Overflow) as info:
+            errors._exp_guarded(ln_value, "W")
+        message = str(info.value)
+        assert message.startswith(f"W {what}")
+        assert message.endswith(f"(log magnitude {text})")
+
+
 def test_ln_k_gamma_refuses_opposite_infinities():
     # (t/k - 1) ln k -> -inf and ln Gamma(t/k) -> +inf summed to nan;
     # mpmath gives ln Gamma_k(e, 1e-307) = -1.4456e291
