@@ -34,8 +34,8 @@ from .errors import (
     Overflow,
     QuadratureFailure,
 )
-from .kbessel import (KBesselParams, SeriesConfig, _eval_normalized, deriv_w,
-                      eval_w)
+from .kbessel import (_DEFAULT_CONFIG, KBesselParams, SeriesConfig,
+                      _eval_normalized, deriv_w, eval_w)
 from .kgamma import (
     k_beta,
     k_digamma,
@@ -66,22 +66,37 @@ def _exit_codes():
         _fail(3, str(exc))
 
 
+# json.dumps of a str with its default ensure_ascii, without its dispatch
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_object(value: dict) -> str:
+    return "{" + ", ".join([_json_str(key) + ": " + _json_value(cell)
+                            for key, cell in value.items()]) + "}"
+
+
+# one form per exact type; a subclass takes the form of its first base in
+# the order below, as an isinstance chain would (None, bool, int, float,
+# str, dict)
+_JSON_FORMS = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: "{:.17g}".format,
+    str: _json_str,
+    dict: _json_object,
+}
+
+
 def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_json_value(v)}"
-                          for k, v in value.items())
-        return "{" + inner + "}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    form = _JSON_FORMS.get(type(value))
+    if form is None:
+        for kind, form in _JSON_FORMS.items():
+            if isinstance(value, kind):
+                break
+        else:
+            raise TypeError(f"cannot serialize {type(value)!r}")
+    return form(value)
 
 
 def _emit(fmt: str, header: list[str] | None, rows: Iterable[list],
@@ -119,8 +134,10 @@ def _write(stream, fmt: str, header: list[str] | None,
                           if isinstance(cell, str) else _json_value(cell)
                           for cell in row] for row in rows)
     elif fmt == "json":
+        keys = [_json_str(key) + ": " for key in header]
         for row in rows:
-            stream.write(_json_value(dict(zip(header, row))) + "\n")
+            stream.write("{" + ", ".join([key + _json_value(cell) for key, cell
+                                          in zip(keys, row)]) + "}\n")
     else:
         records = rows if header is None else itertools.chain([header], rows)
         for row in records:
@@ -157,10 +174,10 @@ def main() -> None:
               show_default=True,
               help="Derivative order m (0 evaluates the function itself); "
                    "the order ladder needs nu - m*k > -k.")
-@click.option("--tol", type=float, default=SeriesConfig.rel_tol, show_default=True,
+@click.option("--tol", type=float, default=_DEFAULT_CONFIG.rel_tol, show_default=True,
               help="Relative truncation tolerance of the series, and of "
                    "the Hankel expansion that eval_w takes at y >= 17.")
-@click.option("--max-terms", type=int, default=SeriesConfig.max_terms, show_default=True,
+@click.option("--max-terms", type=int, default=_DEFAULT_CONFIG.max_terms, show_default=True,
               help="Series term cap.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv", "json"]),
               default="plain", show_default=True)
@@ -227,8 +244,8 @@ def cmd_gamma(fn: str, t: float | None, n: int | None, x: float | None,
 @click.option("--x-start", type=float, required=True)
 @click.option("--x-stop", type=float, required=True)
 @click.option("--x-steps", type=click.IntRange(min=1), required=True)
-@click.option("--tol", type=float, default=SeriesConfig.rel_tol, show_default=True)
-@click.option("--max-terms", type=int, default=SeriesConfig.max_terms, show_default=True)
+@click.option("--tol", type=float, default=_DEFAULT_CONFIG.rel_tol, show_default=True)
+@click.option("--max-terms", type=int, default=_DEFAULT_CONFIG.max_terms, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv", "json"]),
               default="plain", show_default=True)
 @click.option("--out", type=str, default=None)

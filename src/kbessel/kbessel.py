@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow, _count, _exp_guarded, _finite,
@@ -58,43 +58,81 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KBesselParams:
+# The three records import nothing: dataclasses would load a dozen stdlib
+# modules (inspect, ast, dis, ...) with every ``import kbessel``.  The two
+# parameter records are tuples of their fields, checked in __new__; the
+# namedtuple's _make, and so _replace, goes through the same checks.
+
+
+class KBesselParams(namedtuple("KBesselParams", "k nu c")):
     """Parameter triple (k, nu, c); requires all finite, k > 0 and nu > -k."""
 
-    k: float
-    nu: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("k", "nu", "c"):
-            value = getattr(self, name)
+    def __new__(cls, k: float, nu: float, c: float):
+        for name, value in (("k", k), ("nu", nu), ("c", c)):
             if not math.isfinite(value):
                 raise InvalidParameter(f"{name} must be finite, got {value}")
-        _positive("k", self.k)
-        if not self.nu > -self.k:
-            raise OutsideDomain("nu must exceed -k", f"nu={self.nu}, k={self.k}")
+        _positive("k", k)
+        if not nu > -k:
+            raise OutsideDomain("nu must exceed -k", f"nu={nu}, k={k}")
+        return super().__new__(cls, k, nu, c)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    rel_tol: float = 1e-14
-    max_terms: int = 500
+class SeriesConfig(namedtuple("SeriesConfig", "rel_tol max_terms")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise InvalidParameter(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int):
-            raise InvalidParameter(f"max_terms must be an integer, got {self.max_terms!r}")
-        if not 1 <= self.max_terms <= 2**26:  # _series splits r + 1 exactly
-            raise InvalidParameter(f"max_terms must be in [1, 2**26], got {self.max_terms}")
+    def __new__(cls, rel_tol: float = 1e-14, max_terms: int = 500):
+        if not 0.0 < rel_tol < 1.0:
+            raise InvalidParameter(f"rel_tol must be in (0, 1), got {rel_tol}")
+        if isinstance(max_terms, bool) or not isinstance(max_terms, int):
+            raise InvalidParameter(f"max_terms must be an integer, got {max_terms!r}")
+        if not 1 <= max_terms <= 2**26:  # _series splits r + 1 exactly
+            raise InvalidParameter(f"max_terms must be in [1, 2**26], got {max_terms}")
+        return super().__new__(cls, rel_tol, max_terms)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
 class EvalResult:
-    value: float
-    terms_used: int
-    est_error: float
+    """One evaluation: its value, the series terms used and the error
+    estimate.  Frozen, and equal and hashed by its fields among EvalResults,
+    but not a tuple, so that a bare result stays apart from the
+    (EvalResult, d1, d2) of ``eval_w_with_derivatives``."""
+
+    __slots__ = ("value", "terms_used", "est_error")
+
+    def __init__(self, value: float, terms_used: int, est_error: float):
+        set_field = object.__setattr__
+        set_field(self, "value", value)
+        set_field(self, "terms_used", terms_used)
+        set_field(self, "est_error", est_error)
+
+    def _values(self) -> tuple:
+        return self.value, self.terms_used, self.est_error
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(value={self.value!r}, "
+                f"terms_used={self.terms_used!r}, est_error={self.est_error!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 _DEFAULT_CONFIG = SeriesConfig()
@@ -161,7 +199,7 @@ def _series(t0: float, c: float, x: float, k: float, nu: float,
     Memoized for every caller: the key is every argument and the value the
     returned (EvalResult, d1, d2), shared between callers (EvalResult is
     frozen); a call that raises is not stored.  The 256 most recently used
-    entries stay, about 0.16 MB; on the default verify sweep 3350 of 8253
+    entries stay, about 0.13 MB; on the default verify sweep 3350 of 8253
     calls hit.  typed=True keeps 1 and 1.0 apart.  Keys compare floats by
     value, so +0.0 and -0.0 collide, which cannot change a bit: t0 and k
     are > 0, and x = +-0.0 and c = +-0.0 each give q = (0.0, 0.0).  A nu of

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -1059,6 +1060,20 @@ class TestSweepsOnValidGrids:
         result = self._run(runner, tmp_path, [1.0], command)
         assert result.exit_code == 2
         assert "must hold a JSON object of arrays" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# help
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["eval", "table"])
+def test_help_shows_the_series_config_defaults(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())  # undo the help's line wrapping
+    assert re.search(r"--tol FLOAT [^\[]*\[default: 1e-14\]", text), text
+    assert re.search(r"--max-terms INTEGER [^\[]*\[default: 500\]", text), text
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """What ``import kbessel`` loads: the series layer (errors, kbessel, kgamma)
-at once; quadrature (``integral``) and the verification harness (``verify``)
-on first access to the module or to one of their names."""
+at once, and with it neither ``dataclasses`` nor ``inspect``; quadrature
+(``integral``) and the verification harness (``verify``) on first access to
+the module or to one of their names."""
 
 import os
 import subprocess
@@ -11,13 +12,17 @@ import pytest
 
 import kbessel
 
-# Each check runs in a fresh interpreter in the test below, and against the
-# installed package by ``python tests/test_imports.py``.
+# Each check runs in a fresh interpreter: in the test below against this
+# source tree, and by ``python tests/test_imports.py`` against the installed
+# package.  The import check looks at the modules that ``import kbessel``
+# adds, since a site hook may have loaded some of them before it.
 LAZY_IMPORT_CHECK = """
 import sys
+before = set(sys.modules)
 import kbessel
-lazy = ("kbessel.integral", "kbessel.verify")
-loaded = [name for name in lazy if name in sys.modules]
+added = set(sys.modules) - before
+lazy = ("kbessel.integral", "kbessel.verify", "dataclasses", "inspect")
+loaded = [name for name in lazy if name in added]
 assert not loaded, f"import kbessel loaded {loaded}"
 eval_w_cos = kbessel.eval_w_cos
 assert "kbessel.integral" in sys.modules, "eval_w_cos did not load integral"
@@ -60,5 +65,5 @@ def test_an_unknown_or_private_name_is_an_attribute_error(name):
 
 
 if __name__ == "__main__":
-    exec(LAZY_IMPORT_CHECK)
-    exec(CLI_ORDER_CHECK)
+    for check in (LAZY_IMPORT_CHECK, CLI_ORDER_CHECK):
+        subprocess.run([sys.executable, "-c", check], check=True, timeout=60)
