@@ -70,32 +70,31 @@ def _exit_codes():
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_object(value: dict) -> str:
-    return "{" + ", ".join([_json_str(key) + ": " + _json_value(cell)
-                            for key, cell in value.items()]) + "}"
+def _json_keys(names: Iterable[str]) -> list[str]:
+    return [_json_str(name) + ": " for name in names]
 
 
-# one form per exact type; a subclass takes the form of its first base in
-# the order below, as an isinstance chain would (None, bool, int, float,
-# str, dict)
+def _json_object(keys: list[str], cells: Iterable) -> str:
+    """One json object: ``keys`` from ``_json_keys``, each with its cell."""
+    return "{" + ", ".join([key + _json_value(cell)
+                            for key, cell in zip(keys, cells)]) + "}"
+
+
+# one form per exact type of a cell
 _JSON_FORMS = {
     type(None): lambda value: "null",
     bool: lambda value: "true" if value else "false",
     int: str,
     float: "{:.17g}".format,
     str: _json_str,
-    dict: _json_object,
+    dict: lambda value: _json_object(_json_keys(value), value.values()),
 }
 
 
 def _json_value(value) -> str:
     form = _JSON_FORMS.get(type(value))
     if form is None:
-        for kind, form in _JSON_FORMS.items():
-            if isinstance(value, kind):
-                break
-        else:
-            raise TypeError(f"cannot serialize {type(value)!r}")
+        raise TypeError(f"cannot serialize {type(value)!r}")
     return form(value)
 
 
@@ -134,10 +133,9 @@ def _write(stream, fmt: str, header: list[str] | None,
                           if isinstance(cell, str) else _json_value(cell)
                           for cell in row] for row in rows)
     elif fmt == "json":
-        keys = [_json_str(key) + ": " for key in header]
+        keys = _json_keys(header)
         for row in rows:
-            stream.write("{" + ", ".join([key + _json_value(cell) for key, cell
-                                          in zip(keys, row)]) + "}\n")
+            stream.write(_json_object(keys, row) + "\n")
     else:
         records = rows if header is None else itertools.chain([header], rows)
         for row in records:

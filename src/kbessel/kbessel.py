@@ -103,6 +103,7 @@ class EvalResult:
     (EvalResult, d1, d2) of ``eval_w_with_derivatives``."""
 
     __slots__ = ("value", "terms_used", "est_error")
+    __match_args__ = __slots__
 
     def __init__(self, value: float, terms_used: int, est_error: float):
         set_field = object.__setattr__

@@ -75,6 +75,19 @@ def test_copy_and_pickle_round_trip(record, text, fields):
         assert twin == record and repr(twin) == text
 
 
+@pytest.mark.parametrize("record, text, fields", RECORDS, ids=IDS)
+def test_match_args_name_the_fields_in_order(record, text, fields):
+    assert type(record).__match_args__ == tuple(fields)
+
+
+def test_a_positional_pattern_binds_an_eval_result():
+    match EvalResult(1.0, 1, 0.0):
+        case EvalResult(value, terms, error):
+            assert (value, terms, error) == (1.0, 1, 0.0)
+        case _:
+            pytest.fail("EvalResult(value, terms, error) did not match")
+
+
 def test_eval_result_is_not_a_tuple():
     # perfbench's tracer tells (EvalResult, d1, d2) from a bare result so
     assert not isinstance(EvalResult(1.0, 1, 0.0), tuple)
