@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -286,7 +285,7 @@ def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
     _emit(fmt, header, rows, out)
 
 
-_GRID_FIELDS = tuple(field.name for field in dataclasses.fields(GridSpec))
+_GRID_FIELDS = GridSpec._fields
 
 
 def _grid_spec(grid: str, required: tuple[str, ...] = ()) -> GridSpec:
@@ -314,7 +313,7 @@ def _grid_spec(grid: str, required: tuple[str, ...] = ()) -> GridSpec:
         if key not in payload:
             _fail(2, f"grid file must define {key!r}")
     with _exit_codes():
-        return dataclasses.replace(spec, **payload)
+        return spec._replace(**payload)
 
 
 _COMPARE_BETAS = (-0.4, 0.0, 0.5, 1.0, 2.5)

@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
-from typing import Callable
 
+from . import _gauss_legendre
 from .errors import (_MAX_EXP_ARG, DomainError, InvalidParameter,
                      NonConvergence, OutsideDomain, Overflow,
                      QuadratureFailure, _count, _finite, _positive)
-from .kbessel import KBesselParams, _prefactor, eval_w
+from .kbessel import KBesselParams, _prefactor, _Record, eval_w
 
 __all__ = [
     "IntegralRepParams",
@@ -53,34 +53,47 @@ _LN_PI = math.log(math.pi)
 _LN_HALF_PI = math.log(0.5 * math.pi)
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    nodes: int = 128
-    abs_tol: float = 1e-12
-    max_refinements: int = 8
-
-    def __post_init__(self):
-        _count("nodes", self.nodes, 2)
-        _positive("abs_tol", self.abs_tol)
-        _count("max_refinements", self.max_refinements, 1)
+# the most nodes a QuadConfig's last level may hold: the default's last
+# level holds 2**15, and Newton alone takes about half a minute at 2**14
+_MAX_LAST_LEVEL = 2**20
 
 
-@dataclass(frozen=True)
-class IntegralRepParams:
+class QuadConfig(namedtuple("QuadConfig", "nodes abs_tol max_refinements")):
+    """Node doubling from ``nodes`` Gauss-Legendre nodes, at most
+    ``max_refinements`` times, until two levels agree to ``abs_tol``; the
+    last level, nodes * 2**max_refinements, holds at most 2**20 nodes."""
+
+    __slots__ = ()
+
+    def __new__(cls, nodes: int = 128, abs_tol: float = 1e-12,
+                max_refinements: int = 8):
+        _count("nodes", nodes, 2)
+        _positive("abs_tol", abs_tol)
+        _count("max_refinements", max_refinements, 1)
+        # neither 2**max_refinements nor the counts' digits are formed: an
+        # int past 4300 digits cannot be printed
+        if nodes > _MAX_LAST_LEVEL >> max_refinements:
+            raise InvalidParameter(
+                "nodes * 2**max_refinements must be at most 2**20")
+        return super().__new__(cls, nodes, abs_tol, max_refinements)
+
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
+class IntegralRepParams(namedtuple("IntegralRepParams", "k nu alpha x")):
     """Parameters (k, nu, alpha, x) for the integral routes; c = +-alpha^2."""
 
-    k: float
-    nu: float
-    alpha: float
-    x: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("k", "nu", "alpha", "x"):
-            value = getattr(self, name)
+    def __new__(cls, k: float, nu: float, alpha: float, x: float):
+        for name, value in (("k", k), ("nu", nu), ("alpha", alpha), ("x", x)):
             if not math.isfinite(value):
                 raise InvalidParameter(f"{name} must be finite, got {value}")
-        for name in ("k", "alpha", "x"):
-            _positive(name, getattr(self, name))
+        for name, value in (("k", k), ("alpha", alpha), ("x", x)):
+            _positive(name, value)
+        return super().__new__(cls, k, nu, alpha, x)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 _DEFAULT_QUAD = QuadConfig()
@@ -90,8 +103,23 @@ _DEFAULT_QUAD = QuadConfig()
 def legendre_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Legendre nodes and weights on [-1, 1].
 
-    Newton iteration on P_n from the Chebyshev-based initial guess; only half
-    the nodes are solved, the rest follow by symmetry.
+    The rules for n = 128 and 256, the node counts of every level that the
+    default sweeps reach, are read from ``_gauss_legendre``'s table, which
+    holds ``_newton_legendre``'s bits; every other n comes from
+    ``_newton_legendre``.
+    """
+    half = _gauss_legendre.HALF_RULES.get(n)
+    if half is None:
+        return _newton_legendre(n)
+    values = tuple(map(float.fromhex, half.split()))
+    zs, ws = values[0::2], values[1::2]  # n is even: no node at 0
+    return tuple(-z for z in zs) + zs[::-1], ws + ws[::-1]
+
+
+def _newton_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration on
+    P_n from the Chebyshev-based initial guess; only half the nodes are
+    solved, the rest follow by symmetry.
     """
     xs = [0.0] * n
     ws = [0.0] * n
@@ -143,16 +171,18 @@ def _substitution_levels(p1: float) -> int:
     return max(0, math.ceil(math.log2(8.0 / (p1 + 1.0))))
 
 
-@dataclass(frozen=True, slots=True)
-class _Level:
+class _Level(_Record):
     """One quadrature level as a cache key: (extra, n) and the nodes that
     the cached function reads, ``legendre_nodes(n)`` for
     ``_node_transform`` and the level's t_i for ``_level_values``.  It is
-    compared and hashed by (extra, n) alone, since those fix the nodes."""
+    compared, hashed and shown by (extra, n) alone, since those fix the
+    nodes."""
 
-    extra: int
-    n: int
-    nodes: tuple | array = field(compare=False, repr=False)
+    __slots__ = ("extra", "n", "nodes")
+    _compared = ("extra", "n")
+
+    def __init__(self, extra: int, n: int, nodes: tuple | array):
+        self._set(extra, n, nodes)
 
 
 @lru_cache(maxsize=64)
@@ -213,14 +243,15 @@ def _node_transform(p1: float, level: _Level) -> tuple[array, array]:
     return ts, weights
 
 
-@dataclass(frozen=True, slots=True)
-class _TrigIntegrand:
+class _TrigIntegrand(_Record):
     """h(t) = fn(omega t), fn cos or cosh: the cos/cosh routes' integrand
     and ``check_chebyshev_products``'s weight.  A hashable value, so
     ``_integrate_once`` may share its values between weight exponents."""
 
-    fn: Callable[[float], float]
-    omega: float
+    __slots__ = _compared = ("fn", "omega")
+
+    def __init__(self, fn, omega: float):
+        self._set(fn, omega)
 
     def values(self, ts: array) -> array:
         """h at every t in ``ts``."""
@@ -228,13 +259,14 @@ class _TrigIntegrand:
         return array("d", [fn(omega * t) for t in ts])
 
 
-@dataclass(frozen=True, slots=True)
-class _KernelIntegrand:
+class _KernelIntegrand(_Record):
     """h(t) = t K_c(scale t), the kernel route's integrand; a hashable
     value, as ``_TrigIntegrand`` is."""
 
-    scale: float
-    c: float
+    __slots__ = _compared = ("scale", "c")
+
+    def __init__(self, scale: float, c: float):
+        self._set(scale, c)
 
     def values(self, ts: array) -> array:
         """h at every t in ``ts``."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from .errors import (DomainError, InvalidParameter, NonConvergence,
                      OutsideDomain, Overflow, _count, _exp_guarded, _finite,
@@ -58,10 +59,12 @@ __all__ = [
 ]
 
 
-# The three records import nothing: dataclasses would load a dozen stdlib
-# modules (inspect, ast, dis, ...) with every ``import kbessel``.  The two
-# parameter records are tuples of their fields, checked in __new__; the
-# namedtuple's _make, and so _replace, goes through the same checks.
+# The records import nothing: dataclasses would load a dozen stdlib modules
+# (inspect, ast, dis, ...) with every ``import kbessel``, and building a
+# dataclass execs generated source.  The parameter records, here and in
+# ``integral`` and ``verify``, are tuples of their fields, checked in
+# __new__; the namedtuple's _make, and so _replace, goes through the same
+# checks.  The others are ``_Record`` subclasses.
 
 
 class KBesselParams(namedtuple("KBesselParams", "k nu c")):
@@ -96,35 +99,36 @@ class SeriesConfig(namedtuple("SeriesConfig", "rel_tol max_terms")):
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-class EvalResult:
-    """One evaluation: its value, the series terms used and the error
-    estimate.  Frozen, and equal and hashed by its fields among EvalResults,
-    but not a tuple, so that a bare result stays apart from the
-    (EvalResult, d1, d2) of ``eval_w_with_derivatives``."""
+class _Record:
+    """Base of the frozen records that are not tuples.  A subclass names its
+    fields in ``__slots__``, and its ``__init__`` sets them (``_set`` sets
+    them in order).  Records of one class are equal and hashed by the
+    tuple ``_values`` of the fields named in ``_compared`` (at least two),
+    and show those fields in the dataclass repr form; a record refuses
+    assignment and ``del``."""
 
-    __slots__ = ("value", "terms_used", "est_error")
-    __match_args__ = __slots__
+    __slots__ = ()
 
-    def __init__(self, value: float, terms_used: int, est_error: float):
-        set_field = object.__setattr__
-        set_field(self, "value", value)
-        set_field(self, "terms_used", terms_used)
-        set_field(self, "est_error", est_error)
+    def __init_subclass__(cls):
+        # read in C: the quadrature caches hash and compare levels often
+        cls._values = property(attrgetter(*cls._compared))
 
-    def _values(self) -> tuple:
-        return self.value, self.terms_used, self.est_error
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self):
-        return (f"{type(self).__name__}(value={self.value!r}, "
-                f"terms_used={self.terms_used!r}, est_error={self.est_error!r})")
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._compared, self._values))
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -133,7 +137,24 @@ class EvalResult:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class EvalResult(_Record):
+    """One evaluation: its value, the series terms used and the error
+    estimate.  Frozen, and equal and hashed by its fields among EvalResults,
+    but not a tuple, so that a bare result stays apart from the
+    (EvalResult, d1, d2) of ``eval_w_with_derivatives``."""
+
+    __slots__ = ("value", "terms_used", "est_error")
+    __match_args__ = _compared = __slots__
+
+    def __init__(self, value: float, terms_used: int, est_error: float):
+        # field by field, not through _set: every evaluation builds one
+        set_field = object.__setattr__
+        set_field(self, "value", value)
+        set_field(self, "terms_used", terms_used)
+        set_field(self, "est_error", est_error)
 
 
 _DEFAULT_CONFIG = SeriesConfig()

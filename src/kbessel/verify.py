@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from numbers import Real
 
 from .errors import (InvalidParameter, KBesselError, OutsideDomain, Overflow,
@@ -43,6 +43,7 @@ from .integral import (
 )
 from .kbessel import (
     KBesselParams,
+    _Record,
     deriv_w,
     eval_normalized_i,
     eval_w,
@@ -76,8 +77,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "k_values nu_values c_values "
+                           "alpha_values x_values a_values cvx_weights")):
     """Explicit value lists that ``run_grid`` expands into check points.
 
     ``nu_values`` are absolute orders; a combination outside a check's
@@ -90,17 +91,16 @@ class GridSpec:
     are dropped.
     """
 
-    k_values: tuple[float, ...]
-    nu_values: tuple[float, ...]
-    c_values: tuple[float, ...]
-    alpha_values: tuple[float, ...]
-    x_values: tuple[float, ...]
-    a_values: tuple[float, ...]
-    cvx_weights: tuple[float, ...]
+    __slots__ = ()
+    # vars(spec) maps each field name to its values, as a dataclass's does
+    __dict__ = property(lambda self: self._asdict())
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            values = getattr(self, field.name)
+    def __new__(cls, k_values, nu_values, c_values, alpha_values, x_values,
+                a_values, cvx_weights):
+        fields = []
+        for name, values in zip(cls._fields, (
+                k_values, nu_values, c_values, alpha_values, x_values,
+                a_values, cvx_weights)):
             try:  # a str or bytes is not an array of numbers
                 values = None if isinstance(values, (str, bytes)) else tuple(values)
             except TypeError:  # not iterable: a number, a 0-d NumPy array
@@ -110,16 +110,20 @@ class GridSpec:
             if values is None or not all(
                     isinstance(v, Real) and not isinstance(v, bool)
                     and abs(v) <= sys.float_info.max for v in values):
-                raise InvalidParameter(f"grid field {field.name!r} must be an array of numbers")
+                raise InvalidParameter(f"grid field {name!r} must be an array of numbers")
             values = tuple(dict.fromkeys(map(float, values)))
             if not values:
-                raise InvalidParameter(f"{field.name} must be non-empty")
-            object.__setattr__(self, field.name, values)
+                raise InvalidParameter(f"{name} must be non-empty")
+            fields.append(values)
+        spec = super().__new__(cls, *fields)
         for name in ("k_values", "x_values", "alpha_values"):
-            if any(v <= 0.0 for v in getattr(self, name)):
+            if any(v <= 0.0 for v in getattr(spec, name)):
                 raise InvalidParameter(f"{name} must be positive")
-        if any(not 0.0 <= w <= 1.0 for w in self.cvx_weights):
+        if any(not 0.0 <= w <= 1.0 for w in spec.cvx_weights):
             raise InvalidParameter("cvx_weights must lie in [0, 1]")
+        return spec
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def default_grid() -> GridSpec:
@@ -135,16 +139,17 @@ def default_grid() -> GridSpec:
     )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of one check at one grid point."""
 
-    check_name: str
-    grid_point: dict
-    margin: float | None
-    passed: bool
-    skipped: bool = False
-    notes: str = ""
+    __slots__ = ("check_name", "grid_point", "margin", "passed", "skipped",
+                 "notes")
+    __match_args__ = _compared = __slots__
+
+    def __init__(self, check_name: str, grid_point: dict,
+                 margin: float | None, passed: bool, skipped: bool = False,
+                 notes: str = ""):
+        self._set(check_name, grid_point, margin, passed, skipped, notes)
 
 
 def _report(name: str, point: dict, comparisons: list[tuple[float, float]],

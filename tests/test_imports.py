@@ -1,7 +1,8 @@
 """What ``import kbessel`` loads: the series layer (errors, kbessel, kgamma)
 at once, and with it neither ``dataclasses`` nor ``inspect``; quadrature
 (``integral``) and the verification harness (``verify``) on first access to
-the module or to one of their names."""
+the module or to one of their names.  ``import kbessel.cli`` loads both, and
+still neither ``dataclasses`` nor ``copy``."""
 
 import os
 import subprocess
@@ -40,9 +41,21 @@ assert order.index("kbessel.verify") < order.index("click"), order
 assert order.index("kbessel.integral") < order.index("kbessel.verify")
 """
 
+# the sweep records are plain classes too, so the CLI builds no dataclass
+CLI_RECORDS_CHECK = """
+import sys
+before = set(sys.modules)
+import kbessel.cli
+added = set(sys.modules) - before
+loaded = [name for name in ("dataclasses", "copy") if name in added]
+assert not loaded, f"import kbessel.cli loaded {loaded}"
+"""
 
-@pytest.mark.parametrize("check", [LAZY_IMPORT_CHECK, CLI_ORDER_CHECK],
-                         ids=["import-kbessel", "import-kbessel-cli"])
+
+@pytest.mark.parametrize("check", [LAZY_IMPORT_CHECK, CLI_ORDER_CHECK,
+                                   CLI_RECORDS_CHECK],
+                         ids=["import-kbessel", "import-kbessel-cli",
+                              "import-kbessel-cli-records"])
 def test_import_in_a_fresh_interpreter(check):
     source = Path(kbessel.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", check],
@@ -65,5 +78,5 @@ def test_an_unknown_or_private_name_is_an_attribute_error(name):
 
 
 if __name__ == "__main__":
-    for check in (LAZY_IMPORT_CHECK, CLI_ORDER_CHECK):
+    for check in (LAZY_IMPORT_CHECK, CLI_ORDER_CHECK, CLI_RECORDS_CHECK):
         subprocess.run([sys.executable, "-c", check], check=True, timeout=60)

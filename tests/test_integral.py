@@ -6,14 +6,16 @@ genuine cross-check rather than a shared-code tautology; pure weight
 integrals are checked against beta-function closed forms through lgamma.
 """
 
+import importlib.util
 import math
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 
 from kbessel import InvalidParameter, KBesselParams, eval_w
-from kbessel import integral
+from kbessel import _gauss_legendre, integral
 from kbessel.errors import (KBesselError, NonConvergence, Overflow,
                             QuadratureFailure)
 from kbessel.integral import (
@@ -693,3 +695,49 @@ def test_kernel_integrands_of_either_zero_sign_share_equal_values():
     assert (array("d", [t * bessel_kernel(0.5 * t, 0.0) for t in ts]).tobytes()
             == array("d", [t * bessel_kernel(0.5 * t, -0.0) for t in ts]).tobytes())
     assert plus.values(ts).tobytes() == minus.values(ts).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weighted_integral(integral._TrigIntegrand(math.cos, 1.0), 0.5,
+                              QuadConfig(max_refinements=1100)),
+    lambda: eval_w_cos(IntegralRepParams(1, 0.5, 1, 1),
+                       QuadConfig(max_refinements=1100)),
+    lambda: QuadConfig(nodes=2**1100),
+    lambda: QuadConfig(nodes=2**20 + 1, max_refinements=1),
+    lambda: QuadConfig(nodes=2, max_refinements=10**30),
+    lambda: QuadConfig(nodes=10**5000),
+], ids=["weighted-integral", "eval-w-cos", "nodes", "nodes-past-2**20",
+        "refinements-past-any-level", "nodes-past-4300-digits"])
+def test_quad_config_refuses_a_last_level_past_2_to_the_20(make):
+    # these ended in a bare OverflowError from pi * last in weighted_integral
+    with pytest.raises(InvalidParameter) as raised:
+        make()
+    assert str(raised.value) == "nodes * 2**max_refinements must be at most 2**20"
+
+
+def test_quad_config_checks_the_counts_before_the_last_level():
+    with pytest.raises(InvalidParameter, match="^nodes must be an integer"):
+        QuadConfig(nodes=1, max_refinements=1100)
+    with pytest.raises(InvalidParameter, match="^max_refinements must be"):
+        QuadConfig(nodes=2**1100, max_refinements=0)
+
+
+def test_quad_config_takes_a_last_level_of_2_to_the_20():
+    # construction only: Newton on 2**20 nodes would run for hours
+    assert QuadConfig(nodes=128, max_refinements=13).max_refinements == 13
+    assert QuadConfig(nodes=2**19, max_refinements=1).nodes == 2**19
+
+
+def _table_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "gauss_legendre_table.py"
+    spec = importlib.util.spec_from_file_location("gauss_legendre_table", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_committed_legendre_table_equals_the_tool_output():
+    tool = _table_tool()
+    assert tool.TARGET.read_text(encoding="utf-8") == tool.render()
+    assert tuple(_gauss_legendre.HALF_RULES) == tool.SIZES
+
