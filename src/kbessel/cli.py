@@ -26,13 +26,7 @@ from .verify import CHECK_NAMES, GridSpec, _sweep, default_grid
 
 import click
 
-from .errors import (
-    DomainError,
-    InvalidParameter,
-    NonConvergence,
-    Overflow,
-    QuadratureFailure,
-)
+from .errors import DomainError, InvalidParameter, KBesselError
 from .kbessel import (_DEFAULT_CONFIG, KBesselParams, SeriesConfig,
                       _eval_normalized, deriv_w, eval_w)
 from .kgamma import (
@@ -44,9 +38,6 @@ from .kgamma import (
     ln_k_gamma,
 )
 
-_USAGE_ERRORS = (InvalidParameter, DomainError)
-_NUMERIC_ERRORS = (NonConvergence, Overflow, QuadratureFailure)
-
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
@@ -55,13 +46,13 @@ def _fail(code: int, message: str) -> None:
 
 @contextlib.contextmanager
 def _exit_codes():
-    """Exit 2 on a usage or domain error raised in the block, 3 on a
-    numerical failure."""
+    """Exit 2 on a usage or domain error raised in the block, 3 on any
+    other package error: each of the others is a numerical failure."""
     try:
         yield
-    except _USAGE_ERRORS as exc:
+    except (InvalidParameter, DomainError) as exc:
         _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
+    except KBesselError as exc:
         _fail(3, str(exc))
 
 
@@ -177,7 +168,7 @@ def main() -> None:
 @click.option("--max-terms", type=int, default=_DEFAULT_CONFIG.max_terms, show_default=True,
               help="Series term cap.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv", "json"]),
-              default="plain", show_default=True)
+              default="plain", show_default=True, help="Output format.")
 @click.option("--out", type=str, default=None, help="Write output to this file.")
 def cmd_eval(k: float, nu: float, c: float, x_text: str, deriv: int,
              tol: float, max_terms: int, fmt: str, out: str | None) -> None:
@@ -235,17 +226,22 @@ def cmd_gamma(fn: str, t: float | None, n: int | None, x: float | None,
 
 
 @main.command("table")
-@click.option("--k", type=float, required=True)
-@click.option("--nu", type=float, required=True)
-@click.option("--c", type=float, required=True)
-@click.option("--x-start", type=float, required=True)
-@click.option("--x-stop", type=float, required=True)
-@click.option("--x-steps", type=click.IntRange(min=1), required=True)
-@click.option("--tol", type=float, default=_DEFAULT_CONFIG.rel_tol, show_default=True)
-@click.option("--max-terms", type=int, default=_DEFAULT_CONFIG.max_terms, show_default=True)
+@click.option("--k", type=float, required=True, help="Positive deformation parameter.")
+@click.option("--nu", type=float, required=True, help="Order; must exceed -k.")
+@click.option("--c", type=float, required=True, help="Sign/scale parameter of the series.")
+@click.option("--x-start", type=float, required=True, help="First x of the grid.")
+@click.option("--x-stop", type=float, required=True,
+              help="Last x of the grid, unless --x-steps is 1.")
+@click.option("--x-steps", type=click.IntRange(min=1), required=True,
+              help="Number of evenly spaced x values, one row each.")
+@click.option("--tol", type=float, default=_DEFAULT_CONFIG.rel_tol, show_default=True,
+              help="Relative truncation tolerance of the series, and of "
+                   "the Hankel expansion that eval_w takes at y >= 17.")
+@click.option("--max-terms", type=int, default=_DEFAULT_CONFIG.max_terms, show_default=True,
+              help="Series term cap.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv", "json"]),
-              default="plain", show_default=True)
-@click.option("--out", type=str, default=None)
+              default="plain", show_default=True, help="Output format.")
+@click.option("--out", type=str, default=None, help="Write output to this file.")
 def cmd_table(k: float, nu: float, c: float, x_start: float, x_stop: float,
               x_steps: int, tol: float, max_terms: int, fmt: str,
               out: str | None) -> None:
@@ -324,8 +320,8 @@ _COMPARE_BETAS = (-0.4, 0.0, 0.5, 1.0, 2.5)
               help="'default' or a JSON file with k_values/nu_values/"
                    "alpha_values/x_values arrays.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--out", type=str, default=None)
+              default="csv", show_default=True, help="Output format.")
+@click.option("--out", type=str, default=None, help="Write output to this file.")
 def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
     """Compare quadrature routes against the series point by point.
 
@@ -356,15 +352,15 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
 @click.option("--grid", type=str, default="default", show_default=True,
               help="'default' or a JSON file of explicit grid arrays.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]),
-              default="jsonl", show_default=True)
-@click.option("--out", type=str, default=None)
+              default="jsonl", show_default=True, help="Output format.")
+@click.option("--out", type=str, default=None, help="Write output to this file.")
 def cmd_verify(checks: str, grid: str, fmt: str, out: str | None) -> None:
     """Run certification checks over a grid and report each point.
 
     Each report is written as soon as its check returns, so memory does not
     grow with the grid; --out is opened once the check names and the grid
-    are valid, before the first check runs.  Exits 0 when every non-skipped check passes and 4 otherwise; a summary
-    goes to stderr.
+    are valid, before the first check runs.  Exits 0 when every non-skipped
+    check passes and 4 otherwise; a summary goes to stderr.
     """
     if checks == "all":
         names = list(CHECK_NAMES)

@@ -30,7 +30,13 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from . import _gauss_legendre
+try:
+    from ._gauss_legendre import HALF_RULES
+except (ImportError, SyntaxError):
+    # the generated table is missing, or cut short by an interrupted write:
+    # Newton serves every n, with the same bits, and
+    # tools/gauss_legendre_table.py, which imports this module, rebuilds it
+    HALF_RULES = {}
 from .errors import (_MAX_EXP_ARG, DomainError, InvalidParameter,
                      NonConvergence, OutsideDomain, Overflow,
                      QuadratureFailure, _count, _finite, _positive)
@@ -106,9 +112,11 @@ def legendre_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     The rules for n = 128 and 256, the node counts of every level that the
     default sweeps reach, are read from ``_gauss_legendre``'s table, which
     holds ``_newton_legendre``'s bits; every other n comes from
-    ``_newton_legendre``.
+    ``_newton_legendre``.  The table is imported with this module: imported
+    at the first rule built, in the middle of a sweep, it raised the
+    sweep's peak RSS.
     """
-    half = _gauss_legendre.HALF_RULES.get(n)
+    half = HALF_RULES.get(n)
     if half is None:
         return _newton_legendre(n)
     values = tuple(map(float.fromhex, half.split()))
@@ -172,23 +180,22 @@ def _substitution_levels(p1: float) -> int:
 
 
 class _Level(_Record):
-    """One quadrature level as a cache key: (extra, n) and the nodes that
-    the cached function reads, ``legendre_nodes(n)`` for
-    ``_node_transform`` and the level's t_i for ``_level_values``.  It is
-    compared, hashed and shown by (extra, n) alone, since those fix the
-    nodes."""
+    """One quadrature level, the key of every per-level cache: (extra, n)
+    and its Legendre rule ``nodes``, ``legendre_nodes(n)``, which
+    ``_sine_map_chain`` reads.  It is compared, hashed and shown by
+    (extra, n) alone, since those fix the rule."""
 
     __slots__ = ("extra", "n", "nodes")
     _compared = ("extra", "n")
 
-    def __init__(self, extra: int, n: int, nodes: tuple | array):
+    def __init__(self, extra: int, n: int, nodes: tuple):
         self._set(extra, n, nodes)
 
 
 @lru_cache(maxsize=64)
 def _sine_map_chain(level: _Level) -> tuple[array, array, array, array]:
     """t_i, w_i * (pi/4), ln sin(delta_i) and ln w_i at each node of
-    ``level``, whose nodes are ``legendre_nodes(level.n)``.
+    ``level``.
 
     The chain depends on (extra, n) alone, so every weight exponent of a
     level shares it; callers only read its arrays.  An entry holds 32 n
@@ -219,18 +226,17 @@ def _sine_map_chain(level: _Level) -> tuple[array, array, array, array]:
 def _node_transform(p1: float, level: _Level) -> tuple[array, array]:
     """Nodes t_i and weights of one level after the sine-map chain.
 
-    ``level.nodes`` is ``legendre_nodes(level.n)``; the weight
-    w_i * (pi/4) * exp(p1 ln sin(delta_i) + ln w_i) holds everything but
-    h(t_i).  The weights depend only on (p1, extra, n), so they are cached
-    under that key; callers share the arrays and only read them.  The t_i
-    are the chain's, which does not read p1: every p1 with the same
-    (extra, n) gets the same t_i array, which is what lets ``_level_values``
-    share h's values across weight exponents.  A node whose weight
-    overflows raises QuadratureFailure, before any h is evaluated on the
-    level.  An entry holds 8 n bytes of weights, an eighth of what
-    ``legendre_nodes(n)`` keeps, so the default QuadConfig (n <= 128 * 2**8)
-    bounds the cache at 128 * 8 * 32768 bytes = 32 MiB; the default verify
-    grid fills 76 entries with 114 KiB.
+    The weight w_i * (pi/4) * exp(p1 ln sin(delta_i) + ln w_i) holds
+    everything but h(t_i).  The weights depend only on (p1, extra, n), so
+    they are cached under that key; callers share the arrays and only read
+    them.  The t_i are the chain's, which does not read p1: every p1 with
+    the same (extra, n) gets the same t_i array, the one ``_level_values``
+    evaluates h on.  A node whose weight overflows raises
+    QuadratureFailure, before any h is evaluated on the level.  An entry
+    holds 8 n bytes of weights, an eighth of what ``legendre_nodes(n)``
+    keeps, so the default QuadConfig (n <= 128 * 2**8) bounds the cache at
+    128 * 8 * 32768 bytes = 32 MiB; the default verify grid fills 76
+    entries with 114 KiB.
     """
     ts, scaled, ln_sins, ln_ws = _sine_map_chain(level)
     weights = array("d")
@@ -289,13 +295,14 @@ def _level_values(h, level: _Level) -> array:
     return fsum([1.0, +-0.0]) = 1.0.  A level whose h raises is not stored.
     An entry holds 8 n bytes of values, so with the default QuadConfig
     (n <= 32768) the memo holds at most 256 * 8 * 32768 bytes = 64 MiB of
-    them; its key also keeps the level's t_i array, which is the one
-    ``_sine_map_chain``'s cache holds until that entry is evicted.
+    them; its key also keeps the level's rule, as ``_node_transform``'s
+    keys do.  The t_i are the chain's, from its cache, or formed again bit
+    for bit where that entry was evicted.
     """
-    return h.values(level.nodes)
+    return h.values(_sine_map_chain(level)[0])
 
 
-def _integrate_once(h, p1: float, extra: int, n: int) -> float:
+def _integrate_once(h, p1: float, level: _Level) -> float:
     """One level: fsum of w_i h(t_i) over the level's n nodes, or
     QuadratureFailure where that sum is not finite.
 
@@ -307,12 +314,10 @@ def _integrate_once(h, p1: float, extra: int, n: int) -> float:
     is the same fsum of the same products, and the weights are built, or
     refused, before h is evaluated.
     """
-    # legendre_nodes is called on every level, cached or not:
-    # perfbench/tracer.py counts quadrature nodes from these calls
-    ts, weights = _node_transform(p1, _Level(extra, n, legendre_nodes(n)))
+    ts, weights = _node_transform(p1, level)
     try:
         if type(h) in _VALUE_INTEGRANDS:
-            values = _level_values(h, _Level(extra, n, ts))
+            values = _level_values(h, level)
         else:
             values = list(map(h, ts))  # h runs before fsum's try below
         try:
@@ -324,7 +329,7 @@ def _integrate_once(h, p1: float, extra: int, n: int) -> float:
             "transformed integrand overflows double range") from None
     if not math.isfinite(total):
         raise QuadratureFailure(
-            f"transformed integrand sums to {total!r} over {n} nodes")
+            f"transformed integrand sums to {total!r} over {level.n} nodes")
     return total
 
 
@@ -352,7 +357,10 @@ def weighted_integral(h, a: float, cfg: QuadConfig = _DEFAULT_QUAD) -> float:
     n = cfg.nodes
     prev = None
     for _ in range(cfg.max_refinements + 1):
-        cur = _integrate_once(h, p1, extra, n)
+        # one level, the key of every per-level cache; legendre_nodes is
+        # called on every level, cached or not: perfbench/tracer.py counts
+        # quadrature nodes from these calls
+        cur = _integrate_once(h, p1, _Level(extra, n, legendre_nodes(n)))
         if prev is not None and abs(cur - prev) <= cfg.abs_tol * max(1.0, abs(cur)):
             return cur
         prev = cur

@@ -16,6 +16,7 @@ import json
 import math
 import re
 
+import click
 import mpmath as mp
 import pytest
 from click.testing import CliRunner
@@ -1074,6 +1075,14 @@ def test_help_shows_the_series_config_defaults(runner, command):
     text = " ".join(result.output.split())  # undo the help's line wrapping
     assert re.search(r"--tol FLOAT [^\[]*\[default: 1e-14\]", text), text
     assert re.search(r"--max-terms INTEGER [^\[]*\[default: 500\]", text), text
+    assert "--k FLOAT Positive deformation parameter." in text, text
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_option_has_a_help_string(command):
+    options = [param for param in main.commands[command].params
+               if isinstance(param, click.Option)]
+    assert options and all(option.help for option in options)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ integrals are checked against beta-function closed forms through lgamma.
 import importlib.util
 import math
 import random
+import shutil
+import subprocess
+import sys
 from array import array
 from pathlib import Path
 
@@ -153,11 +156,14 @@ def _reference_nodes(a: float, n: int) -> tuple[list, list, list]:
     return ts, weights, ln_vals
 
 
+def _level(extra, n):
+    """The level key that weighted_integral builds for (extra, n)."""
+    return integral._Level(extra, n, legendre_nodes(n))
+
+
 def _node_transform(p1, extra, n):
-    """integral._node_transform through its level key, as _integrate_once
-    calls it."""
-    level = integral._Level(extra, n, legendre_nodes(n))
-    return integral._node_transform(p1, level)
+    """integral._node_transform at the level that weighted_integral builds."""
+    return integral._node_transform(p1, _level(extra, n))
 
 
 @pytest.mark.parametrize("a,n,extra", [
@@ -173,7 +179,8 @@ def test_cached_node_transform_matches_reference_loop(a, n, extra):
         assert got_t.tobytes() == array("d", ts).tobytes()
         assert got_w.tobytes() == array("d", weights).tobytes()
     want = math.fsum(w * math.cos(3.0 * t) for t, w in zip(ts, weights))
-    got = integral._integrate_once(lambda t: math.cos(3.0 * t), p1, extra, n)
+    got = integral._integrate_once(lambda t: math.cos(3.0 * t), p1,
+                                   _level(extra, n))
     assert got == want
 
 
@@ -687,6 +694,24 @@ def test_value_integrand_values_equal_calls_node_by_node(h, oracle):
     assert h.values(ts).tobytes() == array("d", [oracle(t) for t in ts]).tobytes()
 
 
+@pytest.mark.parametrize("extra, n", [(0, 128), (3, 256)])
+@pytest.mark.parametrize("h", [
+    integral._TrigIntegrand(math.cos, 3.0),
+    integral._TrigIntegrand(math.cosh, 7.0),
+    integral._KernelIntegrand(2.0, 1.5),
+], ids=["cos", "cosh", "kernel"])
+def test_level_values_read_the_t_i_of_the_levels_chain(h, extra, n):
+    # the level holds its Legendre rule; the t_i come from the chain
+    level = _level(extra, n)
+    integral._level_values.cache_clear()
+    try:
+        got = integral._level_values(h, level)
+    finally:
+        integral._level_values.cache_clear()
+    ts = integral._sine_map_chain(level)[0]
+    assert got.tobytes() == h.values(ts).tobytes()
+
+
 def test_kernel_integrands_of_either_zero_sign_share_equal_values():
     plus = integral._KernelIntegrand(0.5, 0.0)
     minus = integral._KernelIntegrand(0.5, -0.0)
@@ -740,4 +765,26 @@ def test_committed_legendre_table_equals_the_tool_output():
     tool = _table_tool()
     assert tool.TARGET.read_text(encoding="utf-8") == tool.render()
     assert tuple(_gauss_legendre.HALF_RULES) == tool.SIZES
+    assert integral.HALF_RULES is _gauss_legendre.HALF_RULES
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["missing", "cut-short"])
+def test_legendre_table_tool_rebuilds_a_missing_or_broken_table(tmp_path,
+                                                                cut):
+    # the tool imports kbessel.integral, which must import without the table
+    tool = _table_tool()
+    committed = tool.TARGET.read_text(encoding="utf-8")
+    package = tmp_path / "src" / "kbessel"
+    shutil.copytree(tool.ROOT / "src" / "kbessel", package,
+                    ignore=shutil.ignore_patterns("_gauss_legendre.py",
+                                                  "__pycache__"))
+    table = package / "_gauss_legendre.py"
+    if cut:  # as an interrupted write leaves it
+        table.write_text(committed[:len(committed) // 2], encoding="utf-8")
+    (tmp_path / "tools").mkdir()
+    script = shutil.copy(tool.__file__, tmp_path / "tools")
+    done = subprocess.run([sys.executable, script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert table.read_text(encoding="utf-8") == committed
 

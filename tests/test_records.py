@@ -233,9 +233,8 @@ def test_integrands_of_one_level_keep_apart_entries():
     assert cos == integral._TrigIntegrand(math.cos, omega)
     assert repr(cos) == "_TrigIntegrand(fn=<built-in function cos>, omega=2.0)"
     assert len({cos, cosh, kernel}) == 3
-    ts, _ = integral._node_transform(
-        1.0, integral._Level(0, 128, integral.legendre_nodes(128)))
-    level = integral._Level(0, 128, ts)
+    level = integral._Level(0, 128, integral.legendre_nodes(128))
+    ts, _ = integral._node_transform(1.0, level)
     integral._level_values.cache_clear()
     values = [integral._level_values(h, level) for h in (cos, cosh, kernel)]
     info = integral._level_values.cache_info()
