@@ -297,7 +297,8 @@ def _grid_spec(grid: str, required: tuple[str, ...] = ()) -> GridSpec:
             payload = json.load(handle)
     except OSError as exc:
         _fail(2, f"cannot read grid file {grid!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or arrays nested past the parser's recursion limit
         _fail(2, f"grid file {grid!r} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         _fail(2, f"grid file {grid!r} must hold a JSON object of arrays")

@@ -30,13 +30,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-try:
-    from ._gauss_legendre import HALF_RULES
-except (ImportError, SyntaxError):
-    # the generated table is missing, or cut short by an interrupted write:
-    # Newton serves every n, with the same bits, and
-    # tools/gauss_legendre_table.py, which imports this module, rebuilds it
-    HALF_RULES = {}
+from ._gauss_legendre import HALF_RULES
 from .errors import (_MAX_EXP_ARG, DomainError, InvalidParameter,
                      NonConvergence, OutsideDomain, Overflow,
                      QuadratureFailure, _count, _finite, _positive)
@@ -249,15 +243,12 @@ def _node_transform(p1: float, level: _Level) -> tuple[array, array]:
     return ts, weights
 
 
-class _TrigIntegrand(_Record):
+class _TrigIntegrand(namedtuple("_TrigIntegrand", "fn omega")):
     """h(t) = fn(omega t), fn cos or cosh: the cos/cosh routes' integrand
     and ``check_chebyshev_products``'s weight.  A hashable value, so
     ``_integrate_once`` may share its values between weight exponents."""
 
-    __slots__ = _compared = ("fn", "omega")
-
-    def __init__(self, fn, omega: float):
-        self._set(fn, omega)
+    __slots__ = ()
 
     def values(self, ts: array) -> array:
         """h at every t in ``ts``."""
@@ -265,14 +256,11 @@ class _TrigIntegrand(_Record):
         return array("d", [fn(omega * t) for t in ts])
 
 
-class _KernelIntegrand(_Record):
+class _KernelIntegrand(namedtuple("_KernelIntegrand", "scale c")):
     """h(t) = t K_c(scale t), the kernel route's integrand; a hashable
     value, as ``_TrigIntegrand`` is."""
 
-    __slots__ = _compared = ("scale", "c")
-
-    def __init__(self, scale: float, c: float):
-        self._set(scale, c)
+    __slots__ = ()
 
     def values(self, ts: array) -> array:
         """h at every t in ``ts``."""

@@ -59,13 +59,15 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
     Overflow at the first partial product past the double range, and where
     the product falls below the normal double range.  A factor of exactly 0
     ends the product: no later factor is negative, so its signed zero is the
-    value, also where a later factor would overflow.
+    value, also where a later factor would overflow.  A product that has
+    underflowed to 0 stops once the later factors are finite and of one sign.
     """
     _require_k(k)
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidParameter(f"n must be a non-negative integer, got {n!r}")
     if math.isnan(x):
         raise DomainError("k_pochhammer requires a real x, got nan")
+    last = x + (n - 1) * k if n < 2 ** 1000 else math.inf  # the largest factor
     result = 1.0
     for j in range(n):
         factor = x + j * k
@@ -73,6 +75,11 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
         if factor == 0.0:
             return result
         if not math.isfinite(result):  # no later factor makes it finite
+            break
+        if result == 0.0 and last < math.inf and (factor > 0.0 or last < 0.0):
+            # later factors, in [factor, last], are finite and of one sign
+            if last < 0.0 and (n - 1 - j) % 2:
+                result = -result
             break
     _finite(result, "k_pochhammer({}, {}, {}) exceeds double range", x, n, k)
     return _normal(result, "k_pochhammer({}, {}, {}) underflows: {!r} is below "

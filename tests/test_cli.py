@@ -1062,6 +1062,23 @@ class TestSweepsOnValidGrids:
         assert result.exit_code == 2
         assert "must hold a JSON object of arrays" in result.stderr
 
+    @pytest.mark.parametrize("command", ["verify", "compare-integral"])
+    @pytest.mark.parametrize("content, reason", [
+        (b'\xff\xfe{"k_values": [1]}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf-8", "nested-100000-deep"])
+    def test_grid_file_json_cannot_read_exits_2(self, runner, tmp_path,
+                                                command, content, reason):
+        # each was a traceback: a UnicodeDecodeError, a RecursionError
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(content)
+        result = runner.invoke(main, [command, "--grid", str(grid)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            f"error: grid file {str(grid)!r} is not valid JSON: {reason}")
+        assert result.stderr.count("\n") == 1
+
 
 # ---------------------------------------------------------------------------
 # help

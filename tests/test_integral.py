@@ -768,10 +768,10 @@ def test_committed_legendre_table_equals_the_tool_output():
     assert integral.HALF_RULES is _gauss_legendre.HALF_RULES
 
 
-@pytest.mark.parametrize("cut", [False, True], ids=["missing", "cut-short"])
-def test_legendre_table_tool_rebuilds_a_missing_or_broken_table(tmp_path,
-                                                                cut):
-    # the tool imports kbessel.integral, which must import without the table
+def _package_without_the_table(tmp_path, cut):
+    """The tool, the committed table, and the table's path in a copy of the
+    package under ``tmp_path / "src"`` that lacks it, or holds it cut in
+    half as an interrupted write leaves it."""
     tool = _table_tool()
     committed = tool.TARGET.read_text(encoding="utf-8")
     package = tmp_path / "src" / "kbessel"
@@ -779,12 +779,35 @@ def test_legendre_table_tool_rebuilds_a_missing_or_broken_table(tmp_path,
                     ignore=shutil.ignore_patterns("_gauss_legendre.py",
                                                   "__pycache__"))
     table = package / "_gauss_legendre.py"
-    if cut:  # as an interrupted write leaves it
+    if cut:
         table.write_text(committed[:len(committed) // 2], encoding="utf-8")
+    return tool, committed, table
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["missing", "cut-short"])
+def test_legendre_table_tool_rebuilds_a_missing_or_broken_table(tmp_path,
+                                                                cut):
+    # the tool imports kbessel.integral, which imports the table: the tool
+    # stands in an empty one for it
+    tool, committed, table = _package_without_the_table(tmp_path, cut)
     (tmp_path / "tools").mkdir()
     script = shutil.copy(tool.__file__, tmp_path / "tools")
     done = subprocess.run([sys.executable, script], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert table.read_text(encoding="utf-8") == committed
+
+
+@pytest.mark.parametrize("cut, error", [(False, "ModuleNotFoundError"),
+                                        (True, "SyntaxError")],
+                         ids=["missing", "cut-short"])
+def test_integral_does_not_import_without_the_table(tmp_path, cut, error):
+    # it imported with an empty table, and Newton served every level
+    _package_without_the_table(tmp_path, cut)
+    done = subprocess.run([sys.executable, "-c", "import kbessel.integral"],
+                          cwd=tmp_path / "src", capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 1
+    assert "kbessel" in done.stderr and "_gauss_legendre" in done.stderr
+    assert done.stderr.splitlines()[-1].startswith(f"{error}: ")
 

@@ -10,7 +10,11 @@ points where a value used to leak.
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -428,6 +432,45 @@ def test_pochhammer_below_the_normal_range_raises_unless_a_factor_is_zero():
     assert k_pochhammer(-2e-200, 3, 1e-200) == 0.0
     assert k_pochhammer(-2.0, 5, 1.0) == 0.0
     assert k_pochhammer(1.0, 3, 1.0) == 6.0
+
+
+def test_pochhammer_stops_once_an_underflowed_product_is_final():
+    # the product is 0.0 after two factors, and every later one lies in
+    # (0, 1e-288]: the loop ran on through all 10^12 of them
+    args = ["--t", "1e-300", "--n", "1000000000000", "--k", "1e-300"]
+    done = subprocess.run(
+        [sys.executable, "-m", "kbessel.cli", "gamma", "--fn", "pochhammer",
+         *args],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: k_pochhammer(1e-300, 1000000000000, 1e-300) underflows: 0.0 "
+        "is below the normal double range\n")
+    # a negative zero, once the factors are positive
+    with pytest.raises(Overflow, match=r"underflows: -0\.0 is below"):
+        k_pochhammer(-2.5e-300, 10 ** 12, 1e-300)
+    # factors all -0.5: the sign of the zero follows the count of those left
+    for n, zero in [(10 ** 12, r"0\.0"), (10 ** 12 + 1, r"-0\.0")]:
+        with pytest.raises(Overflow, match=rf"underflows: {zero} is below"):
+            k_pochhammer(-0.5, n, 1e-300)
+
+
+@pytest.mark.parametrize("x", [-0.5, -0.9, -3e-300, -2.5e-300, 0.5])
+def test_pochhammer_stopped_early_gives_the_zero_of_the_full_product(x):
+    def full_product(n, k):
+        result = 1.0
+        for j in range(n):
+            result *= x + j * k
+        return result
+
+    for k in (1e-310, 1e-300, 1e-200, 1e-3):
+        for n in (*range(2, 12), *range(1070, 1082)):
+            expected = full_product(n, k)
+            if expected != 0.0 or 0.0 in (x + j * k for j in range(n)):
+                continue
+            with pytest.raises(Overflow, match=rf"underflows: {expected!r} "):
+                k_pochhammer(x, n, k)
 
 
 def test_pochhammer_ends_at_an_exact_zero_factor():

@@ -3,8 +3,8 @@
 ``QuadConfig``, ``IntegralRepParams``, ``GridSpec`` and ``VerifyReport``,
 and the quadrature's private cache keys.  Each has what a frozen dataclass
 would give it, without importing ``dataclasses``.  The parameter records
-are tuples of their fields; ``EvalResult``, ``VerifyReport`` and the keys
-are not tuples."""
+and the integrand keys are tuples of their fields; ``EvalResult``,
+``VerifyReport`` and the level key ``_Level`` are not tuples."""
 
 import copy
 import math
@@ -16,7 +16,7 @@ import pytest
 from kbessel import (EvalResult, GridSpec, IntegralRepParams, KBesselError,
                      KBesselParams, QuadConfig, SeriesConfig, VerifyReport,
                      default_grid, eval_w, integral)
-from kbessel.kbessel import _series
+from kbessel.kbessel import _Record, _series
 
 GRID = {"k_values": (1.0,), "nu_values": (0.5,), "c_values": (1.0,),
         "alpha_values": (1.0,), "x_values": (1.0, 2.0), "a_values": (0.25,),
@@ -206,6 +206,13 @@ def test_verify_report_copy_and_pickle_round_trip():
     for twin in (copy.copy(REPORT), copy.deepcopy(REPORT),
                  pickle.loads(pickle.dumps(REPORT))):
         assert type(twin) is VerifyReport and twin == REPORT
+
+
+def test_integrands_are_tuples_and_the_level_the_only_private_record():
+    for integrand in (integral._TrigIntegrand, integral._KernelIntegrand):
+        assert issubclass(integrand, tuple) and integrand.__slots__ == ()
+    assert set(_Record.__subclasses__()) == {EvalResult, VerifyReport,
+                                             integral._Level}
 
 
 def test_levels_compare_by_extra_and_n_and_share_a_node_transform():

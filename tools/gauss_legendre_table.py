@@ -13,6 +13,7 @@ tool's output.
 from __future__ import annotations
 
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,5 +52,10 @@ def render() -> str:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
+    # kbessel.integral imports the table it is about to rebuild, which may be
+    # missing or cut short: an empty stand-in serves the Newton routine
+    stand_in = types.ModuleType("kbessel._gauss_legendre")
+    stand_in.HALF_RULES = {}
+    sys.modules[stand_in.__name__] = stand_in
     TARGET.write_text(render(), encoding="utf-8")
     print(f"wrote {TARGET}")
