@@ -21,8 +21,9 @@ from collections.abc import Iterable
 # The sweep modules load before click, as they did when the package loaded
 # them: compiled after click, their compile peak adds to its memory and
 # raises the commands' peak RSS.
-from .integral import ROUTES, route_legs
-from .verify import CHECK_NAMES, GridSpec, _sweep, default_grid
+from .integral import route_legs
+from .verify import (_CHECKS, CHECK_NAMES, GridSpec, VerifyReport, _points,
+                     _sweep, default_grid)
 
 import click
 
@@ -88,7 +89,7 @@ def _json_value(value) -> str:
     return form(value)
 
 
-def _emit(fmt: str, header: list[str] | None, rows: Iterable[list],
+def _emit(fmt: str, header: Iterable[str] | None, rows: Iterable[Iterable],
           out: str | None) -> None:
     """Write ``rows`` in ``fmt`` to stdout, or to the file ``out``, each row
     as the iterable yields it; the stream is flushed once, at the end, where
@@ -110,8 +111,8 @@ def _emit(fmt: str, header: list[str] | None, rows: Iterable[list],
         _fail(2, f"cannot write output file {out!r}: {exc}")
 
 
-def _write(stream, fmt: str, header: list[str] | None,
-           rows: Iterable[list]) -> None:
+def _write(stream, fmt: str, header: Iterable[str] | None,
+           rows: Iterable[Iterable]) -> None:
     """csv: a header record, then one record per row, through the csv
     module (None an empty cell, other non-str cells in their json form);
     json: one object per line; plain: the header unless it is None, then
@@ -331,20 +332,18 @@ def cmd_compare_integral(grid: str, fmt: str, out: str | None) -> None:
     """
     spec = _grid_spec(grid, ("k_values", "nu_values", "alpha_values",
                              "x_values"))
+    specs = ([spec._replace(k_values=(k,),
+                            nu_values=[beta * k for beta in _COMPARE_BETAS])
+              for k in sorted(spec.k_values)] if grid == "default" else [spec])
+    axes = _CHECKS["integral-agreement"][0]
     rows = []
     with _exit_codes():
-        for k in sorted(spec.k_values):
-            nu_values = ([beta * k for beta in _COMPARE_BETAS]
-                         if grid == "default" else spec.nu_values)
-            for nu, alpha, x, route in itertools.product(
-                    sorted(nu_values), sorted(spec.alpha_values),
-                    sorted(spec.x_values), ROUTES):
-                for c, quad, series in route_legs(k, nu, alpha, x, route)[1]:
-                    rows.append([k, nu, alpha, x, route, c, series, quad,
+        for part in specs:
+            for point in _points(axes, part):
+                for c, quad, series in route_legs(**point)[1]:
+                    rows.append([*point.values(), c, series, quad,
                                  quad - series])
-    header = ["k", "nu", "alpha", "x", "route", "c", "series", "integral",
-              "diff"]
-    _emit(fmt, header, rows, out)
+    _emit(fmt, [*axes, "c", "series", "integral", "diff"], rows, out)
 
 
 @main.command("verify")
@@ -372,17 +371,16 @@ def cmd_verify(checks: str, grid: str, fmt: str, out: str | None) -> None:
     spec = _grid_spec(grid)  # unnamed fields keep their default values
     with _exit_codes():
         reports = _sweep(spec, names)  # refuses the names before any check
-    header = ["check_name", "grid_point", "margin", "passed", "skipped",
-              "notes"]
     tally = {"passed": 0, "skipped": 0, "failed": 0}
 
     def rows():
         for report in reports:
             tally["skipped" if report.skipped else
                   "passed" if report.passed else "failed"] += 1
-            yield [getattr(report, name) for name in header]
+            yield report
 
-    _emit("json" if fmt == "jsonl" else fmt, header, rows(), out)
+    _emit("json" if fmt == "jsonl" else fmt, VerifyReport._fields, rows(),
+          out)
     click.echo(f"{sum(tally.values())} reports: {tally['passed']} passed, "
                f"{tally['skipped']} skipped, {tally['failed']} failed",
                err=True)

@@ -183,7 +183,10 @@ class _Level(_Record):
     _compared = ("extra", "n")
 
     def __init__(self, extra: int, n: int, nodes: tuple):
-        self._set(extra, n, nodes)
+        set_field = object.__setattr__
+        set_field(self, "extra", extra)
+        set_field(self, "n", n)
+        set_field(self, "nodes", nodes)
 
 
 @lru_cache(maxsize=64)

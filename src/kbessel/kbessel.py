@@ -62,9 +62,10 @@ __all__ = [
 # The records import nothing: dataclasses would load a dozen stdlib modules
 # (inspect, ast, dis, ...) with every ``import kbessel``, and building a
 # dataclass execs generated source.  The parameter records, here and in
-# ``integral`` and ``verify``, are tuples of their fields, checked in
-# __new__; the namedtuple's _make, and so _replace, goes through the same
-# checks.  The others are ``_Record`` subclasses.
+# ``integral`` and ``verify``, and ``verify``'s reports are tuples of their
+# fields; a parameter record is checked in __new__, and the namedtuple's
+# _make, and so _replace, goes through the same checks.  ``EvalResult`` and
+# ``integral``'s ``_Level`` are ``_Record`` subclasses.
 
 
 class KBesselParams(namedtuple("KBesselParams", "k nu c")):
@@ -101,8 +102,8 @@ class SeriesConfig(namedtuple("SeriesConfig", "rel_tol max_terms")):
 
 class _Record:
     """Base of the frozen records that are not tuples.  A subclass names its
-    fields in ``__slots__``, and its ``__init__`` sets them (``_set`` sets
-    them in order).  Records of one class are equal and hashed by the
+    fields in ``__slots__``, and its ``__init__`` sets each with
+    ``object.__setattr__``.  Records of one class are equal and hashed by the
     tuple ``_values`` of the fields named in ``_compared`` (at least two),
     and show those fields in the dataclass repr form; a record refuses
     assignment and ``del``."""
@@ -112,10 +113,6 @@ class _Record:
     def __init_subclass__(cls):
         # read in C: the quadrature caches hash and compare levels often
         cls._values = property(attrgetter(*cls._compared))
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -150,7 +147,6 @@ class EvalResult(_Record):
     __match_args__ = _compared = __slots__
 
     def __init__(self, value: float, terms_used: int, est_error: float):
-        # field by field, not through _set: every evaluation builds one
         set_field = object.__setattr__
         set_field(self, "value", value)
         set_field(self, "terms_used", terms_used)

@@ -60,7 +60,8 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
     the product falls below the normal double range.  A factor of exactly 0
     ends the product: no later factor is negative, so its signed zero is the
     value, also where a later factor would overflow.  A product that has
-    underflowed to 0 stops once the later factors are finite and of one sign.
+    underflowed to 0 stops once the later factors are finite and of one sign,
+    and the product stops at a factor of exactly +-1 equal to the last.
     """
     _require_k(k)
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -76,8 +77,10 @@ def k_pochhammer(x: float, n: int, k: float) -> float:
             return result
         if not math.isfinite(result):  # no later factor makes it finite
             break
-        if result == 0.0 and last < math.inf and (factor > 0.0 or last < 0.0):
-            # later factors, in [factor, last], are finite and of one sign
+        if ((result == 0.0 or factor == last and abs(factor) == 1.0)
+                and last < math.inf and (factor > 0.0 or last < 0.0)):
+            # later factors, in [factor, last], are finite and of one sign,
+            # and the product is 0 or each of them is this same +-1
             if last < 0.0 and (n - 1 - j) % 2:
                 result = -result
             break

@@ -43,7 +43,6 @@ from .integral import (
 )
 from .kbessel import (
     KBesselParams,
-    _Record,
     deriv_w,
     eval_normalized_i,
     eval_w,
@@ -139,17 +138,11 @@ def default_grid() -> GridSpec:
     )
 
 
-class VerifyReport(_Record):
+class VerifyReport(namedtuple("VerifyReport", "check_name grid_point margin "
+                               "passed skipped notes", defaults=(False, ""))):
     """Outcome of one check at one grid point."""
 
-    __slots__ = ("check_name", "grid_point", "margin", "passed", "skipped",
-                 "notes")
-    __match_args__ = _compared = __slots__
-
-    def __init__(self, check_name: str, grid_point: dict,
-                 margin: float | None, passed: bool, skipped: bool = False,
-                 notes: str = ""):
-        self._set(check_name, grid_point, margin, passed, skipped, notes)
+    __slots__ = ()
 
 
 def _report(name: str, point: dict, comparisons: list[tuple[float, float]],
@@ -649,8 +642,8 @@ def _series_params(point: dict) -> KBesselParams:
     return KBesselParams(point["k"], point["nu"], point["c"])
 
 
-# How ``run_grid`` expands each check: (axes, call).  ``axes`` are the
-# point's keys in order; a pair of keys takes the ordered pairs of
+# Each check's (axes, call).  ``axes`` are the point's keys in order, which
+# ``_points`` expands: a pair of keys takes the ordered pairs of
 # ``nu_values``, any other key the sorted values of its grid field (or of its
 # fixed axis).  ``call(spec, point)`` runs the check; it names the check
 # function as a module global, looked up on every call, so a replacement set
@@ -691,22 +684,28 @@ _CHECKS = {
 CHECK_NAMES: tuple[str, ...] = tuple(_CHECKS)
 
 
-def _expand(name: str, spec: GridSpec):
-    """Every report of one check over ``spec``, in lexicographic order."""
-    check_axes, call = _CHECKS[name]
+def _points(axes, spec: GridSpec):
+    """The points of ``axes``, named as in ``_CHECKS``, over ``spec``: dicts
+    keyed by axis name, in the lexicographic order of the sorted values."""
     keys = []
-    axes = []
-    for axis in check_axes:
+    values = []
+    for axis in axes:
         if isinstance(axis, tuple):
             keys.extend(axis)
-            axes.append(list(itertools.combinations_with_replacement(
+            values.append(list(itertools.combinations_with_replacement(
                 sorted(spec.nu_values), 2)))
         else:
             keys.append(axis)
-            values = _FIXED_AXES.get(axis) or getattr(spec, _AXIS_FIELDS[axis])
-            axes.append([(v,) for v in sorted(values)])
-    for combo in itertools.product(*axes):
-        point = dict(zip(keys, itertools.chain.from_iterable(combo)))
+            field = _FIXED_AXES.get(axis) or getattr(spec, _AXIS_FIELDS[axis])
+            values.append([(v,) for v in sorted(field)])
+    for combo in itertools.product(*values):
+        yield dict(zip(keys, itertools.chain.from_iterable(combo)))
+
+
+def _expand(name: str, spec: GridSpec):
+    """Every report of one check over ``spec``, in ``_points`` order."""
+    axes, call = _CHECKS[name]
+    for point in _points(axes, spec):
         try:
             yield call(spec, point)
         except OutsideDomain as exc:

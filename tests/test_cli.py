@@ -24,6 +24,7 @@ from click.testing import CliRunner
 from kbessel import (
     KBesselParams,
     SeriesConfig,
+    VerifyReport,
     deriv_w,
     eval_w,
     k_digamma,
@@ -637,6 +638,36 @@ class TestCompareIntegral:
         assert [(r["route"], r["c"]) for r in parsed] == [
             ("cos", "1"), ("cosh", "-1"), ("kernel", "1"), ("kernel", "-1")]
 
+    def test_grid_file_rows_follow_the_integral_agreement_points(
+            self, runner, tmp_path):
+        # unsorted, with a repeated k and a nu below zero that the kernel
+        # route refuses
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "k_values": [2, 0.7, 0.5, 0.7], "nu_values": [1.5, -0.3, 0.7],
+            "alpha_values": [2, 0.5], "x_values": [3, 0.25]}),
+            encoding="utf-8")
+        result = runner.invoke(
+            main, ["compare-integral", "--grid", str(grid)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "71f38776045ba3e041f0a6fd6b1c5d1669bc0ed4d100ef6c957ed7ff6db87ba3")
+        parsed = list(csv.DictReader(io.StringIO(result.stdout)))
+        assert len(parsed) == 112
+        keys = ("k", "nu", "alpha", "x", "route")
+        points = list(dict.fromkeys(
+            tuple(r[key] if key == "route" else float(r[key]) for key in keys)
+            for r in parsed))
+        reports = runner.invoke(main, ["verify", "--checks",
+                                       "integral-agreement", "--grid",
+                                       str(grid)])
+        assert reports.exit_code == 0
+        checked = [tuple(report["grid_point"].values())
+                   for report in map(json.loads, reports.stdout.splitlines())
+                   if not report["skipped"]]
+        assert len(points) == 88
+        assert points == checked
+
     def test_missing_grid_key_exits_2(self, runner, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"k_values": [1.0]}), encoding="utf-8")
@@ -843,6 +874,13 @@ class TestVerify:
             point = json.loads(record["grid_point"])
             assert set(point) == {"k", "alpha", "x"}
             assert record["passed"] == "true"
+
+    def test_csv_header_is_the_report_fields(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--checks", "sin-relation", "--format", "csv"])
+        assert result.exit_code == 0
+        header = result.stdout.split("\n", 1)[0]
+        assert header == ",".join(VerifyReport._fields)
 
     def test_grid_file_merges_over_default_values(self, runner, tmp_path):
         grid = tmp_path / "grid.json"

@@ -456,6 +456,27 @@ def test_pochhammer_stops_once_an_underflowed_product_is_final():
             k_pochhammer(-0.5, n, 1e-300)
 
 
+def test_pochhammer_stops_at_a_last_factor_of_plus_or_minus_one():
+    # x + j k rounds to x for every j < 10^12: the loop multiplied 10^12
+    # factors of exactly 1.0 (or -1.0), about a day
+    code = ("from kbessel import k_pochhammer as p; print(p(1.0, 10**12, "
+            "1e-300), p(-1.0, 10**12 + 1, 1e-300), p(-1.0, 10**12, 1e-300))")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "1.0 -1.0 1.0\n", "")
+    # stopped early, the product is the full loop's: 1 + 2**-53 rounds to 1
+    for x, k in [(1.0, 1e-300), (-1.0, 1e-300), (1.0, 2.0 ** -53),
+                 (-1.0, 2.0 ** -54), (-1.0, 1.0), (0.5, 0.5)]:
+        for n in range(8):
+            full = 1.0
+            for j in range(n):
+                full *= x + j * k
+            assert k_pochhammer(x, n, k) == full
+
+
 @pytest.mark.parametrize("x", [-0.5, -0.9, -3e-300, -2.5e-300, 0.5])
 def test_pochhammer_stopped_early_gives_the_zero_of_the_full_product(x):
     def full_product(n, k):

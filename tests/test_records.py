@@ -2,9 +2,9 @@
 ``KBesselParams``, ``SeriesConfig`` and ``EvalResult``, the sweeps'
 ``QuadConfig``, ``IntegralRepParams``, ``GridSpec`` and ``VerifyReport``,
 and the quadrature's private cache keys.  Each has what a frozen dataclass
-would give it, without importing ``dataclasses``.  The parameter records
-and the integrand keys are tuples of their fields; ``EvalResult``,
-``VerifyReport`` and the level key ``_Level`` are not tuples."""
+would give it, without importing ``dataclasses``.  The parameter records,
+``VerifyReport`` and the integrand keys are tuples of their fields;
+``EvalResult`` and the level key ``_Level`` are not tuples."""
 
 import copy
 import math
@@ -176,7 +176,7 @@ def test_verify_report_repr_construction_and_defaults():
     assert [getattr(REPORT, name) for name in REPORT_FIELDS] == list(
         REPORT_FIELDS.values())
     assert VerifyReport.__match_args__ == tuple(REPORT_FIELDS)
-    assert not isinstance(REPORT, tuple)
+    assert isinstance(REPORT, tuple) and VerifyReport.__slots__ == ()
     with pytest.raises(TypeError):
         VerifyReport("ode", {"k": 1.0}, -0.5)  # passed has no default
 
@@ -187,8 +187,8 @@ def test_verify_report_equal_by_fields_and_unhashable_as_its_point_is():
                         ("grid_point", {"k": 2.0})):
         other = VerifyReport(**{**REPORT_FIELDS, name: value})
         assert other != REPORT and not other == REPORT
-    assert REPORT != tuple(REPORT_FIELDS.values())
-    # a frozen dataclass hashes its fields too, so a dict field refuses
+    assert REPORT == tuple(REPORT_FIELDS.values())
+    # a tuple hashes its fields, as a frozen dataclass does: a dict refuses
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(REPORT)
 
@@ -211,8 +211,7 @@ def test_verify_report_copy_and_pickle_round_trip():
 def test_integrands_are_tuples_and_the_level_the_only_private_record():
     for integrand in (integral._TrigIntegrand, integral._KernelIntegrand):
         assert issubclass(integrand, tuple) and integrand.__slots__ == ()
-    assert set(_Record.__subclasses__()) == {EvalResult, VerifyReport,
-                                             integral._Level}
+    assert set(_Record.__subclasses__()) == {EvalResult, integral._Level}
 
 
 def test_levels_compare_by_extra_and_n_and_share_a_node_transform():
